@@ -359,10 +359,16 @@ def _load_metrics_table(path: str) -> tuple[list[str], AnalysisTable]:
     """(paper ids, numeric table) from the merged metrics CSV; blanks → NaN."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = list(reader)
-    if header[0] != "paper_id":
+    if not header or header[0] != "paper_id":
         _fail("bad_artifact", f"{path} does not look like a metrics table")
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            _fail(
+                "bad_artifact",
+                f"{path} data row {number} has {len(row)} cells; the header has {len(header)}",
+            )
     ids = [row[0] for row in rows]
     columns = {}
     for j, name in enumerate(header[1:], start=1):

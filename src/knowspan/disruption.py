@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.stats import rankdata
+import numpy as np
 
 from .corpus import CitationGraph, Corpus, Paper
 
@@ -70,8 +70,15 @@ def percentile_ranks(scores: list[float]) -> list[float]:
     if not scores:
         raise ValueError("cannot rank an empty score list")
     n = len(scores)
-    ranks = rankdata(scores, method="average")
-    return [float(100.0 * (rank - 0.5) / n) for rank in ranks]
+    values = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    # tie group [start, end) holds ranks start+1 .. end, whose mean is exact
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return (100.0 * (ranks - 0.5) / n).tolist()
 
 
 def score_corpus(

@@ -117,25 +117,80 @@ def pair_gradients(
     return g_center, g_context, g_negatives
 
 
+# Pairs per precomputed block of draws, learning rates and scores.  Large
+# enough to amortise numpy call overhead, small enough to keep memory flat.
+_CHUNK_PAIRS = 4096
+
+
 def _sgd_step(
-    w_in: np.ndarray, w_out: np.ndarray, center: int, targets: np.ndarray, lr: float
-) -> float:
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    center: int,
+    targets: np.ndarray,
+    lr: float,
+    scores: np.ndarray,
+    distinct: bool,
+) -> None:
     """One in-place SGD update; ``targets[0]`` is the positive context.
 
-    Returns the loss at the pre-update parameters.  Duplicate negative draws
-    are accumulated, not overwritten.
+    Writes the pre-update scores ``w_out[targets] @ w_in[center]`` into
+    ``scores``; ``_pair_losses`` turns them into the loss.  ``distinct``
+    promises that no target repeats; otherwise duplicate negative draws are
+    accumulated, not overwritten.
     """
     v = w_in[center]
-    u = w_out[targets]  # fancy indexing copies, so u stays at pre-update values
-    scores = u @ v
-    loss = float(np.logaddexp(0.0, scores).sum() - scores[0])
+    u = w_out.take(targets, axis=0)  # a copy, so u stays at pre-update values
+    np.dot(u, v, out=scores)
     err = expit(scores)
     err[0] -= 1.0
     err *= lr
-    grad_center = err @ u
-    np.add.at(w_out, targets, -err[:, None] * v[None, :])
-    w_in[center] = v - grad_center
-    return loss
+    grad_center = np.dot(err, u)
+    if distinct:  # write the updated copy back in one assignment
+        u -= err[:, None] * v
+        w_out[targets] = u
+    else:
+        np.subtract.at(w_out, targets, err[:, None] * v)
+    v -= grad_center
+
+
+def _pair_losses(scores: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Per-pair loss from score rows; row i holds ``widths[i]`` scores.
+
+    Entries past a row's width are padding and must be ``-inf``.  Padded rows
+    are re-summed over their own width: numpy sums eight or more terms
+    pairwise, so trailing zeros could change the rounding.
+    """
+    terms = np.logaddexp(0.0, scores)
+    sums = terms.sum(axis=1)
+    for i in np.flatnonzero(widths < scores.shape[1]).tolist():
+        sums[i] = terms[i, : widths[i]].sum()
+    return sums - scores[:, 0]
+
+
+def _draw_targets(
+    contexts: np.ndarray, noise_cdf: np.ndarray, rng: np.random.Generator, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Targets for a run of pairs: (targets, kept, widths, distinct).
+
+    Row i of the ``(n, k+1)`` ``targets`` is the context then k noise draws.
+    ``kept`` is False for draws equal to the context, which the update
+    drops, so row i keeps ``widths[i]`` targets.  ``distinct`` is False where
+    a kept target repeats.  The generator yields the same doubles however
+    the draws are split, so one call here matches k calls per pair.
+    """
+    n = contexts.shape[0]
+    context = contexts[:, None]
+    draws = np.searchsorted(noise_cdf, rng.random(n * k)).reshape(n, k)
+    targets = np.concatenate((context, draws), axis=1)
+    kept = targets != context
+    kept[:, 0] = True
+    widths = kept.sum(axis=1)
+    # Dropped draws get distinct negative keys, so after sorting only kept
+    # targets that repeat sit next to an equal neighbour.
+    keyed = np.where(kept, targets, -1 - np.arange(k + 1))
+    keyed.sort(axis=1)
+    distinct = (keyed[:, 1:] != keyed[:, :-1]).all(axis=1)
+    return targets, kept, widths, distinct
 
 
 def train_embeddings(
@@ -147,20 +202,25 @@ def train_embeddings(
     frequency raised to ``noise_exponent``; a draw equal to the positive
     context is dropped rather than resampled.  The learning rate decays
     linearly from the initial to the final value over all scheduled updates.
+
+    Updates run pair by pair; the work that does not depend on the vectors
+    (noise draws, learning rates, the loss) is done once per chunk of
+    ``_CHUNK_PAIRS`` pairs, with results identical to doing it per pair.
     """
     config = config or TrainingConfig()
-    pair_list = list(pairs)
-    if not pair_list:
+    slots = [code for pair in pairs for code in pair]  # center, context, center, ...
+    if not slots:
         raise ValueError("no training pairs: no paper carries two or more codes")
-    counts: Counter[PacsCode] = Counter()
-    for center, context in pair_list:
-        counts[center] += 1
-        counts[context] += 1
+    # Count and index by code text: str hashes are cached, PacsCode hashes are not.
+    texts = [code.raw for code in slots]
+    counts = Counter(texts)
     if len(counts) < 2:
         raise ValueError("vocabulary must contain at least two codes")
 
-    vocab = tuple(sorted(counts, key=lambda code: (-counts[code], code.raw)))
-    index = {code: i for i, code in enumerate(vocab)}
+    code_of = dict(zip(texts, slots))
+    vocab_texts = sorted(counts, key=lambda text: (-counts[text], text))
+    vocab = tuple(code_of[text] for text in vocab_texts)
+    index = {text: i for i, text in enumerate(vocab_texts)}
     n_vocab = len(vocab)
     dim = config.dim
 
@@ -170,13 +230,13 @@ def train_embeddings(
     w_in = rng.uniform(-bound, bound, size=(n_vocab, dim))
     w_out = rng.uniform(-bound, bound, size=(n_vocab, dim))
 
-    noise = np.array([counts[c] for c in vocab], dtype=np.float64) ** config.noise_exponent
+    noise = np.array([counts[t] for t in vocab_texts], dtype=np.float64) ** config.noise_exponent
     noise_cdf = np.cumsum(noise)
     noise_cdf /= noise_cdf[-1]
 
-    n_pairs = len(pair_list)
-    centers = np.fromiter((index[c] for c, _ in pair_list), dtype=np.int64, count=n_pairs)
-    contexts = np.fromiter((index[o] for _, o in pair_list), dtype=np.int64, count=n_pairs)
+    ids = np.fromiter(map(index.__getitem__, texts), dtype=np.int64, count=len(texts))
+    centers, contexts = ids[0::2], ids[1::2]
+    n_pairs = len(centers)
 
     k = config.negatives_per_positive
     lr_hi = config.initial_learning_rate
@@ -186,22 +246,39 @@ def train_embeddings(
     losses = []
     for _ in range(config.epochs):
         acc = 0.0
-        for i in range(n_pairs):
-            lr = max(lr_lo, lr_hi + (lr_lo - lr_hi) * (step / total_updates))
-            step += 1
-            context = contexts[i]
-            draws = np.searchsorted(noise_cdf, rng.random(k))
-            draws = draws[draws != context]
-            targets = np.concatenate(([context], draws))
-            acc += _sgd_step(w_in, w_out, centers[i], targets, lr)
+        for lo in range(0, n_pairs, _CHUNK_PAIRS):
+            hi = min(lo + _CHUNK_PAIRS, n_pairs)
+            n = hi - lo
+            targets, kept, widths, distinct = _draw_targets(
+                contexts[lo:hi], noise_cdf, rng, k
+            )
+            fraction = np.arange(step, step + n) / total_updates
+            rates = np.maximum(lr_lo, lr_hi + (lr_lo - lr_hi) * fraction)
+            step += n
+            scores = np.full((n, k + 1), -np.inf)
+            rows = zip(
+                centers[lo:hi].tolist(),
+                targets,
+                kept,
+                scores,
+                rates.tolist(),
+                widths.tolist(),
+                distinct.tolist(),
+            )
+            for center, row, row_kept, row_scores, lr, width, is_distinct in rows:
+                if width <= k:
+                    row, row_scores = row[row_kept], row_scores[:width]
+                _sgd_step(w_in, w_out, center, row, lr, row_scores, is_distinct)
+            for loss in _pair_losses(scores, widths).tolist():  # summed in pair order
+                acc += loss
         losses.append(acc / n_pairs)
 
-    vectors = {code: w_in[i].copy() for code, i in index.items()}
+    vectors = {code: w_in[i].copy() for i, code in enumerate(vocab)}
     return EmbeddingMatrix(
         dim=dim,
         vocabulary=vocab,
         vectors=vectors,
-        frequencies=dict(counts),
+        frequencies={code_of[text]: n for text, n in counts.items()},
         loss_by_epoch=tuple(losses),
     )
 

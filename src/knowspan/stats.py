@@ -13,11 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 RANK_TOL = 1e-10
 
 STAR_THRESHOLDS = ((0.001, "***"), (0.05, "**"), (0.1, "*"))
+
+
+def _t_sf(x, df):
+    """Student t survival function; what ``scipy.stats.t.sf`` evaluates.
+
+    Calling ``stdtr`` directly keeps ``scipy.stats``, which is slow to import
+    and large in memory, out of the runtime.
+    """
+    return stdtr(df, -x)
 
 
 def star_label(p: float) -> str:
@@ -104,7 +113,7 @@ def pearson_matrix(
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stat = r_clipped * np.sqrt(df / (1.0 - r_clipped**2))
         t_stat = np.where(np.abs(r_clipped) >= 1.0, np.inf, np.abs(t_stat))
-    p = 2.0 * student_t.sf(t_stat, df)
+    p = 2.0 * _t_sf(t_stat, df)
     return CorrelationMatrix(columns=tuple(columns), r=r, p=p, df=df)
 
 
@@ -277,7 +286,7 @@ def ols_fit(design: Design, y: np.ndarray) -> RegressionResult:
             beta / np.where(se > 0.0, se, 1.0),
             np.where(beta == 0.0, 0.0, np.sign(beta) * np.inf),
         )
-    p = 2.0 * student_t.sf(np.abs(t_stat), df_resid)
+    p = 2.0 * _t_sf(np.abs(t_stat), df_resid)
 
     mean_y = float(y.mean())
     tss = float(((y - mean_y) ** 2).sum())

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -362,3 +364,28 @@ def test_malformed_config_line_is_structured_error(runner, tmp_path):
     payload = run_fail(runner, ["train", "--outdir", str(tmp_path), "--config", str(config)])
     assert payload["error"] == "bad_config"
     assert "key = value" in payload["message"]
+
+
+@pytest.mark.parametrize("stage", ["correlate", "regress", "curves"])
+@pytest.mark.parametrize(
+    "content",
+    [",".join(METRIC_COLUMNS) + "\np1,0.1\n", ""],
+    ids=["short_row", "empty_file"],
+)
+def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, content):
+    (tmp_path / "metrics.csv").write_text(content, encoding="utf-8")
+    payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
+    assert payload["error"] == "bad_artifact"
+    assert "metrics.csv" in payload["message"]
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    import knowspan
+
+    src = os.path.dirname(os.path.dirname(knowspan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, knowspan.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -253,6 +253,34 @@ def test_percentile_monotone_and_tie_consistent(values):
     assert all(0.0 < p < 100.0 for p in pcts)
 
 
+def scipy_percentiles(values):
+    """The scipy.stats midrank percentiles percentile_ranks replaced."""
+    from scipy.stats import rankdata
+
+    n = len(values)
+    return [float(100.0 * (rank - 0.5) / n) for rank in rankdata(values, method="average")]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-1, 1, allow_nan=False)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_percentiles_equal_scipy_midranks_exactly(values):
+    assert percentile_ranks(values) == scipy_percentiles(values)
+
+
+def test_percentiles_equal_scipy_on_large_tied_samples():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        # d-scores are ratios of small counts, so real pools are full of ties
+        values = (rng.integers(-40, 41, size=5000) / rng.integers(1, 41, size=5000)).tolist()
+        assert percentile_ranks(values) == scipy_percentiles(values)
+
+
 # ---------------------------------------------------------------- corpus scoring
 
 def test_score_corpus_pools_defined_scores_only():

@@ -1,17 +1,25 @@
 """Skip-gram training mechanics: pairs, gradients, determinism, export."""
 
+import hashlib
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from knowspan import embedding
+from knowspan.cli import main
 from knowspan.corpus import PacsCode, parse_corpus
 from knowspan.embedding import (
     EmbeddingMatrix,
     MissingCodeError,
     TrainingConfig,
+    _pair_losses,
     _sgd_step,
     build_training_pairs,
     cosine_distance,
@@ -98,39 +106,60 @@ def test_gradient_check_against_central_differences():
     )
 
 
+def step_loss(scores):
+    """The trainer's loss for one update from the scores _sgd_step wrote."""
+    (loss,) = _pair_losses(scores[None, :], np.array([scores.size]))
+    return loss
+
+
 def test_sgd_step_applies_exactly_the_analytic_gradients():
     rng = np.random.default_rng(1)
     n_vocab, dim = 6, 8
-    w_in = rng.normal(size=(n_vocab, dim))
-    w_out = rng.normal(size=(n_vocab, dim))
+    w_in_0 = rng.normal(size=(n_vocab, dim))
+    w_out_0 = rng.normal(size=(n_vocab, dim))
     center, targets = 2, np.array([0, 3, 4, 5])
     lr = 0.05
 
     g_center, g_context, g_negatives = pair_gradients(
-        w_in[center], w_out[targets[0]], w_out[targets[1:]]
+        w_in_0[center], w_out_0[targets[0]], w_out_0[targets[1:]]
     )
-    expected_loss = pair_loss(w_in[center], w_out[targets[0]], w_out[targets[1:]])
-    expected_in = w_in[center] - lr * g_center
-    expected_out = w_out.copy()
+    expected_loss = pair_loss(w_in_0[center], w_out_0[targets[0]], w_out_0[targets[1:]])
+    expected_in = w_in_0[center] - lr * g_center
+    expected_out = w_out_0.copy()
     expected_out[targets[0]] -= lr * g_context
     expected_out[targets[1:]] -= lr * g_negatives
 
-    loss = _sgd_step(w_in, w_out, center, targets, lr)
-    assert loss == pytest.approx(expected_loss, rel=1e-12)
-    np.testing.assert_allclose(w_in[center], expected_in, rtol=1e-12)
-    np.testing.assert_allclose(w_out, expected_out, rtol=1e-12)
+    for distinct in (True, False):  # the write-back and the accumulating update
+        w_in, w_out = w_in_0.copy(), w_out_0.copy()
+        scores = np.empty(targets.size)
+        _sgd_step(w_in, w_out, center, targets, lr, scores, distinct)
+        assert step_loss(scores) == pytest.approx(expected_loss, rel=1e-12)
+        np.testing.assert_allclose(w_in[center], expected_in, rtol=1e-12)
+        np.testing.assert_allclose(w_out, expected_out, rtol=1e-12)
 
 
 def test_sgd_step_accumulates_duplicate_negative_draws():
     w_in = np.full((3, 4), 0.3)
     w_out = np.full((3, 4), 0.2)
     before = w_out[2].copy()
-    _sgd_step(w_in, w_out, 0, np.array([1, 2, 2]), 0.1)
+    _sgd_step(w_in, w_out, 0, np.array([1, 2, 2]), 0.1, np.empty(3), False)
     single = np.full((3, 4), 0.2)
-    _sgd_step(np.full((3, 4), 0.3), single, 0, np.array([1, 2]), 0.1)
+    _sgd_step(np.full((3, 4), 0.3), single, 0, np.array([1, 2]), 0.1, np.empty(2), True)
     moved_twice = before - w_out[2]
     moved_once = before - single[2]
     np.testing.assert_allclose(moved_twice, 2 * moved_once, rtol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 17])
+def test_padded_score_rows_give_the_unpadded_loss(width):
+    """A row padded with -inf has the loss of its unpadded scores, bit for bit."""
+    rng = np.random.default_rng(width)
+    scores = np.full((2, 20), -np.inf)
+    scores[0, :width] = rng.normal(size=width)
+    scores[1] = rng.normal(size=20)
+    losses = _pair_losses(scores, np.array([width, 20]))
+    for loss, row in zip(losses, (scores[0, :width], scores[1])):
+        assert loss == float(np.logaddexp(0.0, row).sum() - row[0])
 
 
 # ---------------------------------------------------------------- training
@@ -198,6 +227,128 @@ def test_config_validation():
         TrainingConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainingConfig(initial_learning_rate=0.001, final_learning_rate=0.01)
+
+
+# ---------------------------------------------------------------- exact equality
+
+def seed_sgd_step(w_in, w_out, center, targets, lr):
+    """The per-pair update the chunked trainer replaced, kept as its oracle."""
+    v = w_in[center]
+    u = w_out[targets]
+    scores = u @ v
+    loss = float(np.logaddexp(0.0, scores).sum() - scores[0])
+    err = expit(scores)
+    err[0] -= 1.0
+    err *= lr
+    grad_center = err @ u
+    np.add.at(w_out, targets, -err[:, None] * v[None, :])
+    w_in[center] = v - grad_center
+    return loss
+
+
+def seed_train(pairs, config):
+    """The per-pair training loop the chunked trainer replaced.
+
+    Returns (vocabulary, frequencies, vectors, loss_by_epoch).
+    """
+    pair_list = list(pairs)
+    counts = Counter()
+    for center, context in pair_list:
+        counts[center] += 1
+        counts[context] += 1
+    vocab = tuple(sorted(counts, key=lambda c: (-counts[c], c.raw)))
+    index = {c: i for i, c in enumerate(vocab)}
+    rng = np.random.default_rng(config.seed)
+    bound = 0.5 / config.dim
+    w_in = rng.uniform(-bound, bound, size=(len(vocab), config.dim))
+    w_out = rng.uniform(-bound, bound, size=(len(vocab), config.dim))
+    noise = np.array([counts[c] for c in vocab], dtype=np.float64) ** config.noise_exponent
+    noise_cdf = np.cumsum(noise)
+    noise_cdf /= noise_cdf[-1]
+    n_pairs = len(pair_list)
+    centers = np.fromiter((index[c] for c, _ in pair_list), dtype=np.int64, count=n_pairs)
+    contexts = np.fromiter((index[o] for _, o in pair_list), dtype=np.int64, count=n_pairs)
+    k = config.negatives_per_positive
+    lr_hi = config.initial_learning_rate
+    lr_lo = config.final_learning_rate
+    total_updates = config.epochs * n_pairs
+    step = 0
+    losses = []
+    for _ in range(config.epochs):
+        acc = 0.0
+        for i in range(n_pairs):
+            lr = max(lr_lo, lr_hi + (lr_lo - lr_hi) * (step / total_updates))
+            step += 1
+            context = contexts[i]
+            draws = np.searchsorted(noise_cdf, rng.random(k))
+            draws = draws[draws != context]
+            targets = np.concatenate(([context], draws))
+            acc += seed_sgd_step(w_in, w_out, centers[i], targets, lr)
+        losses.append(acc / n_pairs)
+    vectors = {c: w_in[i].copy() for c, i in index.items()}
+    return vocab, dict(counts), vectors, tuple(losses)
+
+
+def random_pairs(n_codes, n_pairs, seed):
+    rng = np.random.default_rng(seed)
+    codes = [code(f"{i + 1}0.00.Aa") for i in range(n_codes)]
+    pairs = []
+    for _ in range(n_pairs):
+        center, context = rng.choice(n_codes, size=2, replace=False)
+        pairs.append((codes[int(center)], codes[int(context)]))
+    return pairs
+
+
+def assert_matches_seed_trainer(pairs, config):
+    vocab, frequencies, vectors, losses = seed_train(pairs, config)
+    matrix = train_embeddings(pairs, config)
+    assert matrix.vocabulary == vocab
+    assert list(matrix.frequencies.items()) == list(frequencies.items())
+    for key in vocab:
+        assert np.array_equal(matrix.vectors[key], vectors[key])
+    assert matrix.loss_by_epoch == losses
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n_codes=st.integers(2, 4),
+    n_pairs=st.integers(1, 40),
+    chunk=st.sampled_from([1, 2, 3, 7, 16]),
+    k=st.integers(1, 6),
+    epochs=st.integers(1, 3),
+    dim=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_trainer_matches_the_per_pair_loop_exactly(
+    n_codes, n_pairs, chunk, k, epochs, dim, seed
+):
+    """Two to four codes make dropped and repeated draws common."""
+    config = TrainingConfig(dim=dim, negatives_per_positive=k, epochs=epochs, seed=seed)
+    with mock.patch.object(embedding, "_CHUNK_PAIRS", chunk):
+        assert_matches_seed_trainer(random_pairs(n_codes, n_pairs, seed), config)
+
+
+def test_chunked_trainer_matches_the_per_pair_loop_across_real_chunks():
+    n_pairs = 2 * embedding._CHUNK_PAIRS + 5
+    config = TrainingConfig(dim=3, negatives_per_positive=6, epochs=2, seed=11)
+    assert_matches_seed_trainer(random_pairs(3, n_pairs, 4), config)
+
+
+# Digests of `train --loss-log` on the default 5k corpus (`synth`, `ingest`,
+# all options at their defaults), recorded with the per-pair trainer above.
+DEFAULT_TRAIN_SHA256 = {
+    "embedding.txt": "1f2a2395e153619c0a399c6f28bf9c4c97adf344533d3bf848200b61ff9de04e",
+    "loss_log.csv": "15a59802ca02d23d130ed96e9c92a488d2e424b0a01ec4e97df9ebc4cf398968",
+}
+
+
+def test_default_train_outputs_match_the_recorded_digests(tmp_path):
+    runner = CliRunner()
+    for args in (["synth"], ["ingest"], ["train", "--loss-log"]):
+        result = runner.invoke(main, args + ["--outdir", str(tmp_path)])
+        assert result.exit_code == 0, result.stderr or result.output
+    for name, digest in DEFAULT_TRAIN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- cosine distance

@@ -10,6 +10,7 @@ from knowspan.stats import (
     AnalysisTable,
     RankDeficiencyError,
     RegressionSpec,
+    _t_sf,
     build_design,
     fit_model,
     mean_response,
@@ -104,6 +105,23 @@ def test_pearson_p_value_matches_t_transform():
     df = 38
     t_stat = abs(r) * np.sqrt(df / (1 - r * r))
     assert p == pytest.approx(2 * student_t.sf(t_stat, df), rel=1e-12)
+
+
+@pytest.mark.parametrize("df", [1, 3, 10, 100, 4998, 159984])
+def test_t_survival_equals_scipy_stats_exactly(df):
+    from scipy.stats import t as student_t
+
+    rng = np.random.default_rng(df)
+    x = np.concatenate(
+        (
+            [0.0, -0.0, 1e-300, 0.5, 1.96, 40.0, 1e300, np.inf, -np.inf, np.nan, -3.0],
+            np.abs(rng.standard_t(df, size=200)),
+            rng.normal(scale=30.0, size=50),
+        )
+    )
+    np.testing.assert_array_equal(_t_sf(x, df), student_t.sf(x, df))
+    for value in x[:11]:
+        np.testing.assert_array_equal(_t_sf(value, df), student_t.sf(value, df))
 
 
 def test_pearson_perfect_correlation_has_zero_p():
