@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import click
 import numpy as np
@@ -201,6 +202,14 @@ def _config_hash(config: dict) -> str:
     return "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _read_manifest(outdir: str) -> dict:
+    path = os.path.join(outdir, MANIFEST)
+    if not os.path.exists(path):
+        return {"tool": "knowspan", "stages": {}}
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _update_manifest(
     outdir: str,
     stage: str,
@@ -211,11 +220,7 @@ def _update_manifest(
     **extra,
 ) -> None:
     """Replace one stage entry; digests keyed by artifact basename only."""
-    path = os.path.join(outdir, MANIFEST)
-    manifest = {"tool": "knowspan", "stages": {}}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+    manifest = _read_manifest(outdir)
     manifest["versions"] = {
         "knowspan": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
@@ -233,7 +238,7 @@ def _update_manifest(
         entry["seed"] = seed
     entry.update(extra)
     manifest.setdefault("stages", {})[stage] = entry
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(outdir, MANIFEST), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -355,20 +360,34 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _load_metrics_table(path: str) -> tuple[list[str], AnalysisTable]:
-    """(paper ids, numeric table) from the merged metrics CSV; blanks → NaN."""
+def _table_rows(
+    path: str, kind: str, columns: tuple[str, ...] | None = None
+) -> Iterator[list[str]]:
+    """The header, then each data row, of a per-paper CSV artifact.
+
+    The header must equal ``columns`` when given, and start with paper_id
+    otherwise; every row must have as many cells as the header.  Anything
+    else, an empty file included, fails the stage with ``bad_artifact``.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        rows = list(reader)
-    if not header or header[0] != "paper_id":
-        _fail("bad_artifact", f"{path} does not look like a metrics table")
-    for number, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            _fail(
-                "bad_artifact",
-                f"{path} data row {number} has {len(row)} cells; the header has {len(header)}",
-            )
+        if not header or header[0] != "paper_id" or (columns and header != list(columns)):
+            _fail("bad_artifact", f"{path} does not look like a {kind} table")
+        yield header
+        for number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                _fail(
+                    "bad_artifact",
+                    f"{path} data row {number} has {len(row)} cells; "
+                    f"the header has {len(header)}",
+                )
+            yield row
+
+
+def _load_metrics_table(path: str) -> tuple[list[str], AnalysisTable]:
+    """(paper ids, numeric table) from the merged metrics CSV; blanks → NaN."""
+    header, *rows = _table_rows(path, "metrics")
     ids = [row[0] for row in rows]
     columns = {}
     for j, name in enumerate(header[1:], start=1):
@@ -554,20 +573,19 @@ def _merge_metrics(outdir: str) -> None:
     disruption_path = os.path.join(outdir, DISRUPTION)
     if not (os.path.exists(space_path) and os.path.exists(disruption_path)):
         return
-    with open(disruption_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        disruption_by_id = {row[0]: row[1:] for row in reader}
+    rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
+    next(rows)
+    disruption_by_id = {row[0]: row[1:] for row in rows}
+    for _ in _table_rows(space_path, "space metrics", SPACE_COLUMNS):
+        pass  # check every row before metrics.csv is opened for writing
     merged_path = os.path.join(outdir, METRICS)
     empty = [""] * (len(DISRUPTION_COLUMNS) - 1)
-    with open(space_path, encoding="utf-8", newline="") as src, open(
-        merged_path, "w", encoding="utf-8", newline=""
-    ) as dst:
-        reader = csv.reader(src)
+    with open(merged_path, "w", encoding="utf-8", newline="") as dst:
         writer = csv.writer(dst, lineterminator="\n")
-        next(reader)
+        rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
+        next(rows)
         writer.writerow(METRIC_COLUMNS)
-        for row in reader:
+        for row in rows:
             head, tail = row[:8], row[8:]
             writer.writerow(head + disruption_by_id.get(row[0], empty) + tail)
     _update_manifest(
@@ -582,7 +600,9 @@ def _merge_metrics(outdir: str) -> None:
 def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
     parsed_path = _require(outdir, CORPUS_PARSED, "ingest")
     embedding_path = _require(outdir, EMBEDDING, "train")
-    corpus = _read_corpus(parsed_path)
+    # paper ages count to the end year ingest recorded, which --end-year sets
+    end_year = _read_manifest(outdir).get("stages", {}).get("ingest", {}).get("end_year")
+    corpus = _read_corpus(parsed_path, ParseConfig(dataset_end_year=end_year))
     graph = build_citation_graph(corpus)
     emb = load_embeddings(embedding_path)
     rows, n_missing = _space_rows(corpus, graph, emb, exclude_self)

@@ -316,12 +316,13 @@ class CitationGraph:
     """Forward and reverse citation adjacency restricted to in-corpus edges.
 
     An edge citer -> cited is kept only when both ends are in the corpus and
-    year(citer) >= year(cited).  ``cites`` and ``cited_by`` are exact
-    transposes of each other.
+    year(citer) >= year(cited).  ``cites`` and ``cited_by`` hold the same
+    edges.  Each ``cited_by`` tuple is ordered by (year, id), so the citers
+    from a given year on are a suffix of it.
     """
 
     cites: dict[str, frozenset[str]]
-    cited_by: dict[str, frozenset[str]]
+    cited_by: dict[str, tuple[str, ...]]
     years: dict[str, int]
     n_edges: int
     n_dropped_out_of_corpus: int
@@ -330,11 +331,12 @@ class CitationGraph:
 
 def build_citation_graph(corpus: Corpus) -> CitationGraph:
     cites: dict[str, set[str]] = {pid: set() for pid in corpus.papers}
-    cited_by: dict[str, set[str]] = {pid: set() for pid in corpus.papers}
+    cited_by: dict[str, list[str]] = {pid: [] for pid in corpus.papers}
     dropped_missing = 0
     dropped_order = 0
     n_edges = 0
-    for paper in corpus.papers.values():
+    # visiting citers in (year, id) order appends each citer list in that order
+    for paper in sorted(corpus.papers.values(), key=lambda p: (p.year, p.id)):
         for ref in paper.references:
             target = corpus.papers.get(ref)
             if target is None:
@@ -343,11 +345,11 @@ def build_citation_graph(corpus: Corpus) -> CitationGraph:
                 dropped_order += 1
             else:
                 cites[paper.id].add(ref)
-                cited_by[ref].add(paper.id)
+                cited_by[ref].append(paper.id)
                 n_edges += 1
     return CitationGraph(
         cites={pid: frozenset(s) for pid, s in cites.items()},
-        cited_by={pid: frozenset(s) for pid, s in cited_by.items()},
+        cited_by={pid: tuple(citers) for pid, citers in cited_by.items()},
         years={pid: p.year for pid, p in corpus.papers.items()},
         n_edges=n_edges,
         n_dropped_out_of_corpus=dropped_missing,
@@ -362,7 +364,7 @@ def team_size(paper: Paper) -> int:
 
 
 def citation_count(paper: Paper, graph: CitationGraph) -> int:
-    return len(graph.cited_by.get(paper.id, frozenset()))
+    return len(graph.cited_by.get(paper.id, ()))
 
 
 def log_citation_count(paper: Paper, graph: CitationGraph) -> float:

@@ -15,6 +15,7 @@ instead takes n_i = |F|, leaving n_j double-counted in both numerator terms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,17 @@ def disruption_counts(
 ) -> DisruptionCounts:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    citers = graph.cited_by.get(focal.id, frozenset())
-    ref_citers: set[str] = set()
-    for ref in graph.cites.get(focal.id, frozenset()):
-        for candidate in graph.cited_by.get(ref, frozenset()):
-            if candidate != focal.id and graph.years[candidate] >= focal.year:
-                ref_citers.add(candidate)
-    n_j = len(citers & ref_citers)
-    n_k = len(ref_citers - citers)
+    citers = graph.cited_by.get(focal.id, ())
+    year_of = graph.years.__getitem__
+    suffixes = []
+    for ref in graph.cites.get(focal.id, ()):
+        # citers are ordered by year, so the qualifying ones are a suffix
+        ref_cited_by = graph.cited_by[ref]
+        suffixes.append(ref_cited_by[bisect_left(ref_cited_by, focal.year, key=year_of):])
+    ref_citers = set().union(*suffixes)
+    ref_citers.discard(focal.id)
+    n_j = len(ref_citers.intersection(citers))
+    n_k = len(ref_citers) - n_j
     n_i = len(citers) if variant == "overlapping" else len(citers) - n_j
     return DisruptionCounts(n_i=n_i, n_j=n_j, n_k=n_k)
 

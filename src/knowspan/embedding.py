@@ -18,9 +18,21 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import Corpus, PacsCode
+
+
+def expit(x):
+    """The logistic function, ``scipy.special.expit``.
+
+    The first call imports it and rebinds this module's ``expit`` to the
+    ufunc itself, so later calls cost nothing extra and stages that never
+    train do not load ``scipy.special``.
+    """
+    global expit
+    from scipy.special import expit
+
+    return expit(x)
 
 
 class MissingCodeError(KeyError):

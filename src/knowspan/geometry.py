@@ -80,11 +80,17 @@ def article_distance(paper: Paper, emb: EmbeddingMatrix) -> float:
         raise ValueError(f"paper {paper.id!r} has no codes")
     if m == 1:
         return 0.0
-    vectors = [emb[code] for code in codes]
+    vectors = [np.asarray(emb[code], dtype=np.float64) for code in codes]
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    if 0.0 in norms:
+        raise ValueError("cosine distance is undefined for zero-norm vectors")
     total = 0.0
-    for i in range(m):
+    for i in range(m - 1):
+        u, norm_u = vectors[i], norms[i]
         for j in range(i + 1, m):
-            total += cosine_distance(vectors[i], vectors[j])
+            # cosine_distance's arithmetic and clip, so each term matches it bit for bit
+            d = 1.0 - float(u @ vectors[j]) / (norm_u * norms[j])
+            total += min(2.0, max(0.0, d))
     return total / (m * (m - 1) // 2)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 RANK_TOL = 1e-10
 
@@ -24,8 +23,11 @@ def _t_sf(x, df):
     """Student t survival function; what ``scipy.stats.t.sf`` evaluates.
 
     Calling ``stdtr`` directly keeps ``scipy.stats``, which is slow to import
-    and large in memory, out of the runtime.
+    and large in memory, out of the runtime; importing it here, on first
+    use, keeps ``scipy.special`` out of the stages that fit nothing.
     """
+    from scipy.special import stdtr
+
     return stdtr(df, -x)
 
 

@@ -46,9 +46,8 @@ def build_tree(codes: Iterable[PacsCode]) -> KnowledgeTree:
     return KnowledgeTree(parent=parent, level=level, leaves=frozenset(leaves))
 
 
-def lca_level(p: PacsCode, q: PacsCode) -> int:
-    """Level of the lowest common ancestor of two leaf codes."""
-    a, b = p.compact, q.compact
+def _label_lca_level(a: str, b: str) -> int:
+    """Level of the lowest common ancestor of two compact leaf labels."""
     shared = 0
     for ca, cb in zip(a, b):
         if ca != cb:
@@ -61,12 +60,26 @@ def lca_level(p: PacsCode, q: PacsCode) -> int:
     return shared + 1
 
 
+def lca_level(p: PacsCode, q: PacsCode) -> int:
+    """Level of the lowest common ancestor of two leaf codes."""
+    return _label_lca_level(p.compact, q.compact)
+
+
+def _leaf_labels(tree: KnowledgeTree, codes: Iterable[PacsCode]) -> list[str]:
+    """Compact labels of leaf codes; a code outside the tree is a KeyError."""
+    labels = []
+    for code in codes:
+        label = code.compact
+        if label not in tree.leaves:
+            raise KeyError(f"code {code.raw!r} is not a leaf of this tree")
+        labels.append(label)
+    return labels
+
+
 def path_length(tree: KnowledgeTree, p: PacsCode, q: PacsCode) -> int:
     """Edge count of the unique tree path between two leaf codes."""
-    for code in (p, q):
-        if code.compact not in tree.leaves:
-            raise KeyError(f"code {code.raw!r} is not a leaf of this tree")
-    return 2 * (LEAF_LEVEL - lca_level(p, q))
+    a, b = _leaf_labels(tree, (p, q))
+    return 2 * (LEAF_LEVEL - _label_lca_level(a, b))
 
 
 def network_distance(paper: Paper, tree: KnowledgeTree) -> float:
@@ -77,10 +90,11 @@ def network_distance(paper: Paper, tree: KnowledgeTree) -> float:
         raise ValueError(f"paper {paper.id!r} has no codes")
     if m == 1:
         return 0.0
+    labels = _leaf_labels(tree, codes)
     total = 0
-    for i in range(m):
+    for i in range(m - 1):
         for j in range(i + 1, m):
-            total += path_length(tree, codes[i], codes[j])
+            total += 2 * (LEAF_LEVEL - _label_lca_level(labels[i], labels[j]))
     return total / (m * (m - 1) // 2)
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from knowspan.cli import METRIC_COLUMNS, main
+from knowspan.cli import DISRUPTION_COLUMNS, METRIC_COLUMNS, SPACE_COLUMNS, main
 
 FAST_TRAIN = ["--dim", "8", "--epochs", "2"]
 
@@ -300,6 +300,30 @@ def test_manifest_records_stages_digests_and_no_paths(runner, tmp_path):
     assert train_stage["config_hash"].startswith("sha256:")
 
 
+# Digests of a small stage run (`synth --papers 400 --seed 3 --density 2`,
+# `ingest`, `train --dim 8 --epochs 2`, `metrics`, `disrupt`), recorded with
+# the per-pair disruption and distance loops; 67 papers have undefined D.
+STAGE_RUN_SHA256 = {
+    "metrics_space.csv": "2d38abb52dfc1dd9c2a866f6ee7eecedf43cdb73d2a81bde48dc372854daa65b",
+    "disruption.csv": "1dcbc3c62f5d2eb76447b1bd30ad504188c374d5d9c7b9d2add9c27c63888ef0",
+    "metrics.csv": "3e66dcc3e7cb4d1b60aa67104fad80783d226d2a2bc2bc67f041b20916b844c9",
+}
+
+
+def test_small_stage_run_matches_the_recorded_digests(runner, tmp_path):
+    out = str(tmp_path)
+    for args in (
+        ["synth", "--papers", "400", "--seed", "3", "--density", "2"],
+        ["ingest"],
+        ["train", "--dim", "8", "--epochs", "2"],
+        ["metrics"],
+        ["disrupt"],
+    ):
+        run_ok(runner, args + ["--outdir", out])
+    for name, digest in STAGE_RUN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_pipeline_rerun_is_byte_identical(runner, tmp_path):
     dirs = (tmp_path / "a", tmp_path / "b")
     for d in dirs:
@@ -379,13 +403,85 @@ def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, co
     assert "metrics.csv" in payload["message"]
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+MERGE_INPUT_HEADERS = {
+    "disruption.csv": ",".join(DISRUPTION_COLUMNS),
+    "metrics_space.csv": ",".join(SPACE_COLUMNS),
+}
+
+
+@pytest.mark.parametrize(
+    "bad_file, stage",
+    [("disruption.csv", "metrics"), ("metrics_space.csv", "disrupt")],
+    ids=["disruption", "metrics_space"],
+)
+@pytest.mark.parametrize("defect", ["short_row", "empty_file"])
+def test_malformed_merge_input_is_structured_error(runner, tmp_path, bad_file, stage, defect):
+    """The other stage's table is bad when this stage finishes and merges."""
+    out = str(tmp_path)
+    tiny_corpus(tmp_path / "corpus.jsonl")
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    content = MERGE_INPUT_HEADERS[bad_file] + "\nA,0.1\n" if defect == "short_row" else ""
+    (tmp_path / bad_file).write_text(content, encoding="utf-8")
+    payload = run_fail(runner, [stage, "--outdir", out])
+    assert payload["error"] == "bad_artifact"
+    assert bad_file in payload["message"]
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def probe_in_subprocess(code):
+    """stdout of ``python -c code`` with this package's source on the path."""
     import knowspan
 
     src = os.path.dirname(os.path.dirname(knowspan.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, knowspan.cli; print('scipy.stats' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    probe = "import sys, knowspan.cli; print('scipy.stats' in sys.modules)"
+    assert probe_in_subprocess(probe) == "False"
+
+
+def test_ingest_metrics_and_disrupt_leave_scipy_special_unloaded(runner, tmp_path):
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "120"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    probe = (
+        "import sys, knowspan.cli as cli\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        "for stage in ('ingest', 'metrics', 'disrupt'):\n"
+        f"    cli.main([stage, '--outdir', {out!r}], standalone_mode=False)\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
+        "print(loaded)"
+    )
+    assert probe_in_subprocess(probe) == "[False, False, False, False]"
+    assert (tmp_path / "metrics.csv").exists()
+
+
+# ---------------------------------------------------------------- end year
+
+@pytest.mark.parametrize("route", ["stages", "pipeline"])
+def test_metrics_counts_paper_ages_to_the_ingest_end_year(runner, tmp_path, route):
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "150"])
+    if route == "stages":
+        run_ok(runner, ["ingest", "--outdir", out, "--end-year", "2030"])
+        run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+        run_ok(runner, ["metrics", "--outdir", out])
+    else:
+        run_ok(
+            runner,
+            ["pipeline", "--outdir", out, "--input", str(tmp_path / "corpus.jsonl"),
+             "--end-year", "2030", *FAST_TRAIN, "--points", "3"],
+        )
+    with open(tmp_path / "corpus.parsed.jsonl", encoding="utf-8") as fh:
+        published = {rec["id"]: rec["year"] for rec in map(json.loads, fh)}
+    assert max(published.values()) < 2030
+    header, rows = read_csv(tmp_path / "metrics_space.csv")
+    years = {row[0]: int(row[header.index("years")]) for row in rows}
+    assert years == {pid: 2030 - year for pid, year in published.items()}

@@ -251,7 +251,8 @@ def test_graph_restricts_to_corpus_and_counts_drops():
     assert graph.n_dropped_out_of_corpus == 1
     assert graph.n_dropped_year_order == 1  # D (1990) cannot cite C (2005)
     assert graph.cites["B"] == {"A"}
-    assert graph.cited_by["A"] == {"B", "C"}
+    assert set(graph.cited_by["A"]) == {"B", "C"}
+    assert graph.cited_by["A"] == ("B", "C")  # ordered by (year, id)
     assert graph.cites["D"] == frozenset()
 
 

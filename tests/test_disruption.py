@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata  # imported here: its first import outlasts a hypothesis deadline
 
 from knowspan.corpus import build_citation_graph, parse_corpus
 from knowspan.disruption import (
+    VARIANTS,
     DisruptionCounts,
     d_score,
     disruption_counts,
@@ -208,6 +210,67 @@ def test_counts_match_brute_force_oracle(seed, variant):
         )
 
 
+def scan_counts(focal, graph, variant="disjoint"):
+    """Oracle: the per-candidate year scan that disruption_counts replaced,
+    copied as it was except that ``cited_by`` now holds tuples."""
+    citers = frozenset(graph.cited_by.get(focal.id, ()))
+    ref_citers: set[str] = set()
+    for ref in graph.cites.get(focal.id, frozenset()):
+        for candidate in graph.cited_by.get(ref, ()):
+            if candidate != focal.id and graph.years[candidate] >= focal.year:
+                ref_citers.add(candidate)
+    n_j = len(citers & ref_citers)
+    n_k = len(ref_citers - citers)
+    n_i = len(citers) if variant == "overlapping" else len(citers) - n_j
+    return DisruptionCounts(n_i=n_i, n_j=n_j, n_k=n_k)
+
+
+@st.composite
+def tangled_corpora(draw):
+    """Few distinct years, so same-year and mutual citations are common;
+    references may point forward in time or out of the corpus."""
+    n = draw(st.integers(1, 14))
+    years = draw(st.lists(st.integers(2000, 2003), min_size=n, max_size=n))
+    refs = draw(
+        st.lists(st.sets(st.integers(0, n), max_size=n), min_size=n, max_size=n)
+    )
+    records = [
+        (f"N{i}", years[i], [f"N{j}" if j < n else "ghost" for j in sorted(refs[i]) if j != i])
+        for i in range(n)
+    ]
+    return make_corpus(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tangled_corpora(), st.sampled_from(VARIANTS))
+def test_counts_equal_the_candidate_scan_exactly(corpus, variant):
+    graph = build_citation_graph(corpus)
+    for paper in corpus:
+        assert disruption_counts(paper, graph, variant) == scan_counts(paper, graph, variant)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_counts_equal_the_candidate_scan_on_edge_cases(variant):
+    records = [
+        ("R", 2000, []),
+        ("OLD", 2001, ["R"]),  # cites R before F was published
+        ("F", 2003, ["R", "M"]),
+        ("M", 2003, ["F", "R"]),  # cites F and is cited by F: same year
+        ("S", 2003, ["R"]),  # same-year citer of the reference
+        ("C", 2004, ["F"]),
+        ("LONE", 2004, []),  # no references and no citers
+    ]
+    corpus = make_corpus(records)
+    graph = build_citation_graph(corpus)
+    assert graph.cited_by["R"] == ("OLD", "F", "M", "S")
+    for paper in corpus:
+        assert disruption_counts(paper, graph, variant) == scan_counts(paper, graph, variant)
+    counts = disruption_counts(corpus.papers["F"], graph, variant)
+    n_i = 2 if variant == "overlapping" else 1
+    assert (counts.n_i, counts.n_j, counts.n_k) == (n_i, 1, 1)
+    assert disruption_counts(corpus.papers["LONE"], graph, variant).total == 0
+
+
 # ---------------------------------------------------------------- percentiles
 
 def test_percentile_three_distinct_values():
@@ -255,8 +318,6 @@ def test_percentile_monotone_and_tie_consistent(values):
 
 def scipy_percentiles(values):
     """The scipy.stats midrank percentiles percentile_ranks replaced."""
-    from scipy.stats import rankdata
-
     n = len(values)
     return [float(100.0 * (rank - 0.5) / n) for rank in rankdata(values, method="average")]
 

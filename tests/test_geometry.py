@@ -6,9 +6,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knowspan.corpus import PacsCode, parse_corpus
-from knowspan.embedding import EmbeddingMatrix, MissingCodeError
+from knowspan.corpus import PacsCode, Paper, parse_corpus
+from knowspan.embedding import EmbeddingMatrix, MissingCodeError, cosine_distance
 from knowspan.geometry import (
     article_distance,
     article_distance_log,
@@ -236,3 +238,96 @@ def test_distances_are_scale_invariant():
     assert journal_distance(paper, corpus, emb) == pytest.approx(
         journal_distance(paper, corpus, scaled), rel=1e-9, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------- pair-loop oracle
+
+def pair_loop_article_distance(paper, emb):
+    """Oracle: the cosine_distance loop over code pairs that
+    article_distance replaced, copied as it was."""
+    codes = paper.pacs_codes
+    m = len(codes)
+    if m == 0:
+        raise ValueError(f"paper {paper.id!r} has no codes")
+    if m == 1:
+        return 0.0
+    vectors = [emb[code] for code in codes]
+    total = 0.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            total += cosine_distance(vectors[i], vectors[j])
+    return total / (m * (m - 1) // 2)
+
+
+def paper_with(codes):
+    return Paper(
+        id="P",
+        year=2000,
+        journal="J",
+        pacs_codes=tuple(codes),
+        author_count=1,
+        n_pages=4,
+        title_length=5,
+        references=(),
+    )
+
+
+@st.composite
+def papers_and_embeddings(draw):
+    """One to eight codes, possibly repeated, whose vectors may copy, negate
+    or rescale an earlier code's vector, so the clip to [0, 2] applies."""
+    keys = [PacsCode.from_text(t) for t in CODE_POOL]
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = [rng.normal(size=dim)]
+    for _ in keys[1:]:
+        base = vectors[draw(st.integers(0, len(vectors) - 1))]
+        kind = draw(st.sampled_from(["fresh", "repeat", "opposite", "scaled"]))
+        if kind == "fresh":
+            vectors.append(rng.normal(size=dim))
+        elif kind == "repeat":
+            vectors.append(base.copy())
+        elif kind == "opposite":
+            vectors.append(-base)
+        else:
+            vectors.append(base * draw(st.floats(1e-3, 1e3)))
+    emb = EmbeddingMatrix(dim=dim, vocabulary=tuple(keys), vectors=dict(zip(keys, vectors)))
+    codes = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8))
+    return paper_with(codes), emb
+
+
+@settings(max_examples=300, deadline=None)
+@given(papers_and_embeddings())
+def test_article_distance_equals_the_pair_loop_exactly(case):
+    paper, emb = case
+    assert article_distance(paper, emb) == pair_loop_article_distance(paper, emb)
+
+
+def test_article_distance_equals_the_pair_loop_where_the_clip_applies():
+    rng = np.random.default_rng(0)
+    vectors = (rng.normal(size=5) for _ in range(10_000))
+
+    def self_cosine(u):
+        norm = float(np.linalg.norm(u))
+        return float(u @ u) / (norm * norm)
+
+    # a vector whose self-cosine rounds above one, so both clips are reached
+    v = next(u for u in vectors if self_cosine(u) > 1.0)
+    keys = [PacsCode.from_text(t) for t in CODE_POOL[:3]]
+    emb = EmbeddingMatrix(
+        dim=5, vocabulary=tuple(keys), vectors=dict(zip(keys, (v, v.copy(), -v)))
+    )
+    paper = paper_with(keys)
+    assert article_distance(paper, emb) == pair_loop_article_distance(paper, emb)
+    assert article_distance(paper, emb) == (0.0 + 2.0 + 2.0) / 3
+
+
+def test_article_distance_zero_vector_is_error():
+    keys = [PacsCode.from_text(t) for t in CODE_POOL[:3]]
+    emb = EmbeddingMatrix(
+        dim=2,
+        vocabulary=tuple(keys),
+        vectors=dict(zip(keys, (np.ones(2), np.ones(2), np.zeros(2)))),
+    )
+    with pytest.raises(ValueError, match="zero-norm"):
+        article_distance(paper_with(keys), emb)

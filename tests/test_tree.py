@@ -184,3 +184,76 @@ def test_edges_export_order_is_deterministic():
     rows = tree.edges()
     assert rows == sorted(rows, key=lambda r: (r[2], r[0]))
     assert ("0", ROOT, 2) in rows
+
+
+# ---------------------------------------------------------------- pair-loop oracle
+
+def seed_lca_level(p, q):
+    a, b = p.compact, q.compact
+    shared = 0
+    for ca, cb in zip(a, b):
+        if ca != cb:
+            break
+        shared += 1
+    if shared == 6:
+        return 6
+    if shared >= 4:
+        return 5
+    return shared + 1
+
+
+def seed_path_length(tree, p, q):
+    for code in (p, q):
+        if code.compact not in tree.leaves:
+            raise KeyError(f"code {code.raw!r} is not a leaf of this tree")
+    return 2 * (LEAF_LEVEL - seed_lca_level(p, q))
+
+
+def pair_loop_network_distance(paper, tree):
+    """Oracle: the path_length loop over code pairs that network_distance
+    replaced, copied as it was with the path_length and lca_level it used."""
+    codes = paper.pacs_codes
+    m = len(codes)
+    if m == 0:
+        raise ValueError(f"paper {paper.id!r} has no codes")
+    if m == 1:
+        return 0.0
+    total = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            total += seed_path_length(tree, codes[i], codes[j])
+    return total / (m * (m - 1) // 2)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KeyError as exc:
+        return ("KeyError", str(exc))
+
+
+@st.composite
+def related_code_texts(draw, base):
+    """A code sharing a prefix of any length, 0 to 6, with ``base``."""
+    shared = draw(st.integers(0, 6))
+    rest = draw(st.text(alphabet="0123456789ABab", min_size=6 - shared, max_size=6 - shared))
+    return base[:shared] + rest
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_network_distance_equals_the_pair_loop_exactly(data):
+    """Codes share prefixes of every length and may repeat; a tree built
+    from only some of them makes both fail."""
+    related = related_code_texts(data.draw(code_text, label="base"))
+    paper_texts = data.draw(st.lists(related, min_size=1, max_size=8), label="paper")
+    other_texts = data.draw(st.lists(related, max_size=3), label="others")
+    leaves = data.draw(st.sets(st.sampled_from(paper_texts)), label="leaves")
+    tree_codes = [PacsCode.from_text(t) for t in sorted(leaves) + other_texts]
+    if not tree_codes:
+        tree_codes = codes("99.99.zz")
+    tree = build_tree(tree_codes)
+    paper = make_paper(paper_texts)
+    assert outcome(network_distance, paper, tree) == outcome(
+        pair_loop_network_distance, paper, tree
+    )
