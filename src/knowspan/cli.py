@@ -11,6 +11,7 @@ exit nonzero.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import importlib.metadata
@@ -18,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import click
@@ -116,20 +116,17 @@ for _name, _outcome, _predictors in (
         outcome=_outcome, predictors=_predictors, controls=CONTROLS, moderator=MODERATOR
     )
 
-DEFAULT_CORRELATION_COLUMNS = (
-    "journal_distance",
-    "article_distance",
-    "article_distance_log",
-    "network_distance",
-    "team_size",
-    "citation_count",
-    "log_citations",
-    "d_score",
-    "d_percentile",
-    "years",
-    "n_pages",
-    "title_length",
+DEFAULT_CORRELATION_COLUMNS = tuple(
+    c for c in METRIC_COLUMNS if c != "paper_id" and not c.startswith("d_n_")
 )
+
+# The stages whose runs write each artifact that another stage reads.
+PRODUCERS = {
+    CORPUS_RAW: ("synth",),
+    CORPUS_PARSED: ("ingest",),
+    EMBEDDING: ("train",),
+    METRICS: ("metrics", "disrupt"),  # both stages feed the merged table
+}
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +165,11 @@ def _structured_errors(fn):
     return wrapper
 
 
-def _require(outdir: str, filename: str, producer: str | tuple[str, ...]) -> str:
+def _require(outdir: str, filename: str) -> str:
     """Path of a prior-stage artifact, or a structured missing-file error."""
     path = os.path.join(outdir, filename)
     if not os.path.exists(path):
-        producers = (producer,) if isinstance(producer, str) else producer
+        producers = PRODUCERS[filename]
         phrase = " and ".join(f"'{p}'" for p in producers)
         plural = "subcommands" if len(producers) > 1 else "subcommand"
         _fail(
@@ -265,74 +262,49 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _as_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    _fail("bad_config", f"expected a boolean, got {raw!r}")
-    raise AssertionError  # unreachable
-
-
 def _as_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 class Options:
-    """Flag > config file > declared default, per option name."""
+    """Flag > config file > declared default, per option name.
+
+    A config-file value is converted by its option's own click type, so it
+    is checked exactly as the flag would be.
+    """
 
     def __init__(self, ctx: click.Context, config: dict[str, str]):
         self.ctx = ctx
         self.config = config
 
-    def get(self, name: str, cast=str):
-        if self.ctx.get_parameter_source(name) == ParameterSource.COMMANDLINE:
+    def get(self, name: str):
+        from_flag = self.ctx.get_parameter_source(name) == ParameterSource.COMMANDLINE
+        if from_flag or name not in self.config:
             return self.ctx.params[name]
-        if name in self.config:
-            raw = self.config[name]
-            if cast is bool:
-                return _as_bool(raw)
-            return cast(raw)
-        return self.ctx.params[name]
+        param = next(p for p in self.ctx.command.params if p.name == name)
+        try:
+            return param.type_cast_value(self.ctx, self.config[name])
+        except click.BadParameter as exc:
+            _fail("bad_config", f"config key {name!r}: {exc.message}", key=name)
 
 
 def _model_specs(config: dict[str, str]) -> dict[str, RegressionSpec]:
     """Built-in model presets, overridable per field from the config file."""
-    specs = dict(DEFAULT_MODELS)
+    specs = {}
     for name, base in DEFAULT_MODELS.items():
-        outcome = config.get(f"{name}.outcome", base.outcome)
         predictors = config.get(f"{name}.predictors")
         controls = config.get(f"{name}.controls")
         moderator = config.get(f"{name}.moderator", base.moderator)
         if moderator in ("none", ""):
             moderator = None
-        specs[name] = RegressionSpec(
-            outcome=outcome,
+        specs[name] = dataclasses.replace(
+            base,
+            outcome=config.get(f"{name}.outcome", base.outcome),
             predictors=_as_list(predictors) if predictors else base.predictors,
             controls=_as_list(controls) if controls is not None else base.controls,
             moderator=moderator,
-            centering=base.centering,
         )
     return specs
-
-
-@dataclass
-class PipelineConfig:
-    """Everything the full run needs; one stage consumes one slice of it."""
-
-    input_path: str | None
-    outdir: str
-    training: TrainingConfig
-    parse: ParseConfig
-    models: dict[str, RegressionSpec] = field(default_factory=lambda: dict(DEFAULT_MODELS))
-    seed: int = 0
-    exclude_self: bool = False
-    d_variant: str = "disjoint"
-    center: str = "none"
-    loss_log: bool = False
-    export_tree: bool = False
-    curve_points: int = 41
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +369,23 @@ def _load_metrics_table(path: str) -> tuple[list[str], AnalysisTable]:
     return ids, AnalysisTable(columns)
 
 
-def _read_corpus(path: str, parse: ParseConfig | None = None) -> Corpus:
+def _read_corpus(outdir: str) -> tuple[str, Corpus]:
+    """Path and contents of the parsed corpus.
+
+    The file is parsed with the year range and padding ingest recorded in
+    the manifest, so later stages keep every paper ingest kept, and with the
+    end year ingest used (which --end-year sets), so paper ages agree.
+    """
+    path = _require(outdir, CORPUS_PARSED)
+    ingest = _read_manifest(outdir).get("stages", {}).get("ingest", {})
+    recorded = ingest.get("config", {})
+    parse = ParseConfig(
+        **{k: recorded[k] for k in ("min_year", "max_year", "pad_short_codes") if k in recorded},
+        dataset_end_year=ingest.get("end_year"),
+    )
     with open(path, encoding="utf-8") as fh:
         corpus, _ = parse_corpus(fh, parse)
-    return corpus
+    return path, corpus
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +441,7 @@ def _stage_ingest(outdir: str, input_path: str, parse: ParseConfig) -> None:
     _update_manifest(
         outdir,
         "ingest",
-        config={
-            "input": os.path.basename(input_path),
-            "min_year": parse.min_year,
-            "max_year": parse.max_year,
-            "dataset_end_year": parse.dataset_end_year,
-            "pad_short_codes": parse.pad_short_codes,
-        },
+        config={"input": os.path.basename(input_path), **dataclasses.asdict(parse)},
         inputs={CORPUS_RAW: input_path},
         outputs={CORPUS_PARSED: parsed_path, PARSE_REPORT: report_path},
         n_parsed=report.n_parsed,
@@ -472,8 +451,7 @@ def _stage_ingest(outdir: str, input_path: str, parse: ParseConfig) -> None:
 
 
 def _stage_train(outdir: str, config: TrainingConfig, loss_log: bool) -> None:
-    parsed_path = _require(outdir, CORPUS_PARSED, "ingest")
-    corpus = _read_corpus(parsed_path)
+    parsed_path, corpus = _read_corpus(outdir)
     matrix = train_embeddings(build_training_pairs(corpus), config)
     embedding_path = os.path.join(outdir, EMBEDDING)
     save_embeddings(matrix, embedding_path)
@@ -486,22 +464,15 @@ def _stage_train(outdir: str, config: TrainingConfig, loss_log: bool) -> None:
             [(e + 1, loss) for e, loss in enumerate(matrix.loss_by_epoch)],
         )
         outputs[LOSS_LOG] = loss_path
+    settings = dataclasses.asdict(config)
+    seed = settings.pop("seed")  # recorded beside the config, not in it
     _update_manifest(
         outdir,
         "train",
-        config={
-            "dim": config.dim,
-            "negatives_per_positive": config.negatives_per_positive,
-            "epochs": config.epochs,
-            "initial_learning_rate": config.initial_learning_rate,
-            "final_learning_rate": config.final_learning_rate,
-            "noise_exponent": config.noise_exponent,
-            "deterministic": config.deterministic,
-            "loss_log": loss_log,
-        },
+        config={**settings, "loss_log": loss_log},
         inputs={CORPUS_PARSED: parsed_path},
         outputs=outputs,
-        seed=config.seed,
+        seed=seed,
         vocabulary=len(matrix.vocabulary),
     )
 
@@ -598,11 +569,8 @@ def _merge_metrics(outdir: str) -> None:
 
 
 def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
-    parsed_path = _require(outdir, CORPUS_PARSED, "ingest")
-    embedding_path = _require(outdir, EMBEDDING, "train")
-    # paper ages count to the end year ingest recorded, which --end-year sets
-    end_year = _read_manifest(outdir).get("stages", {}).get("ingest", {}).get("end_year")
-    corpus = _read_corpus(parsed_path, ParseConfig(dataset_end_year=end_year))
+    parsed_path, corpus = _read_corpus(outdir)
+    embedding_path = _require(outdir, EMBEDDING)
     graph = build_citation_graph(corpus)
     emb = load_embeddings(embedding_path)
     rows, n_missing = _space_rows(corpus, graph, emb, exclude_self)
@@ -626,8 +594,7 @@ def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
 
 
 def _stage_disrupt(outdir: str, variant: str) -> None:
-    parsed_path = _require(outdir, CORPUS_PARSED, "ingest")
-    corpus = _read_corpus(parsed_path)
+    parsed_path, corpus = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
     scored = score_corpus(corpus, graph, variant)
     rows = []
@@ -650,28 +617,18 @@ def _stage_disrupt(outdir: str, variant: str) -> None:
     _merge_metrics(outdir)
 
 
-MERGED_PRODUCER = ("metrics", "disrupt")  # both stages feed the merged table
-
-
 def _stage_correlate(outdir: str, columns: tuple[str, ...]) -> None:
-    metrics_path = _require(outdir, METRICS, MERGED_PRODUCER)
+    metrics_path = _require(outdir, METRICS)
     _, table = _load_metrics_table(metrics_path)
     matrix = pearson_matrix(table, columns)
     correlations_path = os.path.join(outdir, CORRELATIONS)
-    with open(correlations_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("",) + tuple(matrix.columns))
-        # r above the diagonal, p below, unity on it
-        for i, name in enumerate(matrix.columns):
-            row = [name]
-            for j in range(len(matrix.columns)):
-                if j > i:
-                    row.append(repr(float(matrix.r[i, j])))
-                elif j < i:
-                    row.append(repr(float(matrix.p[i, j])))
-                else:
-                    row.append("1.0")
-            writer.writerow(row)
+    n = len(matrix.columns)
+    # r above the diagonal, p below, unity on it
+    rows = [
+        [name] + [matrix.r[i, j] if j > i else matrix.p[i, j] if j < i else 1.0 for j in range(n)]
+        for i, name in enumerate(matrix.columns)
+    ]
+    _write_csv(correlations_path, ("",) + tuple(matrix.columns), rows)
     _update_manifest(
         outdir,
         "correlate",
@@ -693,43 +650,23 @@ def _fit_named_model(
             f"{name} references columns absent from the metrics table: "
             + ", ".join(sorted(missing)),
         )
-    if center != spec.centering:
-        spec = RegressionSpec(
-            outcome=spec.outcome,
-            predictors=spec.predictors,
-            controls=spec.controls,
-            moderator=spec.moderator,
-            centering=center,
-        )
-    return fit_model(spec, table)
+    return fit_model(dataclasses.replace(spec, centering=center), table)
 
 
 def _stage_regress(
     outdir: str, models: dict[str, RegressionSpec], names: tuple[str, ...], center: str
 ) -> None:
-    metrics_path = _require(outdir, METRICS, MERGED_PRODUCER)
+    metrics_path = _require(outdir, METRICS)
     _, table = _load_metrics_table(metrics_path)
     outputs = {}
     summaries = {}
     for name in names:
         result = _fit_named_model(name, models[name], table, center)
         out_path = os.path.join(outdir, f"regression_{name}.csv")
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("term", "coefficient", "std_error", "t", "p", "stars"))
-            for term in result.terms:
-                writer.writerow(
-                    (
-                        term.name,
-                        repr(term.coefficient),
-                        repr(term.std_error),
-                        repr(term.t),
-                        repr(term.p),
-                        term.stars,
-                    )
-                )
-            writer.writerow(("adjusted_r2", repr(result.adjusted_r2), "", "", "", ""))
-            writer.writerow(("n", str(result.n), "", "", "", ""))
+        rows = [(t.name, t.coefficient, t.std_error, t.t, t.p, t.stars) for t in result.terms]
+        rows.append(("adjusted_r2", result.adjusted_r2, "", "", "", ""))
+        rows.append(("n", result.n, "", "", "", ""))
+        _write_csv(out_path, ("term", "coefficient", "std_error", "t", "p", "stars"), rows)
         outputs[f"regression_{name}.csv"] = out_path
         summaries[name] = {
             "n": result.n,
@@ -763,7 +700,7 @@ def _stage_curves(
     points: int,
     levels: tuple[float, ...] | None,
 ) -> None:
-    metrics_path = _require(outdir, METRICS, MERGED_PRODUCER)
+    metrics_path = _require(outdir, METRICS)
     _, table = _load_metrics_table(metrics_path)
     outputs = {}
     for name in names:
@@ -812,78 +749,85 @@ def _stage_curves(
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# click wiring: each option is declared once, in the group of the stage that
+# reads it, and `pipeline` takes the groups of the stages it runs
 
 
-def _outdir_option(fn):
-    return click.option(
-        "--outdir",
-        default=".",
-        show_default=True,
-        type=click.Path(file_okay=False),
-        help="Directory holding all stage artifacts.",
-    )(fn)
+OUTDIR_OPTION = click.option(
+    "--outdir",
+    default=".",
+    show_default=True,
+    type=click.Path(file_okay=False),
+    help="Directory holding all stage artifacts.",
+)
+CONFIG_OPTION = click.option(
+    "--config",
+    "config_path",
+    default=None,
+    type=click.Path(exists=True, dir_okay=False),
+    help="Plain key = value config file; flags given explicitly win.",
+)
 
 
-def _config_option(fn):
-    return click.option(
-        "--config",
-        "config_path",
+def _seed_option(default: int):
+    return click.option("--seed", default=default, show_default=True, type=int)
+
+
+PAPERS_OPTION = click.option("--papers", default=5000, show_default=True, type=int)
+MODEL_OPTION = click.option(
+    "--model", default="all", show_default=True, help="Preset name or 'all'."
+)
+CENTER_OPTION = click.option(
+    "--center",
+    type=click.Choice(["none", "mean"]),
+    default="none",
+    show_default=True,
+    help="Mean-center predictors and moderator before products.",
+)
+POINTS_OPTION = click.option("--points", default=41, show_default=True, type=int)
+
+INGEST_OPTIONS = (
+    click.option(
+        "--input",
+        "input_path",
         default=None,
-        type=click.Path(exists=True, dir_okay=False),
-        help="Plain key = value config file; flags given explicitly win.",
-    )(fn)
-
-
-def _prepare(ctx, outdir: str, config_path: str | None) -> Options:
-    os.makedirs(outdir, exist_ok=True)
-    config = _read_config(config_path) if config_path else {}
-    return Options(ctx, config)
-
-
-def _parse_config_from(opts: Options) -> ParseConfig:
-    end_year = opts.get("end_year", int)
-    return ParseConfig(
-        min_year=opts.get("min_year", int),
-        max_year=opts.get("max_year", int),
-        dataset_end_year=end_year if end_year else None,
-        pad_short_codes=opts.get("pad_short_codes", bool),
-    )
-
-
-def _training_config_from(opts: Options) -> TrainingConfig:
-    return TrainingConfig(
-        dim=opts.get("dim", int),
-        negatives_per_positive=opts.get("negatives", int),
-        epochs=opts.get("epochs", int),
-        initial_learning_rate=opts.get("initial_lr", float),
-        final_learning_rate=opts.get("final_lr", float),
-        seed=opts.get("seed", int),
-        deterministic=not opts.get("non_deterministic", bool),
-    )
-
-
-def _synth_config_from(opts: Options) -> SynthConfig:
-    planted_shape = opts.get("planted")
-    moderation = opts.get("planted_moderator")
-    if planted_shape == "none":
-        effect = None
-    else:
-        effect = PlantedEffect(
-            quadratic_sign=-1 if planted_shape == "inverted-u" else 1,
-            moderator_sign={"none": 0, "amplify": 1, "dampen": -1}[moderation],
-        )
-    return SynthConfig(
-        seed=opts.get("seed", int),
-        n_papers=opts.get("papers", int),
-        n_codes=opts.get("codes", int),
-        n_blocks=opts.get("blocks", int),
-        codes_per_paper=opts.get("codes_per_paper", int),
-        n_journals=opts.get("journals", int),
-        citation_density=opts.get("density", float),
-        cross_block_leakage=opts.get("leakage", float),
-        planted_effect=effect,
-    )
+        type=click.Path(dir_okay=False),
+        help="Corpus JSONL to ingest [default: <outdir>/corpus.jsonl].",
+    ),
+    click.option("--min-year", default=1800, show_default=True, type=int),
+    click.option("--max-year", default=2100, show_default=True, type=int),
+    click.option(
+        "--end-year", default=0, type=int, help="Dataset end year [default: max observed]."
+    ),
+    click.option("--pad-short-codes", is_flag=True, default=False),
+)
+TRAIN_OPTIONS = (
+    click.option("--dim", default=50, show_default=True, type=int),
+    click.option("--negatives", default=5, show_default=True, type=int),
+    click.option("--epochs", default=5, show_default=True, type=int),
+    click.option("--initial-lr", default=0.025, show_default=True, type=float),
+    click.option("--final-lr", default=1e-4, show_default=True, type=float),
+    _seed_option(0),
+    click.option("--non-deterministic", is_flag=True, default=False),
+    click.option("--loss-log", is_flag=True, default=False, help="Also write loss_log.csv."),
+)
+METRICS_OPTIONS = (
+    click.option(
+        "--exclude-self",
+        is_flag=True,
+        default=False,
+        help="Drop the focal paper from its journal-year mean.",
+    ),
+    click.option("--export-tree", is_flag=True, default=False, help="Also write tree_edges.csv."),
+)
+DISRUPT_OPTIONS = (
+    click.option(
+        "--d-variant",
+        type=click.Choice(list(VARIANTS)),
+        default="disjoint",
+        show_default=True,
+    ),
+)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -897,129 +841,132 @@ def main() -> None:
     """
 
 
-@main.command()
-@_outdir_option
-@_config_option
-@click.option("--seed", default=7, show_default=True, type=int)
-@click.option("--papers", default=5000, show_default=True, type=int)
-@click.option("--codes", default=60, show_default=True, type=int)
-@click.option("--blocks", default=6, show_default=True, type=int)
-@click.option("--codes-per-paper", default=5, show_default=True, type=int)
-@click.option("--journals", default=8, show_default=True, type=int)
-@click.option("--density", default=12.0, show_default=True, type=float)
-@click.option("--leakage", default=0.15, show_default=True, type=float)
-@click.option(
-    "--planted",
-    type=click.Choice(["none", "inverted-u", "u"]),
-    default="none",
-    show_default=True,
-    help="Optionally bias citations by a quadratic in block spread.",
+def _command(*options):
+    """Register ``body(opts, outdir)`` as a subcommand named after it.
+
+    The subcommand takes the given options plus --outdir and --config, and
+    reports failures as structured errors.  The body itself is returned, so
+    `pipeline` can run it with its own Options.
+    """
+
+    def register(body):
+        @click.pass_context
+        @_structured_errors
+        def command(ctx, outdir, config_path, **_):
+            os.makedirs(outdir, exist_ok=True)
+            config = _read_config(config_path) if config_path else {}
+            body(Options(ctx, config), outdir)
+
+        for option in reversed((OUTDIR_OPTION, CONFIG_OPTION, *options)):
+            command = option(command)
+        main.command(name=body.__name__, help=body.__doc__)(command)
+        return body
+
+    return register
+
+
+@_command(
+    _seed_option(7),
+    PAPERS_OPTION,
+    click.option("--codes", default=60, show_default=True, type=int),
+    click.option("--blocks", default=6, show_default=True, type=int),
+    click.option("--codes-per-paper", default=5, show_default=True, type=int),
+    click.option("--journals", default=8, show_default=True, type=int),
+    click.option("--density", default=12.0, show_default=True, type=float),
+    click.option("--leakage", default=0.15, show_default=True, type=float),
+    click.option(
+        "--planted",
+        type=click.Choice(["none", "inverted-u", "u"]),
+        default="none",
+        show_default=True,
+        help="Optionally bias citations by a quadratic in block spread.",
+    ),
+    click.option(
+        "--planted-moderator",
+        type=click.Choice(["none", "amplify", "dampen"]),
+        default="none",
+        show_default=True,
+    ),
 )
-@click.option(
-    "--planted-moderator",
-    type=click.Choice(["none", "amplify", "dampen"]),
-    default="none",
-    show_default=True,
-)
-@click.pass_context
-@_structured_errors
-def synth(ctx, outdir, config_path, **_):
+def synth(opts: Options, outdir: str) -> None:
     """Generate a seeded synthetic corpus as corpus.jsonl."""
-    opts = _prepare(ctx, outdir, config_path)
-    _stage_synth(outdir, _synth_config_from(opts))
+    planted_shape = opts.get("planted")
+    if planted_shape == "none":
+        effect = None
+    else:
+        effect = PlantedEffect(
+            quadratic_sign=-1 if planted_shape == "inverted-u" else 1,
+            moderator_sign={"none": 0, "amplify": 1, "dampen": -1}[opts.get("planted_moderator")],
+        )
+    config = SynthConfig(
+        seed=opts.get("seed"),
+        n_papers=opts.get("papers"),
+        n_codes=opts.get("codes"),
+        n_blocks=opts.get("blocks"),
+        codes_per_paper=opts.get("codes_per_paper"),
+        n_journals=opts.get("journals"),
+        citation_density=opts.get("density"),
+        cross_block_leakage=opts.get("leakage"),
+        planted_effect=effect,
+    )
+    _stage_synth(outdir, config)
 
 
-@main.command()
-@_outdir_option
-@_config_option
-@click.option(
-    "--input",
-    "input_path",
-    default=None,
-    type=click.Path(dir_okay=False),
-    help="Corpus JSONL to ingest [default: <outdir>/corpus.jsonl].",
-)
-@click.option("--min-year", default=1800, show_default=True, type=int)
-@click.option("--max-year", default=2100, show_default=True, type=int)
-@click.option("--end-year", default=0, type=int, help="Dataset end year [default: max observed].")
-@click.option("--pad-short-codes", is_flag=True, default=False)
-@click.pass_context
-@_structured_errors
-def ingest(ctx, outdir, config_path, input_path, **_):
+@_command(*INGEST_OPTIONS)
+def ingest(opts: Options, outdir: str) -> None:
     """Validate and normalize a corpus into corpus.parsed.jsonl."""
-    opts = _prepare(ctx, outdir, config_path)
+    input_path = opts.ctx.params["input_path"]  # from the command line only
     if input_path is None:
-        input_path = _require(outdir, CORPUS_RAW, "synth")
+        input_path = _require(outdir, CORPUS_RAW)
     elif not os.path.exists(input_path):
         _fail("missing_input", f"input file {input_path!r} does not exist")
-    _stage_ingest(outdir, input_path, _parse_config_from(opts))
-
-
-@main.command()
-@_outdir_option
-@_config_option
-@click.option("--dim", default=50, show_default=True, type=int)
-@click.option("--negatives", default=5, show_default=True, type=int)
-@click.option("--epochs", default=5, show_default=True, type=int)
-@click.option("--initial-lr", default=0.025, show_default=True, type=float)
-@click.option("--final-lr", default=1e-4, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--non-deterministic", is_flag=True, default=False)
-@click.option("--loss-log", is_flag=True, default=False, help="Also write loss_log.csv.")
-@click.pass_context
-@_structured_errors
-def train(ctx, outdir, config_path, **_):
-    """Fit code vectors on co-assignment pairs; writes embedding.txt."""
-    opts = _prepare(ctx, outdir, config_path)
-    _stage_train(outdir, _training_config_from(opts), opts.get("loss_log", bool))
-
-
-@main.command()
-@_outdir_option
-@_config_option
-@click.option("--exclude-self", is_flag=True, default=False, help="Drop the focal paper from its journal-year mean.")
-@click.option("--export-tree", is_flag=True, default=False, help="Also write tree_edges.csv.")
-@click.pass_context
-@_structured_errors
-def metrics(ctx, outdir, config_path, **_):
-    """Per-paper distances and covariates; writes metrics_space.csv."""
-    opts = _prepare(ctx, outdir, config_path)
-    _stage_metrics(
-        outdir, opts.get("exclude_self", bool), opts.get("export_tree", bool)
+    end_year = opts.get("end_year")
+    parse = ParseConfig(
+        min_year=opts.get("min_year"),
+        max_year=opts.get("max_year"),
+        dataset_end_year=end_year if end_year else None,
+        pad_short_codes=opts.get("pad_short_codes"),
     )
+    _stage_ingest(outdir, input_path, parse)
 
 
-@main.command()
-@_outdir_option
-@_config_option
-@click.option(
-    "--d-variant",
-    type=click.Choice(list(VARIANTS)),
-    default="disjoint",
-    show_default=True,
-)
-@click.pass_context
-@_structured_errors
-def disrupt(ctx, outdir, config_path, **_):
+@_command(*TRAIN_OPTIONS)
+def train(opts: Options, outdir: str) -> None:
+    """Fit code vectors on co-assignment pairs; writes embedding.txt."""
+    config = TrainingConfig(
+        dim=opts.get("dim"),
+        negatives_per_positive=opts.get("negatives"),
+        epochs=opts.get("epochs"),
+        initial_learning_rate=opts.get("initial_lr"),
+        final_learning_rate=opts.get("final_lr"),
+        seed=opts.get("seed"),
+        deterministic=not opts.get("non_deterministic"),
+    )
+    _stage_train(outdir, config, opts.get("loss_log"))
+
+
+@_command(*METRICS_OPTIONS)
+def metrics(opts: Options, outdir: str) -> None:
+    """Per-paper distances and covariates; writes metrics_space.csv."""
+    _stage_metrics(outdir, opts.get("exclude_self"), opts.get("export_tree"))
+
+
+@_command(*DISRUPT_OPTIONS)
+def disrupt(opts: Options, outdir: str) -> None:
     """Disruption counts, scores, and percentiles; writes disruption.csv."""
-    opts = _prepare(ctx, outdir, config_path)
     _stage_disrupt(outdir, opts.get("d_variant"))
 
 
-@main.command()
-@_outdir_option
-@_config_option
-@click.option(
-    "--columns",
-    default=",".join(DEFAULT_CORRELATION_COLUMNS),
-    show_default=False,
-    help="Comma-separated metric columns [default: all numeric metrics].",
+@_command(
+    click.option(
+        "--columns",
+        default=",".join(DEFAULT_CORRELATION_COLUMNS),
+        show_default=False,
+        help="Comma-separated metric columns [default: all numeric metrics].",
+    )
 )
-@click.pass_context
-@_structured_errors
-def correlate(ctx, outdir, config_path, **_):
+def correlate(opts: Options, outdir: str) -> None:
     """Pairwise correlations; writes correlations.csv (r above, p below)."""
-    opts = _prepare(ctx, outdir, config_path)
     _stage_correlate(outdir, _as_list(opts.get("columns")))
 
 
@@ -1036,120 +983,68 @@ def _selected_models(opts: Options) -> tuple[dict[str, RegressionSpec], tuple[st
     return models, (requested,)
 
 
-@main.command()
-@_outdir_option
-@_config_option
-@click.option("--model", default="all", show_default=True, help="Preset name or 'all'.")
-@click.option(
-    "--center",
-    type=click.Choice(["none", "mean"]),
-    default="none",
-    show_default=True,
-    help="Mean-center predictors and moderator before products.",
-)
-@click.pass_context
-@_structured_errors
-def regress(ctx, outdir, config_path, **_):
+@_command(MODEL_OPTION, CENTER_OPTION)
+def regress(opts: Options, outdir: str) -> None:
     """Fit model presets; writes regression_<model>.csv term tables."""
-    opts = _prepare(ctx, outdir, config_path)
     models, names = _selected_models(opts)
     _stage_regress(outdir, models, names, opts.get("center"))
 
 
-@main.command()
-@_outdir_option
-@_config_option
-@click.option("--model", default="all", show_default=True, help="Preset name or 'all'.")
-@click.option("--center", type=click.Choice(["none", "mean"]), default="none", show_default=True)
-@click.option("--points", default=41, show_default=True, type=int)
-@click.option(
-    "--levels",
-    default=None,
-    help="Comma-separated moderator levels [default: mean and mean±1 SD].",
+@_command(
+    MODEL_OPTION,
+    CENTER_OPTION,
+    POINTS_OPTION,
+    click.option(
+        "--levels",
+        default=None,
+        help="Comma-separated moderator levels [default: mean and mean±1 SD].",
+    ),
 )
-@click.pass_context
-@_structured_errors
-def curves(ctx, outdir, config_path, **_):
+def curves(opts: Options, outdir: str) -> None:
     """Predicted-outcome grids per predictor; writes curves_<model>.csv."""
-    opts = _prepare(ctx, outdir, config_path)
     models, names = _selected_models(opts)
     raw_levels = opts.get("levels")
     levels = tuple(float(v) for v in _as_list(raw_levels)) if raw_levels else None
-    _stage_curves(
-        outdir, models, names, opts.get("center"), opts.get("points", int), levels
-    )
+    _stage_curves(outdir, models, names, opts.get("center"), opts.get("points"), levels)
 
 
-@main.command()
-@_outdir_option
-@_config_option
-@click.option("--input", "input_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--synth", "use_synth", is_flag=True, default=False, help="Generate the corpus first.")
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--papers", default=5000, show_default=True, type=int)
-@click.option("--dim", default=50, show_default=True, type=int)
-@click.option("--negatives", default=5, show_default=True, type=int)
-@click.option("--epochs", default=5, show_default=True, type=int)
-@click.option("--initial-lr", default=0.025, show_default=True, type=float)
-@click.option("--final-lr", default=1e-4, show_default=True, type=float)
-@click.option("--non-deterministic", is_flag=True, default=False)
-@click.option("--min-year", default=1800, show_default=True, type=int)
-@click.option("--max-year", default=2100, show_default=True, type=int)
-@click.option("--end-year", default=0, type=int)
-@click.option("--pad-short-codes", is_flag=True, default=False)
-@click.option("--exclude-self", is_flag=True, default=False)
-@click.option("--export-tree", is_flag=True, default=False)
-@click.option("--d-variant", type=click.Choice(list(VARIANTS)), default="disjoint", show_default=True)
-@click.option("--center", type=click.Choice(["none", "mean"]), default="none", show_default=True)
-@click.option("--loss-log", is_flag=True, default=False)
-@click.option("--points", default=41, show_default=True, type=int)
-@click.pass_context
-@_structured_errors
-def pipeline(ctx, outdir, config_path, input_path, use_synth, **_):
+@_command(
+    click.option(
+        "--synth", "use_synth", is_flag=True, default=False, help="Generate the corpus first."
+    ),
+    PAPERS_OPTION,
+    *INGEST_OPTIONS,
+    *TRAIN_OPTIONS,
+    *METRICS_OPTIONS,
+    *DISRUPT_OPTIONS,
+    CENTER_OPTION,
+    POINTS_OPTION,
+)
+def pipeline(opts: Options, outdir: str) -> None:
     """Run every stage in order on one corpus.
 
     With --synth, first generates the default 5,000-paper corpus with a
-    planted inverted-U citation effect (amplified by team size).
+    planted inverted-U citation effect (amplified by team size).  --seed
+    seeds both the corpus and the training.
     """
-    opts = _prepare(ctx, outdir, config_path)
-    seed = opts.get("seed", int)
-    cfg = PipelineConfig(
-        input_path=input_path,
-        outdir=outdir,
-        training=_training_config_from(opts),
-        parse=_parse_config_from(opts),
-        models=_model_specs(opts.config),
-        seed=seed,
-        exclude_self=opts.get("exclude_self", bool),
-        d_variant=opts.get("d_variant"),
-        center=opts.get("center"),
-        loss_log=opts.get("loss_log", bool),
-        export_tree=opts.get("export_tree", bool),
-        curve_points=opts.get("points", int),
-    )
-    if use_synth:
-        if input_path is not None:
+    if opts.ctx.params["use_synth"]:  # from the command line only
+        if opts.ctx.params["input_path"] is not None:
             _fail("bad_arguments", "--input and --synth are mutually exclusive")
         synth_config = SynthConfig(
-            seed=seed,
-            n_papers=opts.get("papers", int),
+            seed=opts.get("seed"),
+            n_papers=opts.get("papers"),
             planted_effect=PlantedEffect(quadratic_sign=-1, moderator_sign=1),
         )
-        source = _stage_synth(outdir, synth_config)
-    elif input_path is not None:
-        if not os.path.exists(input_path):
-            _fail("missing_input", f"input file {input_path!r} does not exist")
-        source = input_path
-    else:
-        source = _require(outdir, CORPUS_RAW, "synth")
-    _stage_ingest(outdir, source, cfg.parse)
-    _stage_train(outdir, cfg.training, cfg.loss_log)
-    _stage_metrics(outdir, cfg.exclude_self, cfg.export_tree)
-    _stage_disrupt(outdir, cfg.d_variant)
-    model_names = tuple(cfg.models)
+        _stage_synth(outdir, synth_config)
+    ingest(opts, outdir)
+    train(opts, outdir)
+    metrics(opts, outdir)
+    disrupt(opts, outdir)
+    models = _model_specs(opts.config)
+    center = opts.get("center")
     _stage_correlate(outdir, DEFAULT_CORRELATION_COLUMNS)
-    _stage_regress(outdir, cfg.models, model_names, cfg.center)
-    _stage_curves(outdir, cfg.models, model_names, cfg.center, cfg.curve_points, None)
+    _stage_regress(outdir, models, tuple(models), center)
+    _stage_curves(outdir, models, tuple(models), center, opts.get("points"), None)
 
 
 if __name__ == "__main__":

@@ -390,6 +390,52 @@ def test_malformed_config_line_is_structured_error(runner, tmp_path):
     assert "key = value" in payload["message"]
 
 
+def read_manifest(tmp_path):
+    return json.loads((tmp_path / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "stage, key, value, flag",
+    [
+        ("synth", "planted", "invertedu", ["--planted", "u"]),  # click.Choice
+        ("synth", "papers", "many", ["--papers", "60"]),  # int
+        ("synth", "density", "dense", ["--density", "2.5"]),  # float
+        ("train", "loss_log", "maybe", ["--loss-log"]),  # bool flag
+    ],
+)
+def test_config_value_is_checked_like_its_flag(runner, tmp_path, stage, key, value, flag):
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "60"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = {value}\n")
+    args = [stage, "--outdir", out, "--config", str(config)]
+    small = [] if key == "papers" else {"synth": ["--papers", "60"], "train": FAST_TRAIN}[stage]
+    payload = run_fail(runner, args + small)
+    assert payload["error"] == "bad_config"
+    assert payload["key"] == key
+    assert repr(key) in payload["message"]
+    run_ok(runner, args + small + flag)  # the flag wins, so the file's value is never read
+
+
+def test_config_values_take_click_spellings_and_flags_win(runner, tmp_path):
+    out = str(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("planted = u\npapers = 60\nloss_log = y\nnon_deterministic = f\n")
+    run_ok(runner, ["synth", "--outdir", out, "--config", str(config)])
+    synth_stage = read_manifest(tmp_path)["stages"]["synth"]
+    assert synth_stage["config"]["planted"]["quadratic_sign"] == 1
+    assert synth_stage["config"]["n_papers"] == 60
+    run_ok(runner, ["synth", "--outdir", out, "--config", str(config), "--planted", "inverted-u"])
+    assert read_manifest(tmp_path)["stages"]["synth"]["config"]["planted"]["quadratic_sign"] == -1
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, "--config", str(config), *FAST_TRAIN])
+    train_config = read_manifest(tmp_path)["stages"]["train"]["config"]
+    assert train_config["loss_log"] is True
+    assert train_config["deterministic"] is True
+    assert (tmp_path / "loss_log.csv").exists()
+
+
 @pytest.mark.parametrize("stage", ["correlate", "regress", "curves"])
 @pytest.mark.parametrize(
     "content",
@@ -485,3 +531,37 @@ def test_metrics_counts_paper_ages_to_the_ingest_end_year(runner, tmp_path, rout
     header, rows = read_csv(tmp_path / "metrics_space.csv")
     years = {row[0]: int(row[header.index("years")]) for row in rows}
     assert years == {pid: 2030 - year for pid, year in published.items()}
+
+
+# ---------------------------------------------------------------- year range
+
+@pytest.mark.parametrize("route", ["stages", "pipeline"])
+def test_later_stages_keep_every_paper_ingest_kept(runner, tmp_path, route):
+    """Papers older than the default 1800 floor, kept by ingest --min-year."""
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "150"])
+    source = tmp_path / "corpus.jsonl"
+    with open(source, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    codes = records[0]["pacs_codes"]
+    records += [
+        record("old-1750", 1750, codes),
+        record("old-1760", 1760, codes, refs=["old-1750"]),
+        record("old-1800", 1800, codes, refs=["old-1760"]),
+    ]
+    write_jsonl(source, records)
+    if route == "stages":
+        run_ok(runner, ["ingest", "--outdir", out, "--min-year", "1700"])
+        run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+        run_ok(runner, ["metrics", "--outdir", out])
+        run_ok(runner, ["disrupt", "--outdir", out])
+    else:
+        run_ok(
+            runner,
+            ["pipeline", "--outdir", out, "--input", str(source), "--min-year", "1700",
+             *FAST_TRAIN, "--points", "3"],
+        )
+    ids = [rec["id"] for rec in records]
+    for name in ("metrics_space.csv", "disruption.csv", "metrics.csv"):
+        _, rows = read_csv(tmp_path / name)
+        assert [row[0] for row in rows] == ids, name

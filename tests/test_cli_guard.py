@@ -1,0 +1,169 @@
+"""Guards on the command line's public surface and its output bytes.
+
+Both tables were recorded with one click declaration per option per
+command, so a rewrite of the wiring that changes an option's name, flag,
+default, type or flag-ness, or one byte of a pipeline's output, fails here.
+"""
+
+import hashlib
+import json
+
+from click.testing import CliRunner
+
+from knowspan.cli import main
+
+# (parameter name, flags, default, click type name, is_flag) per subcommand.
+OPTION_SURFACE = {
+    "correlate": {
+        ("columns", ("--columns",),
+         "journal_distance,article_distance,article_distance_log,network_distance,"
+         "team_size,citation_count,log_citations,d_score,d_percentile,years,n_pages,"
+         "title_length", "text", False),
+        ("config_path", ("--config",), None, "file", False),
+        ("outdir", ("--outdir",), ".", "directory", False),
+    },
+    "curves": {
+        ("center", ("--center",), "none", "choice", False),
+        ("config_path", ("--config",), None, "file", False),
+        ("levels", ("--levels",), None, "text", False),
+        ("model", ("--model",), "all", "text", False),
+        ("outdir", ("--outdir",), ".", "directory", False),
+        ("points", ("--points",), 41, "integer", False),
+    },
+    "disrupt": {
+        ("config_path", ("--config",), None, "file", False),
+        ("d_variant", ("--d-variant",), "disjoint", "choice", False),
+        ("outdir", ("--outdir",), ".", "directory", False),
+    },
+    "ingest": {
+        ("config_path", ("--config",), None, "file", False),
+        ("end_year", ("--end-year",), 0, "integer", False),
+        ("input_path", ("--input",), None, "file", False),
+        ("max_year", ("--max-year",), 2100, "integer", False),
+        ("min_year", ("--min-year",), 1800, "integer", False),
+        ("outdir", ("--outdir",), ".", "directory", False),
+        ("pad_short_codes", ("--pad-short-codes",), False, "boolean", True),
+    },
+    "metrics": {
+        ("config_path", ("--config",), None, "file", False),
+        ("exclude_self", ("--exclude-self",), False, "boolean", True),
+        ("export_tree", ("--export-tree",), False, "boolean", True),
+        ("outdir", ("--outdir",), ".", "directory", False),
+    },
+    "pipeline": {
+        ("center", ("--center",), "none", "choice", False),
+        ("config_path", ("--config",), None, "file", False),
+        ("d_variant", ("--d-variant",), "disjoint", "choice", False),
+        ("dim", ("--dim",), 50, "integer", False),
+        ("end_year", ("--end-year",), 0, "integer", False),
+        ("epochs", ("--epochs",), 5, "integer", False),
+        ("exclude_self", ("--exclude-self",), False, "boolean", True),
+        ("export_tree", ("--export-tree",), False, "boolean", True),
+        ("final_lr", ("--final-lr",), 0.0001, "float", False),
+        ("initial_lr", ("--initial-lr",), 0.025, "float", False),
+        ("input_path", ("--input",), None, "file", False),
+        ("loss_log", ("--loss-log",), False, "boolean", True),
+        ("max_year", ("--max-year",), 2100, "integer", False),
+        ("min_year", ("--min-year",), 1800, "integer", False),
+        ("negatives", ("--negatives",), 5, "integer", False),
+        ("non_deterministic", ("--non-deterministic",), False, "boolean", True),
+        ("outdir", ("--outdir",), ".", "directory", False),
+        ("pad_short_codes", ("--pad-short-codes",), False, "boolean", True),
+        ("papers", ("--papers",), 5000, "integer", False),
+        ("points", ("--points",), 41, "integer", False),
+        ("seed", ("--seed",), 0, "integer", False),
+        ("use_synth", ("--synth",), False, "boolean", True),
+    },
+    "regress": {
+        ("center", ("--center",), "none", "choice", False),
+        ("config_path", ("--config",), None, "file", False),
+        ("model", ("--model",), "all", "text", False),
+        ("outdir", ("--outdir",), ".", "directory", False),
+    },
+    "synth": {
+        ("blocks", ("--blocks",), 6, "integer", False),
+        ("codes", ("--codes",), 60, "integer", False),
+        ("codes_per_paper", ("--codes-per-paper",), 5, "integer", False),
+        ("config_path", ("--config",), None, "file", False),
+        ("density", ("--density",), 12.0, "float", False),
+        ("journals", ("--journals",), 8, "integer", False),
+        ("leakage", ("--leakage",), 0.15, "float", False),
+        ("outdir", ("--outdir",), ".", "directory", False),
+        ("papers", ("--papers",), 5000, "integer", False),
+        ("planted", ("--planted",), "none", "choice", False),
+        ("planted_moderator", ("--planted-moderator",), "none", "choice", False),
+        ("seed", ("--seed",), 7, "integer", False),
+    },
+    "train": {
+        ("config_path", ("--config",), None, "file", False),
+        ("dim", ("--dim",), 50, "integer", False),
+        ("epochs", ("--epochs",), 5, "integer", False),
+        ("final_lr", ("--final-lr",), 0.0001, "float", False),
+        ("initial_lr", ("--initial-lr",), 0.025, "float", False),
+        ("loss_log", ("--loss-log",), False, "boolean", True),
+        ("negatives", ("--negatives",), 5, "integer", False),
+        ("non_deterministic", ("--non-deterministic",), False, "boolean", True),
+        ("outdir", ("--outdir",), ".", "directory", False),
+        ("seed", ("--seed",), 0, "integer", False),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_option_surface():
+    surface = {
+        name: {
+            (p.name, tuple(p.opts), p.default, p.type.name, bool(getattr(p, "is_flag", False)))
+            for p in command.params
+        }
+        for name, command in main.commands.items()
+    }
+    assert surface == OPTION_SURFACE
+
+
+# sha256 of every file of `pipeline --synth --papers 150 --dim 8 --epochs 2
+# --points 3 --loss-log --export-tree`; for manifest.json, of the canonical
+# JSON of its "stages" only, because "versions" depends on the environment.
+PIPELINE_SHA256 = {
+    "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
+    "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
+    "correlations.csv": "7fd65f74eebe852f483c2c51c9610341a9b333c9c2b30d731c175864b1ffbb24",
+    "curves_model1.csv": "99a1d93014d1798bf047dab9761d5a3eb13918c614fade4d4f7b430f3c75cb0f",
+    "curves_model2.csv": "a1cfcfe47606e7262ec08e2270ab9823802a9861b7ebbada27c4d60e548089f0",
+    "curves_model3.csv": "472763b405e8689a1124b7a6c9b8cb6f6fb19f6db558980c1685b88c9f2565c1",
+    "curves_model4.csv": "89cb50b6fd7f1f2d12a1fefd883c424f2a5a64c2643f5194e708bd0e615d9419",
+    "curves_model5.csv": "1c7784cbc39a272c64d7281dcd7d88e498103f628fea64199d9a811d17c77287",
+    "curves_model6.csv": "1577e4373c750fa3cfaef8240a9465b7b4727db5daa9a8c8f87cb07362ac7ad8",
+    "curves_model7.csv": "d77d8afe6aaffc307601162b0ea77899cc2cb1ba222f6411ae331a618201bfb8",
+    "curves_model8.csv": "d067d50a5719da929ccd9e987b0c84fd32880376e05609ca9c6803b5edbd4f8e",
+    "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
+    "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
+    "loss_log.csv": "e4e68a07325fa6f222bb934d5e675cb4107ed955464ec4696f3d894025797811",
+    "manifest.json": "d63dee6f995343b294419c86d0da5ef97ea442b66f6c4c47ff1f2e530f6811c1",
+    "metrics.csv": "1f1a10c17daf05da6d303a2173007142732dbf76d63e4e423c472f09314c4f7a",
+    "metrics_space.csv": "ebf5d38e00e71f092a7d90a8b3c86336acc505242c79e1671491af41eb951540",
+    "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
+    "regression_model1.csv": "3e8ec4bb4cda91eb96fa21a5b34cfd486788f046be919b18982af68d43f59510",
+    "regression_model2.csv": "01b641c7fe20fb62f898f79f0df51d7ff95afa48307cb22b9501ea799897d497",
+    "regression_model3.csv": "0529739f53653fdb573bcd17da1af62e0c0e8fec6e397bb3bd70eaf30b58c4f9",
+    "regression_model4.csv": "3167ac4f6c188c5f8d156184ac6c0c883cbbb2d262d5633c8859a354a170602a",
+    "regression_model5.csv": "3e2b17fc24a3426adfe010b9005f462b96d395e1081697aa3bd76217e31ca1ef",
+    "regression_model6.csv": "6317a2a5ce322756a0d3a55c296c446022d4cf4794008fbe3df19870e0ad7091",
+    "regression_model7.csv": "1e49ae581c6d17544df8efbf7c20a575cbead3a0442667b0e007a9a861c095a8",
+    "regression_model8.csv": "aa0b19df046a76a31497a8651b98dfceec92725cbc62ba2dbbac374e6a60a76c",
+    "tree_edges.csv": "54f2643e91d21e794c5d21d1acf5fcfd52bc48183db0f0fe0a23268255c50d17",
+}
+
+
+def test_pipeline_output_matches_the_recorded_digests(tmp_path):
+    args = ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "150",
+            "--dim", "8", "--epochs", "2", "--points", "3", "--loss-log", "--export-tree"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.stderr or result.output
+    digests = {}
+    for path in tmp_path.iterdir():
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            stages = json.loads(data)["stages"]
+            data = json.dumps(stages, sort_keys=True, separators=(",", ":")).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == PIPELINE_SHA256
