@@ -288,6 +288,27 @@ class Options:
             _fail("bad_config", f"config key {name!r}: {exc.message}", key=name)
 
 
+PRESET_FIELDS = ("outcome", "predictors", "controls", "moderator")
+# declared by subcommands but read from the command line only
+COMMAND_LINE_ONLY = ("outdir", "config_path", "input_path", "use_synth")
+
+
+def _check_config_keys(config: dict[str, str]) -> None:
+    """Reject a key that no subcommand reads, so a typo is not silently
+    ignored.  A key of another subcommand is accepted, so one file can serve
+    every stage of a run."""
+    known = {p.name for command in main.commands.values() for p in command.params}
+    known.difference_update(COMMAND_LINE_ONLY)
+    known.update(f"{name}.{field}" for name in DEFAULT_MODELS for field in PRESET_FIELDS)
+    for key in config:
+        if key not in known:
+            _fail(
+                "bad_config",
+                f"config key {key!r} is not an option any subcommand reads from a config file",
+                key=key,
+            )
+
+
 def _model_specs(config: dict[str, str]) -> dict[str, RegressionSpec]:
     """Built-in model presets, overridable per field from the config file."""
     specs = {}
@@ -369,12 +390,21 @@ def _load_metrics_table(path: str) -> tuple[list[str], AnalysisTable]:
     return ids, AnalysisTable(columns)
 
 
+# The parsed corpus of the running command, with its citation graph once
+# built: `pipeline` runs train, metrics and disrupt on one file.  At most one
+# entry, keyed by the file's digest and the parse settings; `_command` empties
+# it as each command starts.
+_CORPUS_MEMO: dict[str, object] = {}
+
+
 def _read_corpus(outdir: str) -> tuple[str, Corpus]:
     """Path and contents of the parsed corpus.
 
     The file is parsed with the year range and padding ingest recorded in
     the manifest, so later stages keep every paper ingest kept, and with the
-    end year ingest used (which --end-year sets), so paper ages agree.
+    end year ingest used (which --end-year sets), so paper ages agree.  A
+    file already parsed with those settings in this command is not parsed
+    again.
     """
     path = _require(outdir, CORPUS_PARSED)
     ingest = _read_manifest(outdir).get("stages", {}).get("ingest", {})
@@ -383,9 +413,21 @@ def _read_corpus(outdir: str) -> tuple[str, Corpus]:
         **{k: recorded[k] for k in ("min_year", "max_year", "pad_short_codes") if k in recorded},
         dataset_end_year=ingest.get("end_year"),
     )
-    with open(path, encoding="utf-8") as fh:
-        corpus, _ = parse_corpus(fh, parse)
-    return path, corpus
+    key = (_digest(path), dataclasses.astuple(parse))
+    if _CORPUS_MEMO.get("key") != key:
+        with open(path, encoding="utf-8") as fh:
+            corpus, _ = parse_corpus(fh, parse)
+        _CORPUS_MEMO.clear()
+        _CORPUS_MEMO.update(key=key, corpus=corpus)
+    return path, _CORPUS_MEMO["corpus"]
+
+
+def _read_graph(outdir: str) -> tuple[str, Corpus, CitationGraph]:
+    """`_read_corpus`, plus the corpus's citation graph, built once."""
+    path, corpus = _read_corpus(outdir)
+    if "graph" not in _CORPUS_MEMO:
+        _CORPUS_MEMO["graph"] = build_citation_graph(corpus)
+    return path, corpus, _CORPUS_MEMO["graph"]
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +611,8 @@ def _merge_metrics(outdir: str) -> None:
 
 
 def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
-    parsed_path, corpus = _read_corpus(outdir)
+    parsed_path, corpus, graph = _read_graph(outdir)
     embedding_path = _require(outdir, EMBEDDING)
-    graph = build_citation_graph(corpus)
     emb = load_embeddings(embedding_path)
     rows, n_missing = _space_rows(corpus, graph, emb, exclude_self)
     space_path = os.path.join(outdir, METRICS_SPACE)
@@ -594,8 +635,7 @@ def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
 
 
 def _stage_disrupt(outdir: str, variant: str) -> None:
-    parsed_path, corpus = _read_corpus(outdir)
-    graph = build_citation_graph(corpus)
+    parsed_path, corpus, graph = _read_graph(outdir)
     scored = score_corpus(corpus, graph, variant)
     rows = []
     n_defined = 0
@@ -853,8 +893,10 @@ def _command(*options):
         @click.pass_context
         @_structured_errors
         def command(ctx, outdir, config_path, **_):
+            _CORPUS_MEMO.clear()  # one invocation never sees another's corpus
             os.makedirs(outdir, exist_ok=True)
             config = _read_config(config_path) if config_path else {}
+            _check_config_keys(config)
             body(Options(ctx, config), outdir)
 
         for option in reversed((OUTDIR_OPTION, CONFIG_OPTION, *options)):

@@ -173,7 +173,14 @@ def _require_int(obj: dict, key: str) -> int:
     return value
 
 
-def _record_to_paper(obj: object, config: ParseConfig, report: ParseReport) -> Paper:
+def _record_to_paper(
+    obj: object,
+    config: ParseConfig,
+    report: ParseReport,
+    parsed_codes: dict[str, tuple[PacsCode, bool]],
+) -> Paper:
+    """One validated paper; ``parsed_codes`` memoises ``PacsCode.parse`` by
+    raw text across the records of one parse, so papers share code objects."""
     if not isinstance(obj, dict):
         raise _SkipRecord("not_an_object")
     for key in ("id", "year", "journal", "pacs_codes", "n_pages", "references"):
@@ -199,20 +206,25 @@ def _record_to_paper(obj: object, config: ParseConfig, report: ParseReport) -> P
     raw_codes = obj["pacs_codes"]
     if not isinstance(raw_codes, list):
         raise _SkipRecord("invalid_code")
-    codes: list[PacsCode] = []
+    codes: dict[str, PacsCode] = {}  # canonical text -> code
     padded_here = 0
     for raw in raw_codes:
         if not isinstance(raw, str):
             raise _SkipRecord("invalid_code")
-        try:
-            code, padded = PacsCode.parse(raw, pad_short=config.pad_short_codes)
-        except InvalidCodeError:
-            raise _SkipRecord("invalid_code") from None
+        parsed = parsed_codes.get(raw)
+        if parsed is None:
+            try:
+                parsed = PacsCode.parse(raw, pad_short=config.pad_short_codes)
+            except InvalidCodeError:
+                raise _SkipRecord("invalid_code") from None
+            parsed_codes[raw] = parsed
+        code, padded = parsed
         padded_here += padded
-        if code not in codes:
-            codes.append(code)
-        else:
+        if code.raw in codes:
+            # counted even when a later code skips the record
             report.duplicate_codes_removed += 1
+        else:
+            codes[code.raw] = code
     if not codes:
         raise _SkipRecord("no_codes")
 
@@ -243,19 +255,16 @@ def _record_to_paper(obj: object, config: ParseConfig, report: ParseReport) -> P
     raw_refs = obj["references"]
     if not isinstance(raw_refs, list) or not all(isinstance(r, str) for r in raw_refs):
         raise _SkipRecord("invalid_references")
-    references: list[str] = []
-    for ref in raw_refs:
-        if ref == paper_id:
-            report.self_references_removed += 1
-        elif ref not in references:
-            references.append(ref)
+    report.self_references_removed += raw_refs.count(paper_id)
+    references = dict.fromkeys(raw_refs)
+    references.pop(paper_id, None)
 
     report.padded_codes += padded_here
     return Paper(
         id=paper_id,
         year=year,
         journal=journal,
-        pacs_codes=tuple(codes),
+        pacs_codes=tuple(codes.values()),
         author_count=author_count,
         n_pages=n_pages,
         title_length=title_length,
@@ -274,6 +283,7 @@ def parse_corpus(
     config = config or ParseConfig()
     report = ParseReport()
     papers: dict[str, Paper] = {}
+    parsed_codes: dict[str, tuple[PacsCode, bool]] = {}
     for line in lines:
         line = line.strip()
         if not line:
@@ -286,7 +296,7 @@ def parse_corpus(
             report.skip_reasons["invalid_json"] += 1
             continue
         try:
-            paper = _record_to_paper(obj, config, report)
+            paper = _record_to_paper(obj, config, report, parsed_codes)
         except _SkipRecord as skip:
             report.n_skipped += 1
             report.skip_reasons[skip.reason] += 1

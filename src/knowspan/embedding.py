@@ -317,7 +317,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
         fh.write(f"dim={matrix.dim} vocab={len(matrix.vocabulary)}\n")
         for code in matrix.vocabulary:
             vec = matrix.vectors[code]
-            fh.write(code.raw + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+            fh.write(code.raw + " " + " ".join(map(repr, vec.tolist())) + "\n")
 
 
 def load_embeddings(path: str) -> EmbeddingMatrix:

@@ -10,6 +10,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from knowspan import cli
 from knowspan.cli import DISRUPTION_COLUMNS, METRIC_COLUMNS, SPACE_COLUMNS, main
 
 FAST_TRAIN = ["--dim", "8", "--epochs", "2"]
@@ -390,6 +391,47 @@ def test_malformed_config_line_is_structured_error(runner, tmp_path):
     assert "key = value" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "paper",  # a typo of papers
+        "input_path",  # declared, but read from the command line only
+        "model9.outcome",  # no such preset
+        "model1.intercept",  # no such preset field
+    ],
+)
+def test_config_key_no_subcommand_reads_is_structured_error(runner, tmp_path, key):
+    config = tmp_path / "typo.cfg"
+    config.write_text(f"{key} = 40\n")
+    args = ["synth", "--outdir", str(tmp_path), "--papers", "60", "--config", str(config)]
+    payload = run_fail(runner, args)
+    assert payload["error"] == "bad_config"
+    assert payload["key"] == key
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
+def test_one_config_file_serves_every_stage(runner, tmp_path):
+    """Keys of other subcommands and model-preset keys are accepted."""
+    out = str(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "papers = 60\nepochs = 1\ndim = 6\nd_variant = overlapping\n"
+        "model1.controls = n_pages\nmodel1.moderator = none\n"
+    )
+    for args in (
+        ["synth"], ["ingest"], ["train"], ["metrics"], ["disrupt"], ["regress", "--model", "model1"]
+    ):
+        run_ok(runner, args + ["--outdir", out, "--config", str(config)])
+    manifest = read_manifest(tmp_path)
+    assert manifest["stages"]["synth"]["config"]["n_papers"] == 60
+    assert manifest["stages"]["train"]["config"]["dim"] == 6
+    assert manifest["stages"]["disrupt"]["config"]["d_variant"] == "overlapping"
+    _, rows = read_csv(tmp_path / "regression_model1.csv")
+    assert [row[0] for row in rows[:-2]] == [
+        "const", "n_pages", "network_distance", "network_distance^2"
+    ]
+
+
 def read_manifest(tmp_path):
     return json.loads((tmp_path / "manifest.json").read_text())
 
@@ -565,3 +607,51 @@ def test_later_stages_keep_every_paper_ingest_kept(runner, tmp_path, route):
     for name in ("metrics_space.csv", "disruption.csv", "metrics.csv"):
         _, rows = read_csv(tmp_path / name)
         assert [row[0] for row in rows] == ids, name
+
+
+# ---------------------------------------------------------------- one parse per command
+
+@pytest.fixture
+def corpus_calls(monkeypatch):
+    """Count the corpus parses and graph builds the CLI makes."""
+    calls = {"parse": 0, "graph": 0}
+    for name, attribute in (("parse", "parse_corpus"), ("graph", "build_citation_graph")):
+
+        def counted(*args, _fn=getattr(cli, attribute), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, attribute, counted)
+    return calls
+
+
+def test_pipeline_parses_twice_and_links_once(runner, tmp_path, corpus_calls):
+    """ingest parses the raw corpus; train, metrics and disrupt share one
+    parse of the file it wrote, and metrics and disrupt one graph."""
+    args = ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "120"]
+    run_ok(runner, args + [*FAST_TRAIN, "--points", "3"])
+    assert corpus_calls == {"parse": 2, "graph": 1}
+
+
+def test_each_stage_invocation_parses_and_links_for_itself(runner, tmp_path, corpus_calls):
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "120"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    assert corpus_calls == {"parse": 2, "graph": 0}
+    for _ in range(2):
+        run_ok(runner, ["metrics", "--outdir", out])
+        run_ok(runner, ["disrupt", "--outdir", out])
+    assert corpus_calls == {"parse": 6, "graph": 4}
+
+
+def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, monkeypatch, corpus_calls):
+    monkeypatch.setattr(cli, "_CORPUS_MEMO", {})
+    parsed = tmp_path / "corpus.parsed.jsonl"
+    write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"])])
+    _, first = cli._read_corpus(str(tmp_path))
+    _, again = cli._read_corpus(str(tmp_path))
+    assert again is first and corpus_calls["parse"] == 1
+    write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"]), record("B", 2001, ["11.22.Bb"])])
+    _, rewritten = cli._read_corpus(str(tmp_path))
+    assert list(rewritten.papers) == ["A", "B"] and corpus_calls["parse"] == 2

@@ -1,23 +1,30 @@
 """Corpus parsing, validation accounting, and citation-graph construction."""
 
+import hashlib
 import json
 import math
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowspan.cli import main
 from knowspan.corpus import (
+    Corpus,
     CorpusError,
     InvalidCodeError,
     PacsCode,
+    Paper,
     ParseConfig,
+    ParseReport,
     build_citation_graph,
     citation_count,
     log_citation_count,
     parse_corpus,
     team_size,
 )
+from knowspan.synthgen import SynthConfig, generate_records
 
 LN_10 = 2.302585092994046  # ln(10) frozen from a 40-digit evaluation
 
@@ -314,3 +321,315 @@ def test_log_citations_matches_log1p():
     assert log_citation_count(corpus.papers["F"], graph) == pytest.approx(
         math.log(2.0), rel=1e-15
     )
+
+
+# ---------------------------------------------------------------- parser oracle
+# The parser as it stood before code texts were memoised per call and
+# duplicates were found by dict lookups, kept verbatim as an exact oracle.
+
+
+class _OracleSkip(Exception):
+    def __init__(self, reason):
+        self.reason = reason
+
+
+def _oracle_require_int(obj, key):
+    value = obj.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _OracleSkip(f"invalid_{key}")
+    return value
+
+
+def oracle_record_to_paper(obj, config, report):
+    if not isinstance(obj, dict):
+        raise _OracleSkip("not_an_object")
+    for key in ("id", "year", "journal", "pacs_codes", "n_pages", "references"):
+        if key not in obj:
+            raise _OracleSkip("missing_field")
+    if "authors" not in obj and "author_count" not in obj:
+        raise _OracleSkip("missing_field")
+    if "title" not in obj and "title_length" not in obj:
+        raise _OracleSkip("missing_field")
+
+    paper_id = obj["id"]
+    if not isinstance(paper_id, str) or not paper_id:
+        raise _OracleSkip("invalid_id")
+
+    year = _oracle_require_int(obj, "year")
+    if not (config.min_year <= year <= config.max_year):
+        raise _OracleSkip("year_out_of_range")
+
+    journal = obj["journal"]
+    if not isinstance(journal, str) or not journal:
+        raise _OracleSkip("invalid_journal")
+
+    raw_codes = obj["pacs_codes"]
+    if not isinstance(raw_codes, list):
+        raise _OracleSkip("invalid_code")
+    codes = []
+    padded_here = 0
+    for raw in raw_codes:
+        if not isinstance(raw, str):
+            raise _OracleSkip("invalid_code")
+        try:
+            code, padded = PacsCode.parse(raw, pad_short=config.pad_short_codes)
+        except InvalidCodeError:
+            raise _OracleSkip("invalid_code") from None
+        padded_here += padded
+        if code not in codes:
+            codes.append(code)
+        else:
+            report.duplicate_codes_removed += 1
+    if not codes:
+        raise _OracleSkip("no_codes")
+
+    if "author_count" in obj:
+        author_count = _oracle_require_int(obj, "author_count")
+    else:
+        authors = obj["authors"]
+        if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
+            raise _OracleSkip("invalid_authors")
+        author_count = len(authors)
+    if author_count < 1:
+        raise _OracleSkip("invalid_author_count")
+
+    n_pages = _oracle_require_int(obj, "n_pages")
+    if n_pages < 0:
+        raise _OracleSkip("invalid_n_pages")
+
+    if "title_length" in obj:
+        title_length = _oracle_require_int(obj, "title_length")
+    else:
+        title = obj["title"]
+        if not isinstance(title, str):
+            raise _OracleSkip("invalid_title")
+        title_length = len(title.split())
+    if title_length < 0:
+        raise _OracleSkip("invalid_title_length")
+
+    raw_refs = obj["references"]
+    if not isinstance(raw_refs, list) or not all(isinstance(r, str) for r in raw_refs):
+        raise _OracleSkip("invalid_references")
+    references = []
+    for ref in raw_refs:
+        if ref == paper_id:
+            report.self_references_removed += 1
+        elif ref not in references:
+            references.append(ref)
+
+    report.padded_codes += padded_here
+    return Paper(
+        id=paper_id,
+        year=year,
+        journal=journal,
+        pacs_codes=tuple(codes),
+        author_count=author_count,
+        n_pages=n_pages,
+        title_length=title_length,
+        references=tuple(references),
+    )
+
+
+def oracle_parse_corpus(lines, config=None):
+    config = config or ParseConfig()
+    report = ParseReport()
+    papers = {}
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        report.n_records += 1
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            report.n_skipped += 1
+            report.skip_reasons["invalid_json"] += 1
+            continue
+        try:
+            paper = oracle_record_to_paper(obj, config, report)
+        except _OracleSkip as skip:
+            report.n_skipped += 1
+            report.skip_reasons[skip.reason] += 1
+            continue
+        if paper.id in papers:
+            raise CorpusError(f"duplicate paper id {paper.id!r}")
+        papers[paper.id] = paper
+        report.n_parsed += 1
+
+    if not papers:
+        raise CorpusError("corpus is empty after validation")
+
+    end_year = config.dataset_end_year
+    if end_year is None:
+        end_year = max(p.year for p in papers.values())
+
+    index = {}
+    for paper in papers.values():
+        index.setdefault((paper.journal, paper.year), []).append(paper.id)
+    frozen_index = {key: tuple(ids) for key, ids in index.items()}
+
+    return Corpus(papers, frozen_index, end_year), report
+
+
+def parse_outcome(parse, lines, config):
+    """Everything a parse yields, in order, or the CorpusError it raised."""
+    try:
+        corpus, report = parse(lines, config)
+    except CorpusError as exc:
+        return ("error", str(exc))
+    papers = [
+        (pid, paper, [type(code) for code in paper.pacs_codes])
+        for pid, paper in corpus.papers.items()
+    ]
+    return (
+        papers,
+        list(corpus.journal_year_index.items()),
+        corpus.dataset_end_year,
+        report.as_dict(),
+    )
+
+
+# valid in both spellings, short (padded or invalid), too short, spaced
+CODE_TEXTS = (
+    "03.67.Ah", "0367Ah", " 03.67.Ah ", "05.45.Xt", "05.45.xt", "0545Xt",
+    "03.67", "0367", "03.67.A", "03.67.__", "3.67", "03 67 Ah", "03.67.Ahx", "",
+)
+NOT_A_CODE = st.one_of(st.integers(0, 9), st.none(), st.just(["03.67.Ah"]))
+PAPER_IDS = ("P1", "P2", "P3", "P4")
+
+oracle_record = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(PAPER_IDS),
+        "year": st.one_of(st.integers(1985, 2015), st.just("2000")),
+        "journal": st.sampled_from(("J", "K", "")),
+        "pacs_codes": st.lists(
+            st.one_of(st.sampled_from(CODE_TEXTS), NOT_A_CODE), max_size=6
+        ),
+        "author_count": st.integers(0, 4),
+        "n_pages": st.integers(-1, 9),
+        "title_length": st.integers(0, 9),
+        "references": st.one_of(
+            st.lists(st.sampled_from(PAPER_IDS + ("X1", "X2")), max_size=8),
+            st.just(["P1", 3]),
+        ),
+    }
+)
+oracle_line = st.one_of(
+    oracle_record.map(json.dumps),
+    oracle_record.map(json.dumps),
+    oracle_record.map(json.dumps),
+    st.sampled_from(("{not json", "[1, 2]", "", "   ")),
+)
+oracle_config = st.builds(
+    lambda low, span, end, pad: ParseConfig(
+        min_year=low, max_year=low + span, dataset_end_year=end, pad_short_codes=pad
+    ),
+    st.integers(1980, 2005),
+    st.integers(0, 30),
+    st.one_of(st.none(), st.integers(2000, 2030)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(oracle_line, max_size=12), oracle_config)
+def test_parse_matches_the_oracle_exactly(lines, config):
+    assert parse_outcome(parse_corpus, lines, config) == parse_outcome(
+        oracle_parse_corpus, lines, config
+    )
+
+
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize(
+    "codes",
+    [
+        ["03.67.Ah", "0367Ah", "3.67"],  # a repeat, then an invalid code
+        ["03.67.Ah", "0367Ah", 7],  # a repeat, then a non-string code
+        ["03.67", "03.67.__", "0367", "05.45.Xt"],  # padded repeats
+        ["03.67.Ah", None],
+        ["05.45.Xt", " 05.45.Xt", "0545Xt", "05.45.Xt"],
+    ],
+)
+def test_parse_counts_repeats_like_the_oracle(codes, pad):
+    lines = [
+        record(pacs_codes=codes, references=["P1", "P9", "P1", "P9", "P8", "P1"]),
+        record(id="P2", pacs_codes=codes[:2], references=["P2", "P2"]),
+        record(id="P3"),
+    ]
+    config = ParseConfig(pad_short_codes=pad)
+    assert parse_outcome(parse_corpus, lines, config) == parse_outcome(
+        oracle_parse_corpus, lines, config
+    )
+
+
+def test_papers_share_one_code_object_per_code():
+    corpus, _ = parse_lines(
+        record(pacs_codes=["03.67.Ah", "05.45.Xt"]),
+        record(id="P2", pacs_codes=["05.45.Xt", "03.67.Ah"]),
+    )
+    first, second = corpus.papers["P1"].pacs_codes, corpus.papers["P2"].pacs_codes
+    assert first[0] is second[1] and first[1] is second[0]
+
+
+def rough_corpus_lines():
+    """A 300-paper synthgen corpus with a defect planted on most lines:
+    repeated codes in two spellings, short codes (padded with
+    pad_short_codes, invalid without), repeated self- and duplicate
+    references, a repeat before an invalid code, out-of-range years,
+    non-string codes, invalid JSON and missing fields."""
+    lines = []
+    for i, rec in enumerate(generate_records(SynthConfig(seed=11, n_papers=300, n_codes=40))):
+        codes = list(rec["pacs_codes"])
+        refs = list(rec["references"])
+        kind = i % 11
+        if kind == 1:
+            codes.append(codes[0].replace(".", ""))
+        elif kind == 2:
+            codes[-1] = codes[-1][:5]
+        elif kind == 3:
+            codes = [codes[0][:5], codes[0][:5] + ".__", *codes[1:]]
+        elif kind == 4:
+            refs = [rec["id"], *refs, rec["id"], *refs[:3]]
+        elif kind == 5:
+            codes = [codes[0], codes[0], codes[1][:4]]
+        elif kind == 6:
+            rec["year"] = 1700 + i
+        elif kind == 7:
+            codes.append(7)
+        elif kind == 8 and i % 2:
+            lines.append(json.dumps(rec)[:-9])
+            continue
+        elif kind == 9:
+            del rec["journal"]
+        rec["pacs_codes"] = codes
+        rec["references"] = refs
+        lines.append(json.dumps(rec))
+    return lines
+
+
+# sha256 of (corpus.parsed.jsonl, parse_report.json) written by `ingest` of
+# rough_corpus_lines(), recorded before the parser was changed
+ROUGH_INGEST_DIGESTS = {
+    False: (
+        "ab00ee42ed1ee998dd14a72677698e966ab4a7c39b6287bc074eac6afadae6fd",
+        "cbc7769968828559574b4cd685b41d561bd9f10bedf3ec9f55c5afafb3fed570",
+    ),
+    True: (
+        "da40c0ca9191090a7cc2be2f8f837dc67c4bce97b778b7dba380b80c7f72c799",
+        "4375c187e1a2ad141cd7e9334eb1ebdbeb8e31370c4ccb79aa197e5e901f4ac1",
+    ),
+}
+
+
+@pytest.mark.parametrize("pad", [False, True], ids=["exact", "pad_short_codes"])
+def test_rough_corpus_ingest_matches_the_recorded_digests(tmp_path, pad):
+    source = tmp_path / "rough.jsonl"
+    source.write_text("\n".join(rough_corpus_lines()) + "\n", encoding="utf-8")
+    args = ["ingest", "--outdir", str(tmp_path), "--input", str(source)]
+    result = CliRunner().invoke(main, args + ["--pad-short-codes"] * pad)
+    assert result.exit_code == 0, result.stderr or result.output
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("corpus.parsed.jsonl", "parse_report.json")
+    )
+    assert digests == ROUGH_INGEST_DIGESTS[pad]
