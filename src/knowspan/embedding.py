@@ -295,12 +295,33 @@ def train_embeddings(
     )
 
 
+# Vectors whose norm lies outside this range are rescaled before a cosine:
+# their squares and products under- or overflow and lose the direction.
+_PLAIN_NORMS = (1e-100, 1e100)
+
+
+def direction_and_norm(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """``u`` as float64 and its norm, rescaled first if its magnitude is extreme.
+
+    A cosine depends only on direction, so dividing by the largest entry
+    loses nothing; vectors of ordinary magnitude are returned unscaled.  A
+    zero vector keeps norm 0.0.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    norm = float(np.linalg.norm(u))
+    if _PLAIN_NORMS[0] <= norm <= _PLAIN_NORMS[1]:
+        return u, norm
+    peak = float(np.abs(u).max()) if u.size else 0.0
+    if not 0.0 < peak < np.inf:
+        return u, norm
+    u = u / peak
+    return u, float(np.linalg.norm(u))
+
+
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """1 - cos(u, v), in [0, 2]; zero-norm input is an error, not a default."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
+    u, norm_u = direction_and_norm(u)
+    v, norm_v = direction_and_norm(v)
     if norm_u == 0.0 or norm_v == 0.0:
         raise ValueError("cosine distance is undefined for zero-norm vectors")
     d = 1.0 - float(u @ v) / (norm_u * norm_v)

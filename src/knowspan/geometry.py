@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, Paper
-from .embedding import EmbeddingMatrix, cosine_distance
+from .embedding import EmbeddingMatrix, cosine_distance, direction_and_norm
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def article_distance(paper: Paper, emb: EmbeddingMatrix) -> float:
         raise ValueError(f"paper {paper.id!r} has no codes")
     if m == 1:
         return 0.0
-    vectors = [np.asarray(emb[code], dtype=np.float64) for code in codes]
-    norms = [float(np.linalg.norm(v)) for v in vectors]
+    vectors, norms = zip(*(direction_and_norm(emb[code]) for code in codes))
     if 0.0 in norms:
         raise ValueError("cosine distance is undefined for zero-norm vectors")
     total = 0.0

@@ -398,6 +398,17 @@ def test_cosine_distance_scale_invariant(xs, c):
     assert cosine_distance(u, -c * u) == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [4.199661015073918e-161, 1e-300, 1e150])
+def test_cosine_distance_extreme_magnitudes(scale):
+    """Squares of these entries under- or overflow; the cosine must not care."""
+    u = np.array([scale, scale])
+    assert cosine_distance(u, 1.5 * u) == pytest.approx(0.0, abs=1e-12)
+    assert cosine_distance(u, -1.5 * u) == pytest.approx(2.0, abs=1e-12)
+    assert cosine_distance(u, np.array([scale, 0.0])) == pytest.approx(
+        ONE_MINUS_INV_SQRT2, rel=1e-12
+    )
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_save_load_round_trip_is_exact(tmp_path):
