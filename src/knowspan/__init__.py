@@ -36,15 +36,7 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .geometry import (
-    JournalVector,
-    PaperVector,
-    article_distance,
-    article_distance_log,
-    journal_distance,
-    journal_vector,
-    paper_vector,
-)
+from .geometry import article_distance, journal_cells, journal_reference, paper_vector
 from .stats import (
     AnalysisTable,
     CorrelationMatrix,

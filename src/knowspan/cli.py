@@ -49,7 +49,7 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .geometry import article_distance, paper_vector
+from .geometry import article_distance, journal_cells, journal_reference, paper_vector
 from .stats import (
     AnalysisTable,
     RankDeficiencyError,
@@ -59,7 +59,7 @@ from .stats import (
     predicted_curve,
 )
 from .synthgen import PlantedEffect, SynthConfig, write_corpus
-from .tree import build_tree, export_edges, network_distance
+from .tree import KnowledgeTree, build_tree, export_edges, network_distance
 
 # Artifact names are fixed so stages can find each other's outputs.
 CORPUS_RAW = "corpus.jsonl"
@@ -437,31 +437,16 @@ def _read_graph(outdir: str) -> tuple[str, Corpus, CitationGraph]:
 def _stage_synth(outdir: str, config: SynthConfig) -> str:
     out_path = os.path.join(outdir, CORPUS_RAW)
     write_corpus(config, out_path)
-    planted = config.planted_effect
+    settings = dataclasses.asdict(config)
+    seed = settings.pop("seed")  # recorded beside the config, not in it
+    settings["planted"] = settings.pop("planted_effect")
     _update_manifest(
         outdir,
         "synth",
-        config={
-            "n_papers": config.n_papers,
-            "n_codes": config.n_codes,
-            "n_blocks": config.n_blocks,
-            "codes_per_paper": config.codes_per_paper,
-            "n_journals": config.n_journals,
-            "year_range": list(config.year_range),
-            "citation_density": config.citation_density,
-            "cross_block_leakage": config.cross_block_leakage,
-            "planted": None
-            if planted is None
-            else {
-                "quadratic_sign": planted.quadratic_sign,
-                "moderator_sign": planted.moderator_sign,
-                "quadratic_strength": planted.quadratic_strength,
-                "moderator_strength": planted.moderator_strength,
-            },
-        },
+        config=settings,
         inputs={},
         outputs={CORPUS_RAW: out_path},
-        seed=config.seed,
+        seed=seed,
     )
     return out_path
 
@@ -520,22 +505,22 @@ def _stage_train(outdir: str, config: TrainingConfig, loss_log: bool) -> None:
 
 
 def _space_rows(
-    corpus: Corpus, graph: CitationGraph, emb: EmbeddingMatrix, exclude_self: bool
+    corpus: Corpus,
+    graph: CitationGraph,
+    emb: EmbeddingMatrix,
+    tree: KnowledgeTree,
+    exclude_self: bool,
 ) -> tuple[list[tuple], int]:
     """Per-paper metric rows; embedding-derived cells are empty when a code
     is missing from the trained vocabulary or a journal-year cell has no
     usable reference point."""
-    tree = build_tree(corpus.distinct_codes())
     vectors: dict[str, np.ndarray | None] = {}
     for pid, paper in corpus.papers.items():
         if all(code in emb for code in paper.pacs_codes):
-            vectors[pid] = paper_vector(paper, emb).vector
+            vectors[pid] = paper_vector(paper, emb)
         else:
             vectors[pid] = None
-    cells: dict[tuple[str, int], tuple[np.ndarray, int] | None] = {}
-    for key, member_ids in corpus.journal_year_index.items():
-        stacked = [vectors[pid] for pid in member_ids if vectors[pid] is not None]
-        cells[key] = (np.mean(stacked, axis=0), len(stacked)) if stacked else None
+    cells = journal_cells(corpus, vectors)
 
     rows = []
     n_missing = 0
@@ -549,15 +534,11 @@ def _space_rows(
         else:
             article_dist = article_distance(paper, emb)
             article_dist_log = float(np.log1p(article_dist))
-            cell = cells[(paper.journal, paper.year)]
-            if cell is not None:
-                mean_vec, n_members = cell
-                if exclude_self:
-                    if n_members >= 2:
-                        reference = (mean_vec * n_members - vec) / (n_members - 1)
-                        journal_dist = cosine_distance(vec, reference)
-                else:
-                    journal_dist = cosine_distance(vec, mean_vec)
+            reference = journal_reference(
+                cells[(paper.journal, paper.year)], vec, exclude_self
+            )
+            if reference is not None:
+                journal_dist = cosine_distance(vec, reference)
         rows.append(
             (
                 pid,
@@ -614,13 +595,14 @@ def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
     parsed_path, corpus, graph = _read_graph(outdir)
     embedding_path = _require(outdir, EMBEDDING)
     emb = load_embeddings(embedding_path)
-    rows, n_missing = _space_rows(corpus, graph, emb, exclude_self)
+    tree = build_tree(corpus.distinct_codes())
+    rows, n_missing = _space_rows(corpus, graph, emb, tree, exclude_self)
     space_path = os.path.join(outdir, METRICS_SPACE)
     _write_csv(space_path, SPACE_COLUMNS, rows)
     outputs = {METRICS_SPACE: space_path}
     if export_tree:
         tree_path = os.path.join(outdir, TREE_EDGES)
-        export_edges(build_tree(corpus.distinct_codes()), tree_path)
+        export_edges(tree, tree_path)
         outputs[TREE_EDGES] = tree_path
     _update_manifest(
         outdir,

@@ -1,75 +1,62 @@
 """Paper and journal-year vectors in embedding space, and distances on them.
 
 A paper vector is the mean of its code vectors; a journal-year vector is the
-mean of its member paper vectors.  Journal distance is the cosine distance
-between a paper and its own journal-year vector; article distance is the mean
-pairwise cosine distance among the paper's codes.
+mean of the defined paper vectors in one (journal, year) cell, so a paper
+with a code missing from the vocabulary neither gets a distance nor moves
+its cell's mean.  Journal distance is the cosine distance between a paper
+and its cell's vector, or the mean of the cell's other defined members when
+the paper is excluded; article distance is the mean pairwise cosine
+distance among the paper's codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .corpus import Corpus, Paper
-from .embedding import EmbeddingMatrix, cosine_distance, direction_and_norm
+from .embedding import EmbeddingMatrix, direction_and_norm
 
 
-@dataclass(frozen=True)
-class PaperVector:
-    paper_id: str
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class JournalVector:
-    journal: str
-    year: int
-    vector: np.ndarray
-    n_members: int
-
-
-def paper_vector(paper: Paper, emb: EmbeddingMatrix) -> PaperVector:
+def paper_vector(paper: Paper, emb: EmbeddingMatrix) -> np.ndarray:
     """Mean of the paper's code vectors; missing codes raise MissingCodeError."""
     if not paper.pacs_codes:
         raise ValueError(f"paper {paper.id!r} has no codes")
-    stacked = np.stack([emb[code] for code in paper.pacs_codes])
-    return PaperVector(paper.id, stacked.mean(axis=0))
+    return np.stack([emb[code] for code in paper.pacs_codes]).mean(axis=0)
 
 
-def journal_vector(
-    journal: str, year: int, corpus: Corpus, emb: EmbeddingMatrix
-) -> JournalVector:
-    """Mean of member paper vectors for one (journal, year) cell."""
-    member_ids = corpus.journal_year_index.get((journal, year))
-    if not member_ids:
-        raise ValueError(f"no papers for journal {journal!r} in year {year}")
-    stacked = np.stack(
-        [paper_vector(corpus.papers[pid], emb).vector for pid in member_ids]
-    )
-    return JournalVector(journal, year, stacked.mean(axis=0), len(member_ids))
+def journal_cells(
+    corpus: Corpus, vectors: Mapping[str, np.ndarray | None]
+) -> dict[tuple[str, int], tuple[np.ndarray, int] | None]:
+    """Mean and count of the defined paper vectors in each (journal, year) cell.
 
-
-def journal_distance(
-    paper: Paper, corpus: Corpus, emb: EmbeddingMatrix, exclude_self: bool = False
-) -> float:
-    """Cosine distance from a paper to its journal-year vector.
-
-    The focal paper is a member of its own cell; ``exclude_self`` removes it
-    from the cell mean, which needs at least one other member.
+    ``vectors`` maps each paper id to its paper vector, or to None when the
+    vector is undefined.  Members are averaged in ``journal_year_index``
+    order; a cell with no defined member maps to None.
     """
-    focal = paper_vector(paper, emb).vector
-    cell = journal_vector(paper.journal, paper.year, corpus, emb)
-    reference = cell.vector
-    if exclude_self:
-        if cell.n_members < 2:
-            raise ValueError(
-                f"cannot exclude {paper.id!r} from a single-member cell "
-                f"({paper.journal!r}, {paper.year})"
-            )
-        reference = (reference * cell.n_members - focal) / (cell.n_members - 1)
-    return cosine_distance(focal, reference)
+    cells: dict[tuple[str, int], tuple[np.ndarray, int] | None] = {}
+    for key, member_ids in corpus.journal_year_index.items():
+        stacked = [vectors[pid] for pid in member_ids if vectors[pid] is not None]
+        cells[key] = (np.mean(stacked, axis=0), len(stacked)) if stacked else None
+    return cells
+
+
+def journal_reference(
+    cell: tuple[np.ndarray, int], vector: np.ndarray, exclude_self: bool
+) -> np.ndarray | None:
+    """The vector a paper's journal distance is measured from.
+
+    ``cell`` is the (mean, count) of the paper's own cell, of which the
+    paper with ``vector`` is a defined member.  ``exclude_self`` removes the
+    paper from the mean; with no other defined member the result is None.
+    """
+    mean, n_members = cell
+    if not exclude_self:
+        return mean
+    if n_members < 2:
+        return None
+    return (mean * n_members - vector) / (n_members - 1)
 
 
 def article_distance(paper: Paper, emb: EmbeddingMatrix) -> float:
@@ -91,8 +78,3 @@ def article_distance(paper: Paper, emb: EmbeddingMatrix) -> float:
             d = 1.0 - float(u @ vectors[j]) / (norm_u * norms[j])
             total += min(2.0, max(0.0, d))
     return total / (m * (m - 1) // 2)
-
-
-def article_distance_log(paper: Paper, emb: EmbeddingMatrix) -> float:
-    """log(1 + article distance), the transform used in correlation and models."""
-    return float(np.log1p(article_distance(paper, emb)))

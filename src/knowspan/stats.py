@@ -349,7 +349,6 @@ def predicted_curve(
     predictor: str,
     grid: np.ndarray | list[float],
     moderator_levels: list[float] | None = None,
-    others_at: str = "mean",
 ) -> list[CurvePoint]:
     """Model predictions along a predictor grid at fixed moderator levels.
 
@@ -358,8 +357,6 @@ def predicted_curve(
     design column stays at its sample mean.  Grid values outside the
     observed predictor range are flagged as extrapolated.
     """
-    if others_at != "mean":
-        raise ValueError("only others_at='mean' is supported")
     spec = result.design.spec
     if predictor not in spec.predictors:
         raise ValueError(f"{predictor!r} is not a predictor of this model")

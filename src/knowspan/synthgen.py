@@ -24,18 +24,12 @@ MAX_TEAM = 25
 
 @dataclass(frozen=True)
 class PlantedEffect:
-    outcome: str = "citations"
-    predictor: str = "block_spread"
     quadratic_sign: int = -1
     moderator_sign: int = 0
     quadratic_strength: float = 6.0
     moderator_strength: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.outcome != "citations":
-            raise ValueError("only the 'citations' outcome can be planted")
-        if self.predictor != "block_spread":
-            raise ValueError("only the 'block_spread' proxy can be planted")
         if self.quadratic_sign not in (-1, 1):
             raise ValueError("quadratic_sign must be -1 or +1")
         if self.moderator_sign not in (-1, 0, 1):

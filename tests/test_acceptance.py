@@ -40,7 +40,7 @@ from knowspan.embedding import (
     pair_loss,
     train_embeddings,
 )
-from knowspan.geometry import article_distance, journal_vector, paper_vector
+from knowspan.geometry import article_distance, journal_cells, journal_reference, paper_vector
 from knowspan.stats import AnalysisTable, RegressionSpec, fit_model
 from knowspan.tree import build_tree, network_distance, path_length
 
@@ -358,7 +358,7 @@ def test_criterion_5_distance_formula_oracles():
                 float(mp.fsum(mp.mpf(float(v[k])) for v in vectors) / m)
                 for k in range(16)
             ]
-            got_pv = paper_vector(paper, emb).vector
+            got_pv = paper_vector(paper, emb)
             for a, b in zip(got_pv, expected_pv):
                 assert relative_close(a, b, 1e-12)
 
@@ -378,14 +378,16 @@ def test_criterion_5_distance_formula_oracles():
             expected_network = math.fsum(tree_dists) / len(tree_dists)
             assert relative_close(network_distance(paper, tree), expected_network, 1e-12)
 
-        for (journal, year), member_ids in corpus.journal_year_index.items():
+        cells = journal_cells(corpus, {p.id: paper_vector(p, emb) for p in corpus})
+        for key, member_ids in corpus.journal_year_index.items():
             members = [corpus.papers[pid] for pid in member_ids]
-            stacked = [paper_vector(p, emb).vector for p in members]
+            stacked = [paper_vector(p, emb) for p in members]
             expected_jv = [
                 float(mp.fsum(mp.mpf(float(v[k])) for v in stacked) / len(stacked))
                 for k in range(16)
             ]
-            got_jv = journal_vector(journal, year, corpus, emb).vector
+            got_jv, n_members = cells[key]
+            assert n_members == len(members)
             for a, b in zip(got_jv, expected_jv):
                 assert relative_close(a, b, 1e-12)
 
@@ -500,12 +502,19 @@ def test_criterion_8_reference_descriptives():
             network[paper.id] = network_distance(paper, tree)
             if all(c in matrix for c in paper.pacs_codes):
                 article[paper.id] = article_distance(paper, emb=matrix)
+        vectors = {
+            paper.id: paper_vector(paper, matrix) if paper.id in article else None
+            for paper in corpus
+        }
+        cells = journal_cells(corpus, vectors)
         journal = {}
         for paper in corpus:
             if paper.id in article:
-                focal = paper_vector(paper, matrix).vector
-                cell = journal_vector(paper.journal, paper.year, corpus, matrix)
-                journal[paper.id] = cosine_distance(focal, cell.vector)
+                focal = vectors[paper.id]
+                cell = cells[(paper.journal, paper.year)]
+                journal[paper.id] = cosine_distance(
+                    focal, journal_reference(cell, focal, exclude_self=False)
+                )
         scored = score_corpus(corpus, graph)
         percentile = {
             pid: s.percentile for pid, (_, s) in scored.items() if s.percentile is not None

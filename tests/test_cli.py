@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -209,6 +210,65 @@ def test_exclude_self_empties_single_member_cells(runner, tmp_path):
     # ("J-a", 2000) and ("J-a", 2001) hold one paper each
     assert excluded["A"] == "" and excluded["P"] == ""
     assert excluded["C2"] != ""
+
+
+def vocabulary_gap_corpus(path):
+    """44 papers.  Forty share six codes three at a time; X1, X2 and X9 each
+    carry one code that no multi-code paper carries, so it never reaches
+    training.  X1 sits in (J-a, 2001) beside defined papers; X2 is alone in
+    (J-c, 2002); X9 shares (J9, 2005) with Z4, its only defined member."""
+    pool = ["11.22.Aa", "11.22.Bb", "11.30.Cc", "43.50.Dd", "43.50.Ee", "43.60.Ff"]
+    records = []
+    for i in range(40):
+        codes = [pool[(i + k) % 6] for k in (0, 1, 3)]
+        refs = [f"P{j:02d}" for j in (i - 7, i - 11) if j >= 0 and (j % 4) < (i % 4)]
+        records.append(
+            record(f"P{i:02d}", 2000 + i % 4, codes, journal=("J-a", "J-b")[i % 2], refs=refs)
+        )
+    records += [
+        record("X1", 2001, ["77.10.Xx"], journal="J-a", refs=["P00"]),
+        record("X2", 2002, ["77.20.Yy"], journal="J-c"),
+        record("X9", 2005, ["88.20.Zz"], journal="J9", refs=["P04"]),
+        record("Z4", 2005, pool[:2] + [pool[4]], journal="J9", refs=["P08", "X1"]),
+    ]
+    write_jsonl(path, records)
+
+
+# sha256 of metrics_space.csv for the vocabulary-gap corpus after `ingest`,
+# `train --dim 8 --epochs 2` and `metrics` with each flag setting.
+VOCABULARY_GAP_SHA256 = {
+    (): "470daef28ca3302ff58004c2f0235a6785c6eaff18731199cd70386d770a68e1",
+    ("--exclude-self",): "ba656599910e2d0fde202f2883280bf6780917d721a4f06ddf617aaee6ec2658",
+}
+
+
+@pytest.mark.parametrize("flags", list(VOCABULARY_GAP_SHA256), ids=["plain", "exclude_self"])
+def test_vocabulary_gaps_leave_blank_cells_and_defined_means(runner, tmp_path, flags):
+    out = str(tmp_path)
+    vocabulary_gap_corpus(tmp_path / "corpus.jsonl")
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    run_ok(runner, ["metrics", "--outdir", out, *flags])
+    header, rows = read_csv(tmp_path / "metrics_space.csv")
+    by_id = {row[0]: dict(zip(header, row)) for row in rows}
+    embedded = ("journal_distance", "article_distance", "article_distance_log")
+    for pid in ("X1", "X2", "X9"):
+        assert [by_id[pid][c] for c in embedded] == ["", "", ""], pid
+        assert by_id[pid]["network_distance"] == "0.0"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stages"]["metrics"]["n_missing_vocabulary"] == 3
+    # Z4 is the only defined member of (J9, 2005): its own mean, or nobody
+    assert by_id["Z4"]["journal_distance"] == ("" if flags else "0.0")
+    for pid, row in by_id.items():
+        if pid not in ("X1", "X2", "X9"):
+            assert row["article_distance"] != "", pid
+            assert float(row["article_distance_log"]) == np.log1p(
+                float(row["article_distance"])
+            ), pid
+            if pid != "Z4":
+                assert row["journal_distance"] != "", pid
+    digest = hashlib.sha256((tmp_path / "metrics_space.csv").read_bytes()).hexdigest()
+    assert digest == VOCABULARY_GAP_SHA256[flags]
 
 
 def test_correlations_put_r_above_and_p_below(runner, tmp_path):
@@ -655,3 +715,20 @@ def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, monkeypatch, corpu
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"]), record("B", 2001, ["11.22.Bb"])])
     _, rewritten = cli._read_corpus(str(tmp_path))
     assert list(rewritten.papers) == ["A", "B"] and corpus_calls["parse"] == 2
+
+
+def test_metrics_builds_the_tree_once_for_distances_and_export(runner, tmp_path, monkeypatch):
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "150"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    calls = []
+
+    def counted(codes, _fn=cli.build_tree):
+        calls.append(1)
+        return _fn(codes)
+
+    monkeypatch.setattr(cli, "build_tree", counted)
+    run_ok(runner, ["metrics", "--outdir", out, "--export-tree"])
+    assert len(calls) == 1
+    assert (tmp_path / "tree_edges.csv").exists()

@@ -154,16 +154,55 @@ PIPELINE_SHA256 = {
 }
 
 
-def test_pipeline_output_matches_the_recorded_digests(tmp_path):
-    args = ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "150",
-            "--dim", "8", "--epochs", "2", "--points", "3", "--loss-log", "--export-tree"]
+def pipeline_digests(outdir, *flags):
+    args = ["pipeline", "--outdir", str(outdir), "--synth", "--papers", "150",
+            "--dim", "8", "--epochs", "2", "--points", "3", *flags]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.stderr or result.output
     digests = {}
-    for path in tmp_path.iterdir():
+    for path in outdir.iterdir():
         data = path.read_bytes()
         if path.name == "manifest.json":
             stages = json.loads(data)["stages"]
             data = json.dumps(stages, sort_keys=True, separators=(",", ":")).encode()
         digests[path.name] = hashlib.sha256(data).hexdigest()
-    assert digests == PIPELINE_SHA256
+    return digests
+
+
+def test_pipeline_output_matches_the_recorded_digests(tmp_path):
+    assert pipeline_digests(tmp_path, "--loss-log", "--export-tree") == PIPELINE_SHA256
+
+
+# The same digests for `pipeline --synth --papers 150 --dim 8 --epochs 2
+# --points 3 --exclude-self`, which takes the leave-one-out journal mean.
+EXCLUDE_SELF_SHA256 = {
+    "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
+    "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
+    "correlations.csv": "a9b326d80371c4084d50a16655f217c9bcb121428383c3bc0db81d98a1444409",
+    "curves_model1.csv": "99a1d93014d1798bf047dab9761d5a3eb13918c614fade4d4f7b430f3c75cb0f",
+    "curves_model2.csv": "a1cfcfe47606e7262ec08e2270ab9823802a9861b7ebbada27c4d60e548089f0",
+    "curves_model3.csv": "64ddc342c111a44245d49fc5b703ddeedf50f370081146a3e37af884e3d35c41",
+    "curves_model4.csv": "3a27b5d9183974702e8acc68e1f347976504dabbf65fc388a1d4dff660ca190d",
+    "curves_model5.csv": "1c7784cbc39a272c64d7281dcd7d88e498103f628fea64199d9a811d17c77287",
+    "curves_model6.csv": "1577e4373c750fa3cfaef8240a9465b7b4727db5daa9a8c8f87cb07362ac7ad8",
+    "curves_model7.csv": "39d76edc77a70d0ee3610251073a316744b93aa8502c046db8ed9df5a6768de8",
+    "curves_model8.csv": "e9d829d63d73fc56e02d0686d57820e983d1dd23348391b02e4c5c85762f4a50",
+    "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
+    "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
+    "manifest.json": "1bdb97e876e10d018fe156a3477d2605609d0fd3cd2190f6eb0bf2e7d5cc45d3",
+    "metrics.csv": "780598781ce2604a91558f9724dc5a45aec5c7c310a6386e86882f4231b3ffb1",
+    "metrics_space.csv": "9df755a83a9cc4bf248a9d7d4fe36a306350a51b1f2a607d532393c3d0cbb959",
+    "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
+    "regression_model1.csv": "3e8ec4bb4cda91eb96fa21a5b34cfd486788f046be919b18982af68d43f59510",
+    "regression_model2.csv": "01b641c7fe20fb62f898f79f0df51d7ff95afa48307cb22b9501ea799897d497",
+    "regression_model3.csv": "0c7008ebf3f0636af55d2f07dc4d4d8631dccf809c1c8cbe78fed766b8f91ad5",
+    "regression_model4.csv": "c55035765df983f26577404fdd7affb5917d213f8331cb5e6db808b8dfb032cc",
+    "regression_model5.csv": "3e2b17fc24a3426adfe010b9005f462b96d395e1081697aa3bd76217e31ca1ef",
+    "regression_model6.csv": "6317a2a5ce322756a0d3a55c296c446022d4cf4794008fbe3df19870e0ad7091",
+    "regression_model7.csv": "418db3d3fd33a15c2739e1687b56df2de9d8fab18f7a423efcdaee4ad6747e7f",
+    "regression_model8.csv": "6c744b2b018f1d65b2c708e21bb0a1858ddf9db39f7722800ab6b046807ad5a5",
+}
+
+
+def test_exclude_self_pipeline_output_matches_the_recorded_digests(tmp_path):
+    assert pipeline_digests(tmp_path, "--exclude-self") == EXCLUDE_SELF_SHA256

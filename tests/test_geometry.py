@@ -13,9 +13,8 @@ from knowspan.corpus import PacsCode, Paper, parse_corpus
 from knowspan.embedding import EmbeddingMatrix, MissingCodeError, cosine_distance
 from knowspan.geometry import (
     article_distance,
-    article_distance_log,
-    journal_distance,
-    journal_vector,
+    journal_cells,
+    journal_reference,
     paper_vector,
 )
 
@@ -76,15 +75,14 @@ def test_paper_vector_is_code_mean():
     paper = corpus.papers["P"]
     got = paper_vector(paper, emb)
     expected = mean_oracle([emb[c] for c in paper.pacs_codes])
-    assert got.paper_id == "P"
-    np.testing.assert_allclose(got.vector, expected, rtol=1e-12)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_paper_vector_single_code_is_the_code_vector():
     emb = build_embedding(CODE_POOL)
     corpus = build_corpus([("P", 2000, "J", [CODE_POOL[0]])])
     got = paper_vector(corpus.papers["P"], emb)
-    np.testing.assert_array_equal(got.vector, emb[corpus.papers["P"].pacs_codes[0]])
+    np.testing.assert_array_equal(got, emb[corpus.papers["P"].pacs_codes[0]])
 
 
 def test_paper_vector_missing_code_names_it():
@@ -96,6 +94,22 @@ def test_paper_vector_missing_code_names_it():
 
 # ---------------------------------------------------------------- journal vector
 
+def defined_vectors(corpus, emb):
+    """Paper vectors as the CLI keeps them: None where a code is missing."""
+    return {
+        pid: paper_vector(paper, emb) if all(c in emb for c in paper.pacs_codes) else None
+        for pid, paper in corpus.papers.items()
+    }
+
+
+def journal_distance(paper, corpus, emb, exclude_self=False):
+    """journal_cells and journal_reference composed as the CLI composes them."""
+    vectors = defined_vectors(corpus, emb)
+    cell = journal_cells(corpus, vectors)[(paper.journal, paper.year)]
+    reference = journal_reference(cell, vectors[paper.id], exclude_self)
+    return None if reference is None else cosine_distance(vectors[paper.id], reference)
+
+
 def test_journal_vector_is_member_mean():
     emb = build_embedding(CODE_POOL)
     corpus = build_corpus(
@@ -106,17 +120,28 @@ def test_journal_vector_is_member_mean():
             ("P4", 2001, "J", CODE_POOL[:2]),  # other year, excluded
         ]
     )
-    cell = journal_vector("J", 2000, corpus, emb)
-    members = [paper_vector(corpus.papers[p], emb).vector for p in ("P1", "P2")]
-    np.testing.assert_allclose(cell.vector, mean_oracle(members), rtol=1e-12)
-    assert cell.n_members == 2
+    mean, n_members = journal_cells(corpus, defined_vectors(corpus, emb))[("J", 2000)]
+    members = [paper_vector(corpus.papers[p], emb) for p in ("P1", "P2")]
+    np.testing.assert_allclose(mean, mean_oracle(members), rtol=1e-12)
+    assert n_members == 2
 
 
-def test_journal_vector_empty_cell_is_error():
-    emb = build_embedding(CODE_POOL)
-    corpus = build_corpus([("P1", 2000, "J", CODE_POOL[:2])])
-    with pytest.raises(ValueError, match="no papers"):
-        journal_vector("J", 1999, corpus, emb)
+def test_journal_vector_leaves_out_undefined_members():
+    emb = build_embedding(CODE_POOL[:6])
+    corpus = build_corpus(
+        [
+            ("P1", 2000, "J", CODE_POOL[:3]),
+            ("P2", 2000, "J", [CODE_POOL[7]]),  # out of the vocabulary
+            ("P3", 2000, "J", CODE_POOL[3:6]),
+            ("P4", 2001, "J", [CODE_POOL[6]]),  # the cell's only member
+        ]
+    )
+    cells = journal_cells(corpus, defined_vectors(corpus, emb))
+    mean, n_members = cells[("J", 2000)]
+    members = [paper_vector(corpus.papers[p], emb) for p in ("P1", "P3")]
+    np.testing.assert_array_equal(mean, np.mean(members, axis=0))
+    assert n_members == 2
+    assert cells[("J", 2001)] is None
 
 
 # ---------------------------------------------------------------- journal distance
@@ -138,8 +163,8 @@ def test_journal_distance_excluding_self_drops_own_contribution():
         ]
     )
     paper = corpus.papers["P1"]
-    other = paper_vector(corpus.papers["P2"], emb).vector
-    own = paper_vector(paper, emb).vector
+    other = paper_vector(corpus.papers["P2"], emb)
+    own = paper_vector(paper, emb)
     expected = mp_cosine_distance(own, other)
     got = journal_distance(paper, corpus, emb, exclude_self=True)
     assert got == pytest.approx(expected, rel=1e-10)
@@ -147,11 +172,98 @@ def test_journal_distance_excluding_self_drops_own_contribution():
     assert got > journal_distance(paper, corpus, emb)
 
 
-def test_journal_distance_exclude_self_single_member_is_error():
+def test_journal_distance_exclude_self_single_member_is_none():
     emb = build_embedding(CODE_POOL)
-    corpus = build_corpus([("P1", 2000, "J", CODE_POOL[:2])])
-    with pytest.raises(ValueError, match="single-member"):
-        journal_distance(corpus.papers["P1"], corpus, emb, exclude_self=True)
+    corpus = build_corpus(
+        [
+            ("P1", 2000, "J", CODE_POOL[:2]),
+            ("P2", 2000, "J", ["99.99.Zz"]),  # a member, but not a defined one
+        ]
+    )
+    vectors = defined_vectors(corpus, emb)
+    cell = journal_cells(corpus, vectors)[("J", 2000)]
+    assert cell[1] == 1
+    assert journal_reference(cell, vectors["P1"], exclude_self=True) is None
+    assert journal_reference(cell, vectors["P1"], exclude_self=False) is cell[0]
+
+
+# ---------------------------------------------------------------- journal oracle
+
+def oracle_paper_vector(paper, emb):
+    """Oracle: paper_vector as it was when it returned a PaperVector."""
+    if not paper.pacs_codes:
+        raise ValueError(f"paper {paper.id!r} has no codes")
+    stacked = np.stack([emb[code] for code in paper.pacs_codes])
+    return stacked.mean(axis=0)
+
+
+def oracle_journal_vector(journal, year, corpus, emb):
+    """Oracle: the per-paper journal_vector that recomputed its whole cell."""
+    member_ids = corpus.journal_year_index.get((journal, year))
+    if not member_ids:
+        raise ValueError(f"no papers for journal {journal!r} in year {year}")
+    stacked = np.stack(
+        [oracle_paper_vector(corpus.papers[pid], emb) for pid in member_ids]
+    )
+    return stacked.mean(axis=0), len(member_ids)
+
+
+def oracle_journal_distance(paper, corpus, emb, exclude_self=False):
+    """Oracle: journal_distance as it was, one paper and one cell at a time."""
+    focal = oracle_paper_vector(paper, emb)
+    reference, n_members = oracle_journal_vector(paper.journal, paper.year, corpus, emb)
+    if exclude_self:
+        if n_members < 2:
+            raise ValueError(
+                f"cannot exclude {paper.id!r} from a single-member cell "
+                f"({paper.journal!r}, {paper.year})"
+            )
+        reference = (reference * n_members - focal) / (n_members - 1)
+    return cosine_distance(focal, reference)
+
+
+@st.composite
+def corpora_and_embeddings(draw):
+    """One to twelve papers in up to two journals and three years, every
+    code in the vocabulary, so cells of one, two and more members occur."""
+    dim = draw(st.integers(2, 8))
+    emb = build_embedding(CODE_POOL, dim=dim, seed=draw(st.integers(0, 2**32 - 1)))
+    papers = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([2000, 2001, 2002]),
+                st.sampled_from(["J", "K"]),
+                st.lists(st.sampled_from(CODE_POOL), min_size=1, max_size=5, unique=True),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    corpus = build_corpus(
+        [(f"P{i}", year, journal, codes) for i, (year, journal, codes) in enumerate(papers)]
+    )
+    return corpus, emb
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora_and_embeddings())
+def test_journal_reference_matches_the_per_paper_oracle_exactly(case):
+    corpus, emb = case
+    vectors = defined_vectors(corpus, emb)
+    cells = journal_cells(corpus, vectors)
+    for pid, paper in corpus.papers.items():
+        vector = vectors[pid]
+        assert np.array_equal(vector, oracle_paper_vector(paper, emb))
+        cell = cells[(paper.journal, paper.year)]
+        for exclude_self in (False, True):
+            reference = journal_reference(cell, vector, exclude_self)
+            try:
+                expected = oracle_journal_distance(paper, corpus, emb, exclude_self)
+            except ValueError as exc:
+                assert "single-member" in str(exc)
+                assert reference is None
+            else:
+                assert cosine_distance(vector, reference) == expected
 
 
 # ---------------------------------------------------------------- article distance
@@ -204,15 +316,6 @@ def test_article_distance_is_permutation_invariant():
     shuffled = build_corpus([("P", 2000, "J", list(reversed(CODE_POOL[:4])))])
     assert article_distance(ordered.papers["P"], emb) == pytest.approx(
         article_distance(shuffled.papers["P"], emb), rel=1e-12
-    )
-
-
-def test_article_distance_log_transform():
-    emb = build_embedding(CODE_POOL, dim=8, seed=2)
-    corpus = build_corpus([("P", 2000, "J", CODE_POOL[:4])])
-    paper = corpus.papers["P"]
-    assert article_distance_log(paper, emb) == pytest.approx(
-        math.log1p(article_distance(paper, emb)), rel=1e-15
     )
 
 

@@ -57,10 +57,6 @@ def test_zero_leakage_infeasible_when_blocks_too_small():
 
 
 def test_planted_effect_validation():
-    with pytest.raises(ValueError, match="citations"):
-        PlantedEffect(outcome="pages")
-    with pytest.raises(ValueError, match="block_spread"):
-        PlantedEffect(predictor="team")
     with pytest.raises(ValueError, match="quadratic_sign"):
         PlantedEffect(quadratic_sign=2)
     with pytest.raises(ValueError, match="moderator_sign"):
