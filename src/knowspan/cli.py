@@ -235,6 +235,10 @@ def _update_manifest(
         entry["seed"] = seed
     entry.update(extra)
     manifest.setdefault("stages", {})[stage] = entry
+    _write_manifest(outdir, manifest)
+
+
+def _write_manifest(outdir: str, manifest: dict) -> None:
     with open(os.path.join(outdir, MANIFEST), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -560,8 +564,10 @@ def _space_rows(
 def _merge_metrics(outdir: str) -> None:
     """Join the space and disruption tables on paper_id into metrics.csv.
 
-    Runs whenever both inputs exist, from whichever stage finished second,
-    so the merged artifact never mixes generations.
+    Runs from whichever stage finished second, when both tables exist and
+    the manifest records that `metrics` and `disrupt` read the same parsed
+    corpus.  Otherwise any earlier metrics.csv and its `merge` entry are
+    removed, so the merged table is missing rather than mixing generations.
     """
     space_path = os.path.join(outdir, METRICS_SPACE)
     disruption_path = os.path.join(outdir, DISRUPTION)
@@ -573,6 +579,18 @@ def _merge_metrics(outdir: str) -> None:
     for _ in _table_rows(space_path, "space metrics", SPACE_COLUMNS):
         pass  # check every row before metrics.csv is opened for writing
     merged_path = os.path.join(outdir, METRICS)
+    manifest = _read_manifest(outdir)
+    stages = manifest["stages"]
+    metrics_corpus, disrupt_corpus = (
+        stages.get(stage, {}).get("inputs", {}).get(CORPUS_PARSED)
+        for stage in ("metrics", "disrupt")
+    )
+    if metrics_corpus is None or metrics_corpus != disrupt_corpus:
+        if os.path.exists(merged_path):
+            os.remove(merged_path)
+        stages.pop("merge", None)
+        _write_manifest(outdir, manifest)
+        return
     empty = [""] * (len(DISRUPTION_COLUMNS) - 1)
     with open(merged_path, "w", encoding="utf-8", newline="") as dst:
         writer = csv.writer(dst, lineterminator="\n")
@@ -706,8 +724,9 @@ def _stage_regress(
 
 
 def _moderator_levels(spec: RegressionSpec, table: AnalysisTable) -> list[float]:
-    """Mean and mean ± 1 SD of the moderator over the listwise sample."""
-    sample = table.listwise(spec.base_columns())
+    """Mean and mean ± 1 SD of the moderator over the rows the model is
+    fitted on: listwise over the outcome and every base column."""
+    sample = table.listwise((spec.outcome, *spec.base_columns()))
     assert spec.moderator is not None
     values = sample.column(spec.moderator)
     mean, sd = float(values.mean()), float(values.std(ddof=1))

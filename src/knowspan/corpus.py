@@ -278,7 +278,8 @@ def parse_corpus(
     """Parse a line-record stream into a Corpus plus a skip-count report.
 
     Malformed records are skipped (one reason tallied each); a duplicate
-    paper id or an empty result raises CorpusError.
+    paper id, an empty result or a dataset end year before the latest kept
+    paper raises CorpusError.
     """
     config = config or ParseConfig()
     report = ParseReport()
@@ -309,9 +310,14 @@ def parse_corpus(
     if not papers:
         raise CorpusError("corpus is empty after validation")
 
+    latest = max(p.year for p in papers.values())
     end_year = config.dataset_end_year
     if end_year is None:
-        end_year = max(p.year for p in papers.values())
+        end_year = latest
+    elif end_year < latest:
+        raise CorpusError(
+            f"dataset end year {end_year} precedes the latest paper year {latest}"
+        )
 
     index: dict[tuple[str, int], list[str]] = {}
     for paper in papers.values():

@@ -322,6 +322,35 @@ def test_curves_are_long_format_within_observed_range(runner, tmp_path):
     assert len(levels) == 3
 
 
+def test_curves_levels_come_from_the_rows_the_model_fits(runner, tmp_path):
+    """A sparse corpus leaves some D undefined, so model5 fits fewer rows
+    than the metrics table holds."""
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "200", "--density", "2"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    run_ok(runner, ["metrics", "--outdir", out])
+    run_ok(runner, ["disrupt", "--outdir", out])
+    payload = run_fail(runner, ["curves", "--outdir", out, "--model", "model5", "--levels", "2,x"])
+    assert payload["error"] == "stage_failed"
+    assert not list(tmp_path.glob("curves_*.csv"))
+
+    run_ok(runner, ["curves", "--outdir", out, "--model", "model5", "--points", "3"])
+    spec = cli._model_specs({})["model5"]
+    header, rows = read_csv(tmp_path / "metrics.csv")
+    used = [header.index(c) for c in (spec.outcome, *spec.base_columns())]
+    fitted = [row for row in rows if all(row[j] != "" for j in used)]
+    assert len(fitted) < len(rows)
+    team = np.array([float(row[header.index(spec.moderator)]) for row in fitted])
+    mean, sd = float(team.mean()), float(team.std(ddof=1))
+    _, curve = read_csv(tmp_path / "curves_model5.csv")
+    assert sorted({float(row[2]) for row in curve}) == [mean - sd, mean, mean + sd]
+
+    run_ok(runner, ["curves", "--outdir", out, "--model", "model5", "--points", "3", "--levels", "2,4"])
+    _, curve = read_csv(tmp_path / "curves_model5.csv")
+    assert sorted({float(row[2]) for row in curve}) == [2.0, 4.0]
+
+
 def test_tree_export_writes_edge_list(runner, tmp_path):
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "60"])
@@ -577,6 +606,29 @@ def test_malformed_merge_input_is_structured_error(runner, tmp_path, bad_file, s
     assert not (tmp_path / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("stale", ["metrics", "disrupt"])
+def test_merge_refuses_tables_of_different_corpora(runner, tmp_path, stale):
+    """After a new corpus, the stage not yet rerun holds an old table."""
+    out = str(tmp_path)
+    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "150", *FAST_TRAIN, "--points", "3"])
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "150", "--seed", "99"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    run_ok(runner, ["disrupt" if stale == "metrics" else "metrics", "--outdir", out])
+    assert not (tmp_path / "metrics.csv").exists()
+    assert "merge" not in read_manifest(tmp_path)["stages"]
+    for stage in ("correlate", "regress", "curves"):
+        payload = run_fail(runner, [stage, "--outdir", out])
+        assert payload["error"] == "missing_artifact"
+        assert payload["path"] == "metrics.csv"
+
+    run_ok(runner, [stale, "--outdir", out])
+    assert "merge" in read_manifest(tmp_path)["stages"]
+    _, rows = read_csv(tmp_path / "metrics.csv")
+    with open(tmp_path / "corpus.parsed.jsonl", encoding="utf-8") as fh:
+        assert [row[0] for row in rows] == [json.loads(line)["id"] for line in fh]
+
+
 def probe_in_subprocess(code):
     """stdout of ``python -c code`` with this package's source on the path."""
     import knowspan
@@ -633,6 +685,19 @@ def test_metrics_counts_paper_ages_to_the_ingest_end_year(runner, tmp_path, rout
     header, rows = read_csv(tmp_path / "metrics_space.csv")
     years = {row[0]: int(row[header.index("years")]) for row in rows}
     assert years == {pid: 2030 - year for pid, year in published.items()}
+
+
+def test_end_year_before_the_data_is_structured_error(runner, tmp_path):
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "200"])
+    payload = run_fail(runner, ["ingest", "--outdir", out, "--end-year", "1980"])
+    assert payload["error"] == "corpus_error"
+    assert "1980" in payload["message"]
+    assert not (tmp_path / "corpus.parsed.jsonl").exists()
+    with open(tmp_path / "corpus.jsonl", encoding="utf-8") as fh:
+        latest = max(json.loads(line)["year"] for line in fh)
+    run_ok(runner, ["ingest", "--outdir", out, "--end-year", str(latest)])
+    assert read_manifest(tmp_path)["stages"]["ingest"]["end_year"] == latest
 
 
 # ---------------------------------------------------------------- year range

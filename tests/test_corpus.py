@@ -202,6 +202,14 @@ def test_dataset_end_year_override():
     assert corpus.paper_age(corpus.papers["P1"]) == 15
 
 
+def test_dataset_end_year_before_the_latest_paper_is_hard_error():
+    lines = (record(), record(id="P2", year=2011))
+    with pytest.raises(CorpusError, match="end year 2010 precedes the latest paper year 2011"):
+        parse_lines(*lines, config=ParseConfig(dataset_end_year=2010))
+    corpus, _ = parse_lines(*lines, config=ParseConfig(dataset_end_year=2011))
+    assert corpus.paper_age(corpus.papers["P2"]) == 0
+
+
 def test_journal_year_index_groups_members():
     corpus, _ = parse_lines(
         record(),
@@ -459,9 +467,14 @@ def oracle_parse_corpus(lines, config=None):
     if not papers:
         raise CorpusError("corpus is empty after validation")
 
+    latest = max(p.year for p in papers.values())
     end_year = config.dataset_end_year
     if end_year is None:
-        end_year = max(p.year for p in papers.values())
+        end_year = latest
+    elif end_year < latest:
+        raise CorpusError(
+            f"dataset end year {end_year} precedes the latest paper year {latest}"
+        )
 
     index = {}
     for paper in papers.values():

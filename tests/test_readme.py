@@ -1,0 +1,51 @@
+"""The commands the README shows parse, name existing files and select tests."""
+
+import os
+import re
+import shlex
+import subprocess
+import sys
+
+import knowspan
+from knowspan.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+    README = fh.read()
+
+FENCED_BASH = [
+    line.split(" #")[0].strip()
+    for block in re.findall(r"^```bash\n(.*?)^```", README, re.S | re.M)
+    for line in block.splitlines()
+    if line.strip() and not line.lstrip().startswith("#")
+]
+INLINE = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", README, flags=re.S | re.M))
+
+
+def test_fenced_knowspan_commands_parse():
+    commands = [line for line in FENCED_BASH if line.startswith("knowspan ")]
+    assert commands
+    for line in commands:
+        name, *args = shlex.split(line)[1:]
+        assert name in main.commands, line
+        main.commands[name].make_context(name, args)  # raises on a bad option
+
+
+def test_python_commands_name_existing_files():
+    for path in re.findall(r"\bpython3? +(?!-)(\S+)", README):
+        assert os.path.isfile(os.path.join(ROOT, path)), path
+
+
+def test_pytest_selections_collect_tests():
+    commands = [c for c in FENCED_BASH + INLINE if re.search(r"\bpytest\b.* -k ", c)]
+    assert commands
+    src = os.path.dirname(os.path.dirname(knowspan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in commands:
+        argv = shlex.split(command)
+        args = argv[argv.index("pytest") + 1 :]
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *args],
+            cwd=ROOT, capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, f"{command!r} selects no test:\n{result.stdout}"

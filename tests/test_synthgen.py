@@ -159,12 +159,14 @@ def test_code_usage_is_roughly_uniform():
 
 # ---------------------------------------------------------------- planted
 
-def planted_regression(quadratic_sign, moderator_sign=0, seed=19):
+def planted_regression(quadratic_sign, moderator_sign=0, seed=19, strength=6.0):
     config = SynthConfig(
         seed=seed,
         n_papers=4000,
         planted_effect=PlantedEffect(
-            quadratic_sign=quadratic_sign, moderator_sign=moderator_sign
+            quadratic_sign=quadratic_sign,
+            moderator_sign=moderator_sign,
+            quadratic_strength=strength,
         ),
     )
     records = list(generate_records(config))
@@ -188,10 +190,17 @@ def planted_regression(quadratic_sign, moderator_sign=0, seed=19):
 
 
 def test_planted_inverted_u_is_recovered():
-    result = planted_regression(quadratic_sign=-1)
-    term = result.term("spread^2")
-    assert term.coefficient < 0
-    assert term.p < 1e-6
+    # the fitted curvature tracks the planted strength: indistinguishable
+    # from zero with no effect, falling strictly as the effect grows
+    terms = [
+        planted_regression(quadratic_sign=-1, strength=strength).term("spread^2")
+        for strength in (0.0, 1.5, 3.0, 6.0)
+    ]
+    coefficients = [term.coefficient for term in terms]
+    assert all(a > b for a, b in zip(coefficients, coefficients[1:]))
+    assert terms[0].p > 0.05
+    assert terms[-1].coefficient < 0
+    assert terms[-1].p < 1e-6
 
 
 def test_planted_u_shape_flips_the_sign():
