@@ -49,7 +49,13 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .geometry import article_distance, journal_cells, journal_reference, paper_vector
+from .geometry import (
+    PairTerms,
+    article_distance,
+    journal_cells,
+    journal_reference,
+    paper_vector,
+)
 from .stats import (
     AnalysisTable,
     RankDeficiencyError,
@@ -525,6 +531,8 @@ def _space_rows(
         else:
             vectors[pid] = None
     cells = journal_cells(corpus, vectors)
+    sizes = [len(paper.pacs_codes) for paper in corpus.papers.values()]
+    terms = PairTerms(emb, sum(m * (m - 1) // 2 for m in sizes))
 
     rows = []
     n_missing = 0
@@ -536,7 +544,7 @@ def _space_rows(
         if vec is None:
             n_missing += 1
         else:
-            article_dist = article_distance(paper, emb)
+            article_dist = article_distance(paper, emb, terms)
             article_dist_log = float(np.log1p(article_dist))
             reference = journal_reference(
                 cells[(paper.journal, paper.year)], vec, exclude_self
@@ -1033,6 +1041,23 @@ def regress(opts: Options, outdir: str) -> None:
     _stage_regress(outdir, models, names, opts.get("center"))
 
 
+def _finite_levels(raw: str) -> tuple[float, ...]:
+    """The moderator levels of a --levels value, each a finite number."""
+    levels = []
+    for part in _as_list(raw):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            _fail(
+                "bad_arguments",
+                f"--levels takes comma-separated finite numbers; got {part!r}",
+            )
+        levels.append(value)
+    return tuple(levels)
+
+
 @_command(
     MODEL_OPTION,
     CENTER_OPTION,
@@ -1045,9 +1070,9 @@ def regress(opts: Options, outdir: str) -> None:
 )
 def curves(opts: Options, outdir: str) -> None:
     """Predicted-outcome grids per predictor; writes curves_<model>.csv."""
-    models, names = _selected_models(opts)
     raw_levels = opts.get("levels")
-    levels = tuple(float(v) for v in _as_list(raw_levels)) if raw_levels else None
+    levels = _finite_levels(raw_levels) if raw_levels else None
+    models, names = _selected_models(opts)
     _stage_curves(outdir, models, names, opts.get("center"), opts.get("points"), levels)
 
 

@@ -11,6 +11,7 @@ that names the collinear terms instead of a silently unstable solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ def _t_sf(x, df):
 
     Calling ``stdtr`` directly keeps ``scipy.stats``, which is slow to import
     and large in memory, out of the runtime; importing it here, on first
-    use, keeps ``scipy.special`` out of the stages that fit nothing.
+    use, keeps ``scipy.special`` out of the stages that read no p-value.
     """
     from scipy.special import stdtr
 
@@ -231,14 +232,37 @@ class TermEstimate:
 
 @dataclass
 class RegressionResult:
-    terms: tuple[TermEstimate, ...]
     coefficients: np.ndarray
+    std_errors: np.ndarray
+    t_stats: np.ndarray
     r2: float
     adjusted_r2: float
     n: int
     df_resid: int
     mean_outcome: float
     design: Design
+
+    @cached_property
+    def terms(self) -> tuple[TermEstimate, ...]:
+        """Per-term estimates with two-sided p-values and stars.
+
+        Computed on first access, so a caller that reads only coefficients
+        (``predicted_curve``, say) never loads ``scipy.special``.
+        """
+        p = 2.0 * _t_sf(np.abs(self.t_stats), self.df_resid)
+        return tuple(
+            TermEstimate(
+                name=name,
+                coefficient=float(b),
+                std_error=float(e),
+                t=float(ts),
+                p=float(pv),
+                stars=star_label(float(pv)),
+            )
+            for name, b, e, ts, pv in zip(
+                self.design.names, self.coefficients, self.std_errors, self.t_stats, p
+            )
+        )
 
     def term(self, name: str) -> TermEstimate:
         for estimate in self.terms:
@@ -288,7 +312,6 @@ def ols_fit(design: Design, y: np.ndarray) -> RegressionResult:
             beta / np.where(se > 0.0, se, 1.0),
             np.where(beta == 0.0, 0.0, np.sign(beta) * np.inf),
         )
-    p = 2.0 * _t_sf(np.abs(t_stat), df_resid)
 
     mean_y = float(y.mean())
     tss = float(((y - mean_y) ** 2).sum())
@@ -297,20 +320,10 @@ def ols_fit(design: Design, y: np.ndarray) -> RegressionResult:
     r2 = 1.0 - rss / tss
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / df_resid
 
-    terms = tuple(
-        TermEstimate(
-            name=name,
-            coefficient=float(b),
-            std_error=float(e),
-            t=float(ts),
-            p=float(pv),
-            stars=star_label(float(pv)),
-        )
-        for name, b, e, ts, pv in zip(design.names, beta, se, t_stat, p)
-    )
     return RegressionResult(
-        terms=terms,
         coefficients=beta,
+        std_errors=se,
+        t_stats=t_stat,
         r2=r2,
         adjusted_r2=adjusted,
         n=n,

@@ -332,7 +332,8 @@ def test_curves_levels_come_from_the_rows_the_model_fits(runner, tmp_path):
     run_ok(runner, ["metrics", "--outdir", out])
     run_ok(runner, ["disrupt", "--outdir", out])
     payload = run_fail(runner, ["curves", "--outdir", out, "--model", "model5", "--levels", "2,x"])
-    assert payload["error"] == "stage_failed"
+    assert payload["error"] == "bad_arguments"
+    assert "--levels" in payload["message"]
     assert not list(tmp_path.glob("curves_*.csv"))
 
     run_ok(runner, ["curves", "--outdir", out, "--model", "model5", "--points", "3"])
@@ -349,6 +350,21 @@ def test_curves_levels_come_from_the_rows_the_model_fits(runner, tmp_path):
     run_ok(runner, ["curves", "--outdir", out, "--model", "model5", "--points", "3", "--levels", "2,4"])
     _, curve = read_csv(tmp_path / "curves_model5.csv")
     assert sorted({float(row[2]) for row in curve}) == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("value", ["2,x", "nan", "1,inf", "-inf"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_curves_levels_must_be_finite_numbers(runner, tmp_path, value, route):
+    """Checked before the metrics table is read, so no model is fitted."""
+    out = str(tmp_path)
+    if route == "flag":
+        args = ["--levels", value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"levels = {value}\n")
+        args = ["--config", str(tmp_path / "run.cfg")]
+    payload = run_fail(runner, ["curves", "--outdir", out, *args])
+    assert payload["error"] == "bad_arguments"
+    assert "--levels" in payload["message"]
 
 
 def test_tree_export_writes_edge_list(runner, tmp_path):
@@ -646,7 +662,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert probe_in_subprocess(probe) == "False"
 
 
-def test_ingest_metrics_and_disrupt_leave_scipy_special_unloaded(runner, tmp_path):
+def test_ingest_metrics_disrupt_and_curves_leave_scipy_special_unloaded(runner, tmp_path):
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "120"])
     run_ok(runner, ["ingest", "--outdir", out])
@@ -654,13 +670,36 @@ def test_ingest_metrics_and_disrupt_leave_scipy_special_unloaded(runner, tmp_pat
     probe = (
         "import sys, knowspan.cli as cli\n"
         "loaded = ['scipy.special' in sys.modules]\n"
-        "for stage in ('ingest', 'metrics', 'disrupt'):\n"
+        "for stage in ('ingest', 'metrics', 'disrupt', 'curves'):\n"
         f"    cli.main([stage, '--outdir', {out!r}], standalone_mode=False)\n"
         "    loaded.append('scipy.special' in sys.modules)\n"
         "print(loaded)"
     )
-    assert probe_in_subprocess(probe) == "[False, False, False, False]"
-    assert (tmp_path / "metrics.csv").exists()
+    assert probe_in_subprocess(probe) == "[False, False, False, False, False]"
+    assert len(list(tmp_path.glob("curves_model*.csv"))) == 8
+
+
+def test_metrics_normalises_each_code_at_most_once(runner, tmp_path, monkeypatch):
+    """The run's article distances share one PairTerms, which calls
+    direction_and_norm once per distinct code, not once per code per paper."""
+    import knowspan.geometry
+
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "150"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    calls = []
+    direction_and_norm = knowspan.geometry.direction_and_norm
+
+    def counted(vector):
+        calls.append(vector.tobytes())
+        return direction_and_norm(vector)
+
+    monkeypatch.setattr(knowspan.geometry, "direction_and_norm", counted)
+    run_ok(runner, ["metrics", "--outdir", out])
+    _, corpus = cli._read_corpus(out)
+    assert 0 < len(calls) <= len(corpus.distinct_codes())
+    assert len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------- end year

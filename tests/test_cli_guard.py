@@ -154,8 +154,8 @@ PIPELINE_SHA256 = {
 }
 
 
-def pipeline_digests(outdir, *flags):
-    args = ["pipeline", "--outdir", str(outdir), "--synth", "--papers", "150",
+def pipeline_digests(outdir, *flags, papers=150):
+    args = ["pipeline", "--outdir", str(outdir), "--synth", "--papers", str(papers),
             "--dim", "8", "--epochs", "2", "--points", "3", *flags]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.stderr or result.output
@@ -206,3 +206,40 @@ EXCLUDE_SELF_SHA256 = {
 
 def test_exclude_self_pipeline_output_matches_the_recorded_digests(tmp_path):
     assert pipeline_digests(tmp_path, "--exclude-self") == EXCLUDE_SELF_SHA256
+
+
+# The same digests for `pipeline --synth --papers 400 --dim 8 --epochs 2
+# --points 3`.  Its 400 papers hold more code pairs than the 60-code
+# vocabulary has, so `metrics` keeps article-distance pair terms in a table;
+# the 150-paper runs above recompute every term.
+TABLE_PATH_SHA256 = {
+    "corpus.jsonl": "4b854ec471f57f09f696cd9d8ec9e8146a879a502f4aeb0750713b0b1bebc4c8",
+    "corpus.parsed.jsonl": "4b854ec471f57f09f696cd9d8ec9e8146a879a502f4aeb0750713b0b1bebc4c8",
+    "correlations.csv": "c9b1f37da2649472dadf64a79c40d1a78f2338d822b211e12ed7f570acdca5c6",
+    "curves_model1.csv": "12f3cab6e19b3ec7b9cea2b8904f39d39eb81ec50c4092d59a5894c0afcb28aa",
+    "curves_model2.csv": "c4b0c606068613b8da87cb1eb61f73219e19b70794d47c47387a0206ee46eecc",
+    "curves_model3.csv": "48055d7bfc282e4feb4a0922fdd1920251c380b4031dbe2c3675114e2921ea10",
+    "curves_model4.csv": "ce4bfa73934ded3a0e260f01607dec9fa3a1df5117277b46c00c4a9476646d36",
+    "curves_model5.csv": "48ab58c7abf965d1df3f02b886c9fc47694355a9149511a300f50b94ceaa45fa",
+    "curves_model6.csv": "04996d19104a1d6b7398588a1c50e2be7394a43a0894e937ed5757b0a0042596",
+    "curves_model7.csv": "533cb2242401c80fdc312dcbf82d1f1aba4375128fdc97e500c17f0aae744e2c",
+    "curves_model8.csv": "a9d398af7060d46a46f4bf7069ab1a8f2856df0877138bc8bd581974fe8a1aac",
+    "disruption.csv": "11c2e8c287580ccb4861e482fe58b1a5b565f6d90995522663542b8b061ea303",
+    "embedding.txt": "3a87dc9d3250710035cc241d508f045d3e08f88c04bcedc51b1befa3ecf7ded2",
+    "manifest.json": "349b950f5e3d2f4e4c73be07b2e7ba39e5f98e5a72bf80df744898620ba637cf",
+    "metrics.csv": "6b70d648d213fea0aad8ceb9ede1ac7dba2ce81d9c6da04c7a0da8fe531de7d5",
+    "metrics_space.csv": "688aa93fd23a033520d63000353ca22ed304cd8ff9da2b1ed2e36e9ce9e9d828",
+    "parse_report.json": "0007e4cfa5a3bb1719be2e0dc808aad13ec169cedc14a84c8d82a735a2f6a37c",
+    "regression_model1.csv": "1ce846721951b4909b3ef3cd70fe0ab2e66bae1d22fed4e37fe42bd268a66964",
+    "regression_model2.csv": "e59c691487bac92bd4fed3ad371fec18af9f3a6d9fa238d2c99984c977f1793c",
+    "regression_model3.csv": "bf024b290bc9ce76513dcd865426c9e0193d818bfc899fa3655acb7a20819e79",
+    "regression_model4.csv": "4bd00f3ace825720f419355efeabfc001c8460a8d147fd19099d9fcec5c63101",
+    "regression_model5.csv": "43981747bb2832a05b7b7a781e949125f6b8f944f052fe39d522a6aa67b9d4fe",
+    "regression_model6.csv": "9c1be0d8f2eb10a29ac4c04d8548e7dbe39ea0e6a04883b5cb0c034e1b5c5f76",
+    "regression_model7.csv": "43774737e2840eb495d1f63696948b2473bd53e178c4554e83c84dc1988b529e",
+    "regression_model8.csv": "80757bbb1328c3913721f601ab9e9b428747d42a56f16ca7f67f53d15034df35",
+}
+
+
+def test_table_path_pipeline_output_matches_the_recorded_digests(tmp_path):
+    assert pipeline_digests(tmp_path, papers=400) == TABLE_PATH_SHA256

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from knowspan.corpus import PacsCode, Paper, parse_corpus
 from knowspan.embedding import EmbeddingMatrix, MissingCodeError, cosine_distance
 from knowspan.geometry import (
+    PairTerms,
     article_distance,
     journal_cells,
     journal_reference,
@@ -377,8 +378,9 @@ def paper_with(codes):
 
 @st.composite
 def papers_and_embeddings(draw):
-    """One to eight codes, possibly repeated, whose vectors may copy, negate
-    or rescale an earlier code's vector, so the clip to [0, 2] applies."""
+    """One to four papers of one to eight codes, possibly repeated, whose
+    vectors may copy, negate or rescale an earlier code's vector, so the
+    clip to [0, 2] applies."""
     keys = [PacsCode.from_text(t) for t in CODE_POOL]
     dim = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -395,15 +397,23 @@ def papers_and_embeddings(draw):
         else:
             vectors.append(base * draw(st.floats(1e-3, 1e3)))
     emb = EmbeddingMatrix(dim=dim, vocabulary=tuple(keys), vectors=dict(zip(keys, vectors)))
-    codes = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8))
-    return paper_with(codes), emb
+    codes = st.lists(st.sampled_from(keys), min_size=1, max_size=8)
+    papers = [paper_with(c) for c in draw(st.lists(codes, min_size=1, max_size=4))]
+    return papers, emb
 
 
 @settings(max_examples=300, deadline=None)
 @given(papers_and_embeddings())
 def test_article_distance_equals_the_pair_loop_exactly(case):
-    paper, emb = case
-    assert article_distance(paper, emb) == pair_loop_article_distance(paper, emb)
+    """Alone, and through one PairTerms shared by the papers in turn, with
+    its pair table (n_pairs at least the vocabulary's 28 pairs) and without."""
+    papers, emb = case
+    shared = [PairTerms(emb, n_pairs=10**6), PairTerms(emb, n_pairs=0)]
+    for paper in papers:
+        expected = pair_loop_article_distance(paper, emb)
+        assert article_distance(paper, emb) == expected
+        for terms in shared:
+            assert article_distance(paper, emb, terms) == expected
 
 
 def test_article_distance_equals_the_pair_loop_where_the_clip_applies():
@@ -434,3 +444,11 @@ def test_article_distance_zero_vector_is_error():
     )
     with pytest.raises(ValueError, match="zero-norm"):
         article_distance(paper_with(keys), emb)
+    # a second paper with the zero code fails the same way through shared
+    # state that already holds the code's norm, with and without the table
+    for terms in (PairTerms(emb, n_pairs=10**6), PairTerms(emb, n_pairs=0)):
+        for codes in (keys, keys[::-1]):
+            with pytest.raises(ValueError, match="zero-norm"):
+                article_distance(paper_with(codes), emb, terms)
+        paper = paper_with(keys[:2])
+        assert article_distance(paper, emb, terms) == pair_loop_article_distance(paper, emb)
