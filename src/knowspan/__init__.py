@@ -36,7 +36,7 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .geometry import PairTerms, article_distance, journal_cells, journal_reference, paper_vector
+from .geometry import article_distance, journal_cells, journal_reference, paper_vector
 from .stats import (
     AnalysisTable,
     CorrelationMatrix,

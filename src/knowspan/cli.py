@@ -17,6 +17,7 @@ import hashlib
 import importlib.metadata
 import json
 import math
+import operator
 import os
 import sys
 from typing import Iterator
@@ -49,13 +50,7 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .geometry import (
-    PairTerms,
-    article_distance,
-    journal_cells,
-    journal_reference,
-    paper_vector,
-)
+from .geometry import article_distance, journal_cells, journal_reference, paper_vector
 from .stats import (
     AnalysisTable,
     RankDeficiencyError,
@@ -99,10 +94,8 @@ METRIC_COLUMNS = (
     "title_length",
 )
 
-SPACE_COLUMNS = tuple(
-    c for c in METRIC_COLUMNS if not c.startswith("d_")
-)
-DISRUPTION_COLUMNS = ("paper_id", "d_score", "d_percentile", "d_n_i", "d_n_j", "d_n_k")
+SPACE_COLUMNS = tuple(c for c in METRIC_COLUMNS if not c.startswith("d_"))
+DISRUPTION_COLUMNS = ("paper_id",) + tuple(c for c in METRIC_COLUMNS if c.startswith("d_"))
 
 CONTROLS = ("n_pages", "years", "title_length")
 MODERATOR = "team_size"
@@ -210,7 +203,13 @@ def _read_manifest(outdir: str) -> dict:
     if not os.path.exists(path):
         return {"tool": "knowspan", "stages": {}}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError:  # truncated, or not JSON
+            manifest = None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict)):
+        _fail("bad_artifact", f"{path} is not a JSON object with a 'stages' object")
+    return manifest
 
 
 def _update_manifest(
@@ -388,16 +387,15 @@ def _table_rows(
             yield row
 
 
-def _load_metrics_table(path: str) -> tuple[list[str], AnalysisTable]:
-    """(paper ids, numeric table) from the merged metrics CSV; blanks → NaN."""
+def _load_metrics_table(path: str) -> AnalysisTable:
+    """The numeric columns of the merged metrics CSV; blanks → NaN."""
     header, *rows = _table_rows(path, "metrics")
-    ids = [row[0] for row in rows]
     columns = {}
     for j, name in enumerate(header[1:], start=1):
         columns[name] = np.array(
             [float(row[j]) if row[j] != "" else math.nan for row in rows]
         )
-    return ids, AnalysisTable(columns)
+    return AnalysisTable(columns)
 
 
 # The parsed corpus of the running command, with its citation graph once
@@ -531,8 +529,6 @@ def _space_rows(
         else:
             vectors[pid] = None
     cells = journal_cells(corpus, vectors)
-    sizes = [len(paper.pacs_codes) for paper in corpus.papers.values()]
-    terms = PairTerms(emb, sum(m * (m - 1) // 2 for m in sizes))
 
     rows = []
     n_missing = 0
@@ -544,7 +540,7 @@ def _space_rows(
         if vec is None:
             n_missing += 1
         else:
-            article_dist = article_distance(paper, emb, terms)
+            article_dist = article_distance(paper, emb)
             article_dist_log = float(np.log1p(article_dist))
             reference = journal_reference(
                 cells[(paper.journal, paper.year)], vec, exclude_self
@@ -574,19 +570,29 @@ def _merge_metrics(outdir: str) -> None:
 
     Runs from whichever stage finished second, when both tables exist and
     the manifest records that `metrics` and `disrupt` read the same parsed
-    corpus.  Otherwise any earlier metrics.csv and its `merge` entry are
-    removed, so the merged table is missing rather than mixing generations.
+    corpus.  Otherwise metrics.csv and its `merge` entry are removed, so the
+    merged table is missing rather than mixing generations; so is a table
+    written from a space table with a malformed row.
     """
     space_path = os.path.join(outdir, METRICS_SPACE)
     disruption_path = os.path.join(outdir, DISRUPTION)
     if not (os.path.exists(space_path) and os.path.exists(disruption_path)):
         return
-    rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
-    next(rows)
-    disruption_by_id = {row[0]: row[1:] for row in rows}
-    for _ in _table_rows(space_path, "space metrics", SPACE_COLUMNS):
-        pass  # check every row before metrics.csv is opened for writing
+    _, *disruption_rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
+    disruption_by_id = {row[0]: row for row in disruption_rows}
+    undefined = [""] * len(DISRUPTION_COLUMNS)
+    # each merged column by name from a space row followed by its disruption row
+    pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
+    space_rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
+    next(space_rows)
+    merged = (pick(row + disruption_by_id.get(row[0], undefined)) for row in space_rows)
     merged_path = os.path.join(outdir, METRICS)
+    # rows stream out as they pass their check; a bad one leaves no table
+    try:
+        _write_csv(merged_path, METRIC_COLUMNS, merged)
+    except StageFailure:
+        os.remove(merged_path)
+        raise
     manifest = _read_manifest(outdir)
     stages = manifest["stages"]
     metrics_corpus, disrupt_corpus = (
@@ -594,20 +600,10 @@ def _merge_metrics(outdir: str) -> None:
         for stage in ("metrics", "disrupt")
     )
     if metrics_corpus is None or metrics_corpus != disrupt_corpus:
-        if os.path.exists(merged_path):
-            os.remove(merged_path)
+        os.remove(merged_path)
         stages.pop("merge", None)
         _write_manifest(outdir, manifest)
         return
-    empty = [""] * (len(DISRUPTION_COLUMNS) - 1)
-    with open(merged_path, "w", encoding="utf-8", newline="") as dst:
-        writer = csv.writer(dst, lineterminator="\n")
-        rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
-        next(rows)
-        writer.writerow(METRIC_COLUMNS)
-        for row in rows:
-            head, tail = row[:8], row[8:]
-            writer.writerow(head + disruption_by_id.get(row[0], empty) + tail)
     _update_manifest(
         outdir,
         "merge",
@@ -667,7 +663,7 @@ def _stage_disrupt(outdir: str, variant: str) -> None:
 
 def _stage_correlate(outdir: str, columns: tuple[str, ...]) -> None:
     metrics_path = _require(outdir, METRICS)
-    _, table = _load_metrics_table(metrics_path)
+    table = _load_metrics_table(metrics_path)
     matrix = pearson_matrix(table, columns)
     correlations_path = os.path.join(outdir, CORRELATIONS)
     n = len(matrix.columns)
@@ -705,7 +701,7 @@ def _stage_regress(
     outdir: str, models: dict[str, RegressionSpec], names: tuple[str, ...], center: str
 ) -> None:
     metrics_path = _require(outdir, METRICS)
-    _, table = _load_metrics_table(metrics_path)
+    table = _load_metrics_table(metrics_path)
     outputs = {}
     summaries = {}
     for name in names:
@@ -750,7 +746,7 @@ def _stage_curves(
     levels: tuple[float, ...] | None,
 ) -> None:
     metrics_path = _require(outdir, METRICS)
-    _, table = _load_metrics_table(metrics_path)
+    table = _load_metrics_table(metrics_path)
     outputs = {}
     for name in names:
         spec = models[name]
@@ -1058,6 +1054,14 @@ def _finite_levels(raw: str) -> tuple[float, ...]:
     return tuple(levels)
 
 
+def _grid_points(opts: Options) -> int:
+    """The --points value; a curve's grid needs both ends of its range."""
+    points = opts.get("points")
+    if points < 2:
+        _fail("bad_arguments", f"--points must be at least 2; got {points}")
+    return points
+
+
 @_command(
     MODEL_OPTION,
     CENTER_OPTION,
@@ -1070,10 +1074,11 @@ def _finite_levels(raw: str) -> tuple[float, ...]:
 )
 def curves(opts: Options, outdir: str) -> None:
     """Predicted-outcome grids per predictor; writes curves_<model>.csv."""
+    points = _grid_points(opts)
     raw_levels = opts.get("levels")
     levels = _finite_levels(raw_levels) if raw_levels else None
     models, names = _selected_models(opts)
-    _stage_curves(outdir, models, names, opts.get("center"), opts.get("points"), levels)
+    _stage_curves(outdir, models, names, opts.get("center"), points, levels)
 
 
 @_command(
@@ -1095,6 +1100,7 @@ def pipeline(opts: Options, outdir: str) -> None:
     planted inverted-U citation effect (amplified by team size).  --seed
     seeds both the corpus and the training.
     """
+    points = _grid_points(opts)
     if opts.ctx.params["use_synth"]:  # from the command line only
         if opts.ctx.params["input_path"] is not None:
             _fail("bad_arguments", "--input and --synth are mutually exclusive")
@@ -1112,7 +1118,7 @@ def pipeline(opts: Options, outdir: str) -> None:
     center = opts.get("center")
     _stage_correlate(outdir, DEFAULT_CORRELATION_COLUMNS)
     _stage_regress(outdir, models, tuple(models), center)
-    _stage_curves(outdir, models, tuple(models), center, opts.get("points"), None)
+    _stage_curves(outdir, models, tuple(models), center, points, None)
 
 
 if __name__ == "__main__":

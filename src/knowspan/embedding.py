@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +71,10 @@ class TrainingConfig:
             raise ValueError("noise_exponent must be nonnegative")
 
 
+# the cosine state an EmbeddingMatrix keeps for itself
+_cache_field = partial(field, init=False, repr=False, compare=False)
+
+
 @dataclass
 class EmbeddingMatrix:
     """Trained input-side vectors keyed by code.
@@ -77,6 +82,7 @@ class EmbeddingMatrix:
     ``vocabulary`` preserves training order (descending frequency, ties by
     code text).  ``frequencies`` counts slot occurrences in the training pair
     stream; matrices restored from disk carry an empty frequency map.
+    ``vectors`` must not change once ``mean_pair_distance`` has been called.
     """
 
     dim: int
@@ -84,6 +90,11 @@ class EmbeddingMatrix:
     vectors: dict[PacsCode, np.ndarray]
     frequencies: dict[PacsCode, int] = field(default_factory=dict)
     loss_by_epoch: tuple[float, ...] = ()
+    # each code normalised so far, by code text (PacsCode hashes are not
+    # cached): its slot in the table and its direction_and_norm
+    _seen: dict[str, tuple[int, tuple[np.ndarray, float]]] = _cache_field(default_factory=dict)
+    _terms_summed: int = _cache_field(default=0)
+    _table: list[list[float | None]] | None = _cache_field(default=None)
 
     def __contains__(self, code: PacsCode) -> bool:
         return code in self.vectors
@@ -93,6 +104,41 @@ class EmbeddingMatrix:
             return self.vectors[code]
         except KeyError:
             raise MissingCodeError(code) from None
+
+    def _normalised(self, code: PacsCode) -> tuple[int, tuple[np.ndarray, float]]:
+        seen = self._seen.get(code.raw)
+        if seen is None:
+            seen = self._seen[code.raw] = (len(self._seen), direction_and_norm(self[code]))
+        return seen
+
+    def mean_pair_distance(self, codes: Sequence[PacsCode]) -> float:
+        """Mean ``cosine_distance``, bit for bit, over the pairs i < j of two
+        or more codes, summed in pair order.
+
+        Each code is normalised on first use.  Once the matrix has summed as
+        many terms as its vocabulary has pairs, a V x V table keeps each
+        ordered pair's term, so the table is bounded by the work it saves.
+        """
+        normalised = [self._normalised(code) for code in codes]
+        if any(norm == 0.0 for _, (_, norm) in normalised):
+            raise ValueError("cosine distance is undefined for zero-norm vectors")
+        n_vocab = len(self.vectors)
+        if self._table is None and self._terms_summed >= n_vocab * (n_vocab - 1) // 2:
+            self._table = [[None] * n_vocab for _ in range(n_vocab)]
+        table = self._table
+        n_terms = len(codes) * (len(codes) - 1) // 2
+        self._terms_summed += n_terms
+        total = 0.0
+        for i, (a, u) in enumerate(normalised[:-1]):
+            row = table[a] if table is not None else None
+            for b, v in normalised[i + 1 :]:
+                term = row[b] if row is not None else None
+                if term is None:
+                    term = _clipped_distance(u, v)
+                    if row is not None:
+                        row[b] = term
+                total += term
+        return total / n_terms
 
 
 def build_training_pairs(corpus: Corpus) -> Iterator[tuple[PacsCode, PacsCode]]:
@@ -248,18 +294,18 @@ def train_embeddings(
 
     ids = np.fromiter(map(index.__getitem__, texts), dtype=np.int64, count=len(texts))
     centers, contexts = ids[0::2], ids[1::2]
-    n_pairs = len(centers)
+    pair_count = len(centers)
 
     k = config.negatives_per_positive
     lr_hi = config.initial_learning_rate
     lr_lo = config.final_learning_rate
-    total_updates = config.epochs * n_pairs
+    total_updates = config.epochs * pair_count
     step = 0
     losses = []
     for _ in range(config.epochs):
         acc = 0.0
-        for lo in range(0, n_pairs, _CHUNK_PAIRS):
-            hi = min(lo + _CHUNK_PAIRS, n_pairs)
+        for lo in range(0, pair_count, _CHUNK_PAIRS):
+            hi = min(lo + _CHUNK_PAIRS, pair_count)
             n = hi - lo
             targets, kept, widths, distinct = _draw_targets(
                 contexts[lo:hi], noise_cdf, rng, k
@@ -283,7 +329,7 @@ def train_embeddings(
                 _sgd_step(w_in, w_out, center, row, lr, row_scores, is_distinct)
             for loss in _pair_losses(scores, widths).tolist():  # summed in pair order
                 acc += loss
-        losses.append(acc / n_pairs)
+        losses.append(acc / pair_count)
 
     vectors = {code: w_in[i].copy() for i, code in enumerate(vocab)}
     return EmbeddingMatrix(
@@ -320,10 +366,15 @@ def direction_and_norm(u: np.ndarray) -> tuple[np.ndarray, float]:
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """1 - cos(u, v), in [0, 2]; zero-norm input is an error, not a default."""
-    u, norm_u = direction_and_norm(u)
-    v, norm_v = direction_and_norm(v)
-    if norm_u == 0.0 or norm_v == 0.0:
+    u, v = direction_and_norm(u), direction_and_norm(v)
+    if u[1] == 0.0 or v[1] == 0.0:
         raise ValueError("cosine distance is undefined for zero-norm vectors")
+    return _clipped_distance(u, v)
+
+
+def _clipped_distance(u: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
+    """The kernel of every cosine distance, on two ``direction_and_norm`` results."""
+    (u, norm_u), (v, norm_v) = u, v
     d = 1.0 - float(u @ v) / (norm_u * norm_v)
     return min(2.0, max(0.0, d))
 

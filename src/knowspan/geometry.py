@@ -15,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, PacsCode, Paper
-from .embedding import EmbeddingMatrix, direction_and_norm
+from .corpus import Corpus, Paper
+from .embedding import EmbeddingMatrix
 
 
 def paper_vector(paper: Paper, emb: EmbeddingMatrix) -> np.ndarray:
@@ -59,72 +59,11 @@ def journal_reference(
     return (mean * n_members - vector) / (n_members - 1)
 
 
-class PairTerms:
-    """Article-distance pair terms of one embedding, shared across papers.
-
-    Each code's ``direction_and_norm`` is computed on its first use.  When
-    the vocabulary's V*(V-1)/2 unordered pairs are no more than ``n_pairs``,
-    the pair terms the caller expects to evaluate, a V x V table also keeps
-    each ordered pair's clipped term once computed, so its size is bounded
-    by the work it saves; otherwise every term is recomputed.
-    """
-
-    def __init__(self, emb: EmbeddingMatrix, n_pairs: int):
-        self._emb = emb
-        # codes are indexed by their text, since PacsCode hashes are not cached
-        self._slots: dict[str, int] = {}
-        self._directions: list[np.ndarray] = []
-        self._norms: list[float] = []
-        v = len(emb.vectors)
-        self._table = [[None] * v for _ in range(v)] if v * (v - 1) // 2 <= n_pairs else None
-
-    def _slot(self, code: PacsCode) -> int:
-        slot = self._slots.get(code.raw)
-        if slot is None:
-            direction, norm = direction_and_norm(self._emb[code])
-            slot = self._slots[code.raw] = len(self._norms)
-            self._directions.append(direction)
-            self._norms.append(norm)
-        return slot
-
-    def _term(self, a: int, b: int) -> float:
-        # cosine_distance's arithmetic and clip, so each term matches it bit for bit
-        d = 1.0 - float(self._directions[a] @ self._directions[b]) / (
-            self._norms[a] * self._norms[b]
-        )
-        return min(2.0, max(0.0, d))
-
-    def mean(self, codes: tuple[PacsCode, ...]) -> float:
-        """Mean term over the pairs i < j of ``codes``, summed in that order."""
-        slots = [self._slot(code) for code in codes]
-        if any(self._norms[slot] == 0.0 for slot in slots):
-            raise ValueError("cosine distance is undefined for zero-norm vectors")
-        table = self._table
-        m = len(slots)
-        total = 0.0
-        for i in range(m - 1):
-            a = slots[i]
-            row = table[a] if table is not None else None
-            for j in range(i + 1, m):
-                b = slots[j]
-                if row is None:
-                    total += self._term(a, b)
-                    continue
-                term = row[b]
-                if term is None:
-                    term = row[b] = self._term(a, b)
-                total += term
-        return total / (m * (m - 1) // 2)
-
-
-def article_distance(
-    paper: Paper, emb: EmbeddingMatrix, terms: PairTerms | None = None
-) -> float:
+def article_distance(paper: Paper, emb: EmbeddingMatrix) -> float:
     """Mean cosine distance over the m*(m-1)/2 code pairs; 0.0 when m == 1.
 
-    ``terms``, built once for ``emb`` and passed with every paper of a run,
-    shares code norms and pair terms between papers; the result is the
-    same, bit for bit, with or without it.
+    Papers scored with one matrix share its code norms and pair terms; see
+    ``EmbeddingMatrix.mean_pair_distance``.
     """
     codes = paper.pacs_codes
     m = len(codes)
@@ -132,6 +71,4 @@ def article_distance(
         raise ValueError(f"paper {paper.id!r} has no codes")
     if m == 1:
         return 0.0
-    if terms is None:
-        terms = PairTerms(emb, 0)
-    return terms.mean(codes)
+    return emb.mean_pair_distance(codes)

@@ -115,10 +115,11 @@ def generate_records(config: SynthConfig) -> Iterator[dict]:
     records: list[dict] = []
     spreads = np.empty(n)
     teams = np.empty(n, dtype=np.int64)
+    foreign = [sum(blocks[:home] + blocks[home + 1 :], []) for home in range(len(blocks))]
     for i in range(n):
         home = int(rng.integers(config.n_blocks))
         home_codes = blocks[home]
-        other_codes = [c for b, members in enumerate(blocks) if b != home for c in members]
+        other_codes = foreign[home]
         n_foreign = int(rng.binomial(cpp, config.cross_block_leakage))
         n_foreign = min(n_foreign, len(other_codes))
         n_foreign = max(n_foreign, cpp - len(home_codes))

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -367,6 +368,41 @@ def test_curves_levels_must_be_finite_numbers(runner, tmp_path, value, route):
     assert "--levels" in payload["message"]
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A small finished pipeline run; tests copy it before changing it."""
+    out = tmp_path_factory.mktemp("finished")
+    args = ["pipeline", "--outdir", str(out), "--synth", "--papers", "150", *FAST_TRAIN, "--points", "3"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.stderr or result.output
+    return out
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-2"])
+@pytest.mark.parametrize("route", ["flag", "config", "pipeline"])
+def test_curve_grids_need_two_points(runner, tmp_path, finished_run, value, route):
+    """Checked before any stage runs, so no model is fitted and no file written."""
+    out = finished_run
+    if route == "pipeline":
+        out = tmp_path / "run"
+        out.mkdir()
+        args = ["pipeline", "--outdir", str(out), "--synth", "--points", value]
+    elif route == "flag":
+        args = ["curves", "--outdir", str(out), "--points", value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"points = {value}\n")
+        args = ["curves", "--outdir", str(out), "--config", str(tmp_path / "run.cfg")]
+    before = snapshot(out)
+    payload = run_fail(runner, args)
+    assert payload["error"] == "bad_arguments"
+    assert "--points" in payload["message"]
+    assert snapshot(out) == before
+
+
 def test_tree_export_writes_edge_list(runner, tmp_path):
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "60"])
@@ -596,6 +632,18 @@ def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, co
     assert "metrics.csv" in payload["message"]
 
 
+@pytest.mark.parametrize("stage", ["disrupt", "correlate"])
+@pytest.mark.parametrize("defect", ["truncated", "not_an_object"])
+def test_malformed_manifest_is_structured_error(runner, tmp_path, finished_run, stage, defect):
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    manifest = tmp_path / "manifest.json"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text[: len(text) // 2] if defect == "truncated" else "[]\n", encoding="utf-8")
+    payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
+    assert payload["error"] == "bad_artifact"
+    assert "manifest.json" in payload["message"]
+
+
 MERGE_INPUT_HEADERS = {
     "disruption.csv": ",".join(DISRUPTION_COLUMNS),
     "metrics_space.csv": ",".join(SPACE_COLUMNS),
@@ -680,22 +728,32 @@ def test_ingest_metrics_disrupt_and_curves_leave_scipy_special_unloaded(runner, 
 
 
 def test_metrics_normalises_each_code_at_most_once(runner, tmp_path, monkeypatch):
-    """The run's article distances share one PairTerms, which calls
-    direction_and_norm once per distinct code, not once per code per paper."""
-    import knowspan.geometry
+    """The run's article distances share the loaded matrix's code cache,
+    which normalises each distinct code's vector once, not once per paper.
+    Only calls on the matrix's own code vectors count: the journal
+    distances normalise paper vectors."""
+    import knowspan.embedding
 
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "150"])
     run_ok(runner, ["ingest", "--outdir", out])
     run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    loaded = []
     calls = []
-    direction_and_norm = knowspan.geometry.direction_and_norm
+    load_embeddings = cli.load_embeddings
+    direction_and_norm = knowspan.embedding.direction_and_norm
+
+    def load(path):
+        loaded.append(load_embeddings(path))
+        return loaded[-1]
 
     def counted(vector):
-        calls.append(vector.tobytes())
+        if any(vector is code_vector for code_vector in loaded[0].vectors.values()):
+            calls.append(vector.tobytes())
         return direction_and_norm(vector)
 
-    monkeypatch.setattr(knowspan.geometry, "direction_and_norm", counted)
+    monkeypatch.setattr(cli, "load_embeddings", load)
+    monkeypatch.setattr(knowspan.embedding, "direction_and_norm", counted)
     run_ok(runner, ["metrics", "--outdir", out])
     _, corpus = cli._read_corpus(out)
     assert 0 < len(calls) <= len(corpus.distinct_codes())

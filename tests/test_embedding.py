@@ -265,18 +265,18 @@ def seed_train(pairs, config):
     noise = np.array([counts[c] for c in vocab], dtype=np.float64) ** config.noise_exponent
     noise_cdf = np.cumsum(noise)
     noise_cdf /= noise_cdf[-1]
-    n_pairs = len(pair_list)
-    centers = np.fromiter((index[c] for c, _ in pair_list), dtype=np.int64, count=n_pairs)
-    contexts = np.fromiter((index[o] for _, o in pair_list), dtype=np.int64, count=n_pairs)
+    pair_count = len(pair_list)
+    centers = np.fromiter((index[c] for c, _ in pair_list), dtype=np.int64, count=pair_count)
+    contexts = np.fromiter((index[o] for _, o in pair_list), dtype=np.int64, count=pair_count)
     k = config.negatives_per_positive
     lr_hi = config.initial_learning_rate
     lr_lo = config.final_learning_rate
-    total_updates = config.epochs * n_pairs
+    total_updates = config.epochs * pair_count
     step = 0
     losses = []
     for _ in range(config.epochs):
         acc = 0.0
-        for i in range(n_pairs):
+        for i in range(pair_count):
             lr = max(lr_lo, lr_hi + (lr_lo - lr_hi) * (step / total_updates))
             step += 1
             context = contexts[i]
@@ -284,16 +284,16 @@ def seed_train(pairs, config):
             draws = draws[draws != context]
             targets = np.concatenate(([context], draws))
             acc += seed_sgd_step(w_in, w_out, centers[i], targets, lr)
-        losses.append(acc / n_pairs)
+        losses.append(acc / pair_count)
     vectors = {c: w_in[i].copy() for c, i in index.items()}
     return vocab, dict(counts), vectors, tuple(losses)
 
 
-def random_pairs(n_codes, n_pairs, seed):
+def random_pairs(n_codes, pair_count, seed):
     rng = np.random.default_rng(seed)
     codes = [code(f"{i + 1}0.00.Aa") for i in range(n_codes)]
     pairs = []
-    for _ in range(n_pairs):
+    for _ in range(pair_count):
         center, context = rng.choice(n_codes, size=2, replace=False)
         pairs.append((codes[int(center)], codes[int(context)]))
     return pairs
@@ -312,7 +312,7 @@ def assert_matches_seed_trainer(pairs, config):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     n_codes=st.integers(2, 4),
-    n_pairs=st.integers(1, 40),
+    pair_count=st.integers(1, 40),
     chunk=st.sampled_from([1, 2, 3, 7, 16]),
     k=st.integers(1, 6),
     epochs=st.integers(1, 3),
@@ -320,18 +320,18 @@ def assert_matches_seed_trainer(pairs, config):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_chunked_trainer_matches_the_per_pair_loop_exactly(
-    n_codes, n_pairs, chunk, k, epochs, dim, seed
+    n_codes, pair_count, chunk, k, epochs, dim, seed
 ):
     """Two to four codes make dropped and repeated draws common."""
     config = TrainingConfig(dim=dim, negatives_per_positive=k, epochs=epochs, seed=seed)
     with mock.patch.object(embedding, "_CHUNK_PAIRS", chunk):
-        assert_matches_seed_trainer(random_pairs(n_codes, n_pairs, seed), config)
+        assert_matches_seed_trainer(random_pairs(n_codes, pair_count, seed), config)
 
 
 def test_chunked_trainer_matches_the_per_pair_loop_across_real_chunks():
-    n_pairs = 2 * embedding._CHUNK_PAIRS + 5
+    pair_count = 2 * embedding._CHUNK_PAIRS + 5
     config = TrainingConfig(dim=3, negatives_per_positive=6, epochs=2, seed=11)
-    assert_matches_seed_trainer(random_pairs(3, n_pairs, 4), config)
+    assert_matches_seed_trainer(random_pairs(3, pair_count, 4), config)
 
 
 # Digests of `train --loss-log` on the default 5k corpus (`synth`, `ingest`,

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 from knowspan.corpus import PacsCode, Paper, parse_corpus
 from knowspan.embedding import EmbeddingMatrix, MissingCodeError, cosine_distance
-from knowspan.geometry import (
-    PairTerms,
-    article_distance,
-    journal_cells,
-    journal_reference,
-    paper_vector,
-)
+from knowspan.geometry import article_distance, journal_cells, journal_reference, paper_vector
 
 mp.mp.dps = 40
 
@@ -402,18 +396,44 @@ def papers_and_embeddings(draw):
     return papers, emb
 
 
+def rounds_until_the_table(emb):
+    """Rounds of scoring that reach a matrix's pair table: one term a round
+    at least, and the table comes after as many terms as V*(V-1)/2."""
+    v = len(emb.vectors)
+    return v * (v - 1) // 2 + 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(papers_and_embeddings())
 def test_article_distance_equals_the_pair_loop_exactly(case):
-    """Alone, and through one PairTerms shared by the papers in turn, with
-    its pair table (n_pairs at least the vocabulary's 28 pairs) and without."""
+    """One matrix scores the papers round after round, before its pair table
+    exists and after, and every score equals the pair loop's."""
     papers, emb = case
-    shared = [PairTerms(emb, n_pairs=10**6), PairTerms(emb, n_pairs=0)]
-    for paper in papers:
-        expected = pair_loop_article_distance(paper, emb)
-        assert article_distance(paper, emb) == expected
-        for terms in shared:
-            assert article_distance(paper, emb, terms) == expected
+    expected = [pair_loop_article_distance(paper, emb) for paper in papers]
+    for _ in range(rounds_until_the_table(emb)):
+        assert [article_distance(paper, emb) for paper in papers] == expected
+    assert (emb._table is not None) == any(len(p.pacs_codes) > 1 for p in papers)
+
+
+def test_matrices_over_the_same_codes_keep_their_own_terms():
+    """Each matrix scores with its own vectors, however the calls interleave:
+    the two codes coincide in one matrix and not in the other."""
+    keys = [PacsCode.from_text(t) for t in CODE_POOL]
+    rng = np.random.default_rng(5)
+    apart = rng.normal(size=(len(keys), 4))
+    together = apart.copy()
+    together[1] = together[0]
+    matrices = [
+        EmbeddingMatrix(dim=4, vocabulary=tuple(keys), vectors=dict(zip(keys, vectors)))
+        for vectors in (apart, together)
+    ]
+    papers = [paper_with(keys[:2]), paper_with(keys[::-1]), paper_with(keys[2:5])]
+    expected = [[pair_loop_article_distance(p, emb) for p in papers] for emb in matrices]
+    assert expected[1][0] == 0.0 < expected[0][0]
+    for _ in range(rounds_until_the_table(matrices[0])):
+        for emb, scores in zip(matrices, expected):
+            assert [article_distance(p, emb) for p in papers] == scores
+    assert all(emb._table is not None for emb in matrices)
 
 
 def test_article_distance_equals_the_pair_loop_where_the_clip_applies():
@@ -442,13 +462,11 @@ def test_article_distance_zero_vector_is_error():
         vocabulary=tuple(keys),
         vectors=dict(zip(keys, (np.ones(2), np.ones(2), np.zeros(2)))),
     )
-    with pytest.raises(ValueError, match="zero-norm"):
-        article_distance(paper_with(keys), emb)
-    # a second paper with the zero code fails the same way through shared
-    # state that already holds the code's norm, with and without the table
-    for terms in (PairTerms(emb, n_pairs=10**6), PairTerms(emb, n_pairs=0)):
+    nonzero = paper_with(keys[:2])
+    # every paper with the zero code fails, before the pair table exists and after
+    for _ in range(rounds_until_the_table(emb)):
         for codes in (keys, keys[::-1]):
             with pytest.raises(ValueError, match="zero-norm"):
-                article_distance(paper_with(codes), emb, terms)
-        paper = paper_with(keys[:2])
-        assert article_distance(paper, emb, terms) == pair_loop_article_distance(paper, emb)
+                article_distance(paper_with(codes), emb)
+        assert article_distance(nonzero, emb) == pair_loop_article_distance(nonzero, emb)
+    assert emb._table is not None

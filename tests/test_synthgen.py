@@ -1,6 +1,7 @@
 """Generator determinism, block structure, and planted-effect recovery."""
 
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ def test_same_config_is_byte_identical():
     second = list(generate(config))
     assert first == second
     assert list(generate(small_config(seed=4))) != first
+
+
+# The record stream of a ten-block, 300-code corpus with the planted effect
+# `pipeline --synth` uses; a change to the generator's draws changes it.
+MULTI_BLOCK_SHA256 = "3f2e5076ef9e9c116e0644b11ef0319244452f810ed78218e8c7033e38038b95"
+
+
+def test_multi_block_corpus_matches_the_recorded_digest():
+    config = SynthConfig(
+        seed=3,
+        n_papers=300,
+        n_codes=300,
+        n_blocks=10,
+        citation_density=3.0,
+        planted_effect=PlantedEffect(quadratic_sign=-1, moderator_sign=1),
+    )
+    text = "".join(line + "\n" for line in generate(config))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MULTI_BLOCK_SHA256
 
 
 def test_write_corpus_round_trips(tmp_path):
