@@ -127,6 +127,15 @@ PRODUCERS = {
     METRICS: ("metrics", "disrupt"),  # both stages feed the merged table
 }
 
+# The type of each manifest field a stage reads back, by its path below
+# "stages".  A field may be absent, but not of another type.
+RECORDED_TYPES = (
+    ("ingest", dict), ("ingest.config", dict), ("ingest.end_year", int),
+    ("ingest.config.min_year", int), ("ingest.config.max_year", int),
+    ("ingest.config.pad_short_codes", bool),
+    ("metrics", dict), ("metrics.inputs", dict), ("disrupt", dict), ("disrupt.inputs", dict),
+)
+
 
 # ---------------------------------------------------------------------------
 # failure reporting
@@ -156,8 +165,10 @@ def _structured_errors(fn):
             _fail("corpus_error", str(exc))
         except RankDeficiencyError as exc:
             _fail("rank_deficient", str(exc))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             _fail("stage_failed", str(exc))
+        except KeyError as exc:  # its str() is the repr of its argument
+            _fail("stage_failed", str(exc.args[0]) if exc.args else repr(exc))
         except OSError as exc:
             _fail("io_error", str(exc))
 
@@ -209,6 +220,11 @@ def _read_manifest(outdir: str) -> dict:
             manifest = None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict)):
         _fail("bad_artifact", f"{path} is not a JSON object with a 'stages' object")
+    for field, kind in RECORDED_TYPES:  # parents first, so each lookup finds an object
+        *parents, name = field.split(".")
+        entry = functools.reduce(lambda obj, key: obj.get(key, {}), parents, manifest["stages"])
+        if name in entry and type(entry[name]) is not kind:  # a JSON true is no integer
+            _fail("bad_artifact", f"{path}: stages.{field} is not of type {kind.__name__}")
     return manifest
 
 
@@ -218,7 +234,6 @@ def _update_manifest(
     config: dict,
     inputs: dict[str, str],
     outputs: dict[str, str],
-    seed: int | None = None,
     **extra,
 ) -> None:
     """Replace one stage entry; digests keyed by artifact basename only."""
@@ -236,8 +251,6 @@ def _update_manifest(
         "inputs": {os.path.basename(k): _digest(v) for k, v in inputs.items()},
         "outputs": {os.path.basename(k): _digest(v) for k, v in outputs.items()},
     }
-    if seed is not None:
-        entry["seed"] = seed
     entry.update(extra)
     manifest.setdefault("stages", {})[stage] = entry
     _write_manifest(outdir, manifest)
@@ -398,51 +411,30 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     return AnalysisTable(columns)
 
 
-# The parsed corpus of the running command, with its citation graph once
-# built: `pipeline` runs train, metrics and disrupt on one file.  At most one
-# entry, keyed by the file's digest and the parse settings; `_command` empties
-# it as each command starts.
-_CORPUS_MEMO: dict[str, object] = {}
-
-
 def _read_corpus(outdir: str) -> tuple[str, Corpus]:
     """Path and contents of the parsed corpus.
 
     The file is parsed with the year range and padding ingest recorded in
     the manifest, so later stages keep every paper ingest kept, and with the
-    end year ingest used (which --end-year sets), so paper ages agree.  A
-    file already parsed with those settings in this command is not parsed
-    again.
+    end year ingest used (which --end-year sets), so paper ages agree.
     """
     path = _require(outdir, CORPUS_PARSED)
-    ingest = _read_manifest(outdir).get("stages", {}).get("ingest", {})
+    ingest = _read_manifest(outdir)["stages"].get("ingest", {})
     recorded = ingest.get("config", {})
     parse = ParseConfig(
         **{k: recorded[k] for k in ("min_year", "max_year", "pad_short_codes") if k in recorded},
         dataset_end_year=ingest.get("end_year"),
     )
-    key = (_digest(path), dataclasses.astuple(parse))
-    if _CORPUS_MEMO.get("key") != key:
-        with open(path, encoding="utf-8") as fh:
-            corpus, _ = parse_corpus(fh, parse)
-        _CORPUS_MEMO.clear()
-        _CORPUS_MEMO.update(key=key, corpus=corpus)
-    return path, _CORPUS_MEMO["corpus"]
-
-
-def _read_graph(outdir: str) -> tuple[str, Corpus, CitationGraph]:
-    """`_read_corpus`, plus the corpus's citation graph, built once."""
-    path, corpus = _read_corpus(outdir)
-    if "graph" not in _CORPUS_MEMO:
-        _CORPUS_MEMO["graph"] = build_citation_graph(corpus)
-    return path, corpus, _CORPUS_MEMO["graph"]
+    with open(path, encoding="utf-8") as fh:
+        corpus, _ = parse_corpus(fh, parse)
+    return path, corpus
 
 
 # ---------------------------------------------------------------------------
-# stage bodies (plain functions so `pipeline` can chain them)
+# stages: each takes its inputs and settings as arguments
 
 
-def _stage_synth(outdir: str, config: SynthConfig) -> str:
+def _stage_synth(outdir: str, config: SynthConfig) -> None:
     out_path = os.path.join(outdir, CORPUS_RAW)
     write_corpus(config, out_path)
     settings = dataclasses.asdict(config)
@@ -456,20 +448,21 @@ def _stage_synth(outdir: str, config: SynthConfig) -> str:
         outputs={CORPUS_RAW: out_path},
         seed=seed,
     )
-    return out_path
 
 
-def _stage_ingest(outdir: str, input_path: str, parse: ParseConfig) -> None:
+def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> None:
+    """Parse ``input_path``, or corpus.jsonl in ``outdir`` when it is None."""
+    if input_path is None:
+        input_path = _require(outdir, CORPUS_RAW)
+    elif not os.path.exists(input_path):
+        _fail("missing_input", f"input file {input_path!r} does not exist")
     parsed_path = os.path.join(outdir, CORPUS_PARSED)
     report_path = os.path.join(outdir, PARSE_REPORT)
     with open(input_path, encoding="utf-8") as fh:
         corpus, report = parse_corpus(fh, parse)
     with open(parsed_path, "w", encoding="utf-8", newline="\n") as fh:
         for paper in corpus:
-            fh.write(
-                json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":"))
-            )
-            fh.write("\n")
+            fh.write(json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":")) + "\n")
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -485,8 +478,9 @@ def _stage_ingest(outdir: str, input_path: str, parse: ParseConfig) -> None:
     )
 
 
-def _stage_train(outdir: str, config: TrainingConfig, loss_log: bool) -> None:
-    parsed_path, corpus = _read_corpus(outdir)
+def _stage_train(
+    outdir: str, parsed_path: str, corpus: Corpus, config: TrainingConfig, loss_log: bool
+) -> None:
     matrix = train_embeddings(build_training_pairs(corpus), config)
     embedding_path = os.path.join(outdir, EMBEDDING)
     save_embeddings(matrix, embedding_path)
@@ -522,12 +516,10 @@ def _space_rows(
     """Per-paper metric rows; embedding-derived cells are empty when a code
     is missing from the trained vocabulary or a journal-year cell has no
     usable reference point."""
-    vectors: dict[str, np.ndarray | None] = {}
-    for pid, paper in corpus.papers.items():
-        if all(code in emb for code in paper.pacs_codes):
-            vectors[pid] = paper_vector(paper, emb)
-        else:
-            vectors[pid] = None
+    vectors: dict[str, np.ndarray | None] = {
+        pid: paper_vector(paper, emb) if all(code in emb for code in paper.pacs_codes) else None
+        for pid, paper in corpus.papers.items()
+    }
     cells = journal_cells(corpus, vectors)
 
     rows = []
@@ -613,10 +605,15 @@ def _merge_metrics(outdir: str) -> None:
     )
 
 
-def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
-    parsed_path, corpus, graph = _read_graph(outdir)
+def _stage_metrics(
+    outdir: str, parsed_path: str, corpus: Corpus, graph: CitationGraph,
+    exclude_self: bool, export_tree: bool,
+) -> None:
     embedding_path = _require(outdir, EMBEDDING)
-    emb = load_embeddings(embedding_path)
+    try:
+        emb = load_embeddings(embedding_path)
+    except ValueError as exc:
+        _fail("bad_artifact", f"{embedding_path}: {exc}")
     tree = build_tree(corpus.distinct_codes())
     rows, n_missing = _space_rows(corpus, graph, emb, tree, exclude_self)
     space_path = os.path.join(outdir, METRICS_SPACE)
@@ -638,8 +635,9 @@ def _stage_metrics(outdir: str, exclude_self: bool, export_tree: bool) -> None:
     _merge_metrics(outdir)
 
 
-def _stage_disrupt(outdir: str, variant: str) -> None:
-    parsed_path, corpus, graph = _read_graph(outdir)
+def _stage_disrupt(
+    outdir: str, parsed_path: str, corpus: Corpus, graph: CitationGraph, variant: str
+) -> None:
     scored = score_corpus(corpus, graph, variant)
     rows = []
     n_defined = 0
@@ -687,7 +685,7 @@ def _stage_correlate(outdir: str, columns: tuple[str, ...]) -> None:
 def _fit_named_model(
     name: str, spec: RegressionSpec, table: AnalysisTable, center: str
 ):
-    missing = [c for c in spec.base_columns() if c not in table.columns]
+    missing = [c for c in (spec.outcome, *spec.base_columns()) if c not in table.columns]
     if missing:
         _fail(
             "unknown_column",
@@ -758,20 +756,9 @@ def _stage_curves(
             model_levels = list(levels) if levels else _moderator_levels(spec, table)
         rows = []
         for predictor in spec.predictors:
-            low, high = result.design.base_ranges[predictor]
-            grid = np.linspace(low, high, points)
-            for point in predicted_curve(
-                result, predictor, grid, moderator_levels=model_levels
-            ):
-                rows.append(
-                    (
-                        point.predictor,
-                        point.value,
-                        point.moderator_level,
-                        point.prediction,
-                        point.extrapolated,
-                    )
-                )
+            grid = np.linspace(*result.design.base_ranges[predictor], points)
+            curve = predicted_curve(result, predictor, grid, moderator_levels=model_levels)
+            rows.extend(map(dataclasses.astuple, curve))
         out_path = os.path.join(outdir, f"curves_{name}.csv")
         _write_csv(
             out_path,
@@ -890,15 +877,15 @@ def _command(*options):
     """Register ``body(opts, outdir)`` as a subcommand named after it.
 
     The subcommand takes the given options plus --outdir and --config, and
-    reports failures as structured errors.  The body itself is returned, so
-    `pipeline` can run it with its own Options.
+    reports failures as structured errors.  The body reads every setting
+    first, then hands each stage its inputs as arguments; nothing outlives
+    one invocation.  The body is returned unchanged.
     """
 
     def register(body):
         @click.pass_context
         @_structured_errors
         def command(ctx, outdir, config_path, **_):
-            _CORPUS_MEMO.clear()  # one invocation never sees another's corpus
             os.makedirs(outdir, exist_ok=True)
             config = _read_config(config_path) if config_path else {}
             _check_config_keys(config)
@@ -959,28 +946,24 @@ def synth(opts: Options, outdir: str) -> None:
     _stage_synth(outdir, config)
 
 
-@_command(*INGEST_OPTIONS)
-def ingest(opts: Options, outdir: str) -> None:
-    """Validate and normalize a corpus into corpus.parsed.jsonl."""
-    input_path = opts.ctx.params["input_path"]  # from the command line only
-    if input_path is None:
-        input_path = _require(outdir, CORPUS_RAW)
-    elif not os.path.exists(input_path):
-        _fail("missing_input", f"input file {input_path!r} does not exist")
+def _parse_config(opts: Options) -> ParseConfig:
     end_year = opts.get("end_year")
-    parse = ParseConfig(
+    return ParseConfig(
         min_year=opts.get("min_year"),
         max_year=opts.get("max_year"),
         dataset_end_year=end_year if end_year else None,
         pad_short_codes=opts.get("pad_short_codes"),
     )
-    _stage_ingest(outdir, input_path, parse)
 
 
-@_command(*TRAIN_OPTIONS)
-def train(opts: Options, outdir: str) -> None:
-    """Fit code vectors on co-assignment pairs; writes embedding.txt."""
-    config = TrainingConfig(
+@_command(*INGEST_OPTIONS)
+def ingest(opts: Options, outdir: str) -> None:
+    """Validate and normalize a corpus into corpus.parsed.jsonl."""
+    _stage_ingest(outdir, opts.ctx.params["input_path"], _parse_config(opts))  # command line only
+
+
+def _training_config(opts: Options) -> TrainingConfig:
+    return TrainingConfig(
         dim=opts.get("dim"),
         negatives_per_positive=opts.get("negatives"),
         epochs=opts.get("epochs"),
@@ -989,19 +972,30 @@ def train(opts: Options, outdir: str) -> None:
         seed=opts.get("seed"),
         deterministic=not opts.get("non_deterministic"),
     )
-    _stage_train(outdir, config, opts.get("loss_log"))
+
+
+@_command(*TRAIN_OPTIONS)
+def train(opts: Options, outdir: str) -> None:
+    """Fit code vectors on co-assignment pairs; writes embedding.txt."""
+    config, loss_log = _training_config(opts), opts.get("loss_log")
+    _stage_train(outdir, *_read_corpus(outdir), config, loss_log)
 
 
 @_command(*METRICS_OPTIONS)
 def metrics(opts: Options, outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
-    _stage_metrics(outdir, opts.get("exclude_self"), opts.get("export_tree"))
+    exclude_self, export_tree = opts.get("exclude_self"), opts.get("export_tree")
+    parsed_path, corpus = _read_corpus(outdir)
+    graph = build_citation_graph(corpus)
+    _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
 
 
 @_command(*DISRUPT_OPTIONS)
 def disrupt(opts: Options, outdir: str) -> None:
     """Disruption counts, scores, and percentiles; writes disruption.csv."""
-    _stage_disrupt(outdir, opts.get("d_variant"))
+    variant = opts.get("d_variant")
+    parsed_path, corpus = _read_corpus(outdir)
+    _stage_disrupt(outdir, parsed_path, corpus, build_citation_graph(corpus), variant)
 
 
 @_command(
@@ -1098,24 +1092,29 @@ def pipeline(opts: Options, outdir: str) -> None:
 
     With --synth, first generates the default 5,000-paper corpus with a
     planted inverted-U citation effect (amplified by team size).  --seed
-    seeds both the corpus and the training.
+    seeds both the corpus and the training.  Every setting is checked
+    before the first stage runs.
     """
-    points = _grid_points(opts)
-    if opts.ctx.params["use_synth"]:  # from the command line only
-        if opts.ctx.params["input_path"] is not None:
-            _fail("bad_arguments", "--input and --synth are mutually exclusive")
-        synth_config = SynthConfig(
-            seed=opts.get("seed"),
-            n_papers=opts.get("papers"),
-            planted_effect=PlantedEffect(quadratic_sign=-1, moderator_sign=1),
-        )
-        _stage_synth(outdir, synth_config)
-    ingest(opts, outdir)
-    train(opts, outdir)
-    metrics(opts, outdir)
-    disrupt(opts, outdir)
+    use_synth = opts.ctx.params["use_synth"]  # from the command line only
+    if use_synth and opts.ctx.params["input_path"] is not None:
+        _fail("bad_arguments", "--input and --synth are mutually exclusive")
+    parse = _parse_config(opts)
+    training, loss_log = _training_config(opts), opts.get("loss_log")
+    exclude_self, export_tree = opts.get("exclude_self"), opts.get("export_tree")
+    variant = opts.get("d_variant")
     models = _model_specs(opts.config)
     center = opts.get("center")
+    points = _grid_points(opts)
+    if use_synth:
+        seed, papers = opts.get("seed"), opts.get("papers")
+        effect = PlantedEffect(quadratic_sign=-1, moderator_sign=1)
+        _stage_synth(outdir, SynthConfig(seed=seed, n_papers=papers, planted_effect=effect))
+    _stage_ingest(outdir, opts.ctx.params["input_path"], parse)
+    parsed_path, corpus = _read_corpus(outdir)
+    _stage_train(outdir, parsed_path, corpus, training, loss_log)
+    graph = build_citation_graph(corpus)
+    _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
+    _stage_disrupt(outdir, parsed_path, corpus, graph, variant)
     _stage_correlate(outdir, DEFAULT_CORRELATION_COLUMNS)
     _stage_regress(outdir, models, tuple(models), center)
     _stage_curves(outdir, models, tuple(models), center, points, None)

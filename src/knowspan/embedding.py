@@ -407,6 +407,8 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
             if not parts:
                 continue
             code = PacsCode.from_text(parts[0])
+            if code in vectors:
+                raise ValueError(f"code {code.raw!r} has more than one row")
             values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             if values.shape != (dim,):
                 raise ValueError(f"vector for {code.raw!r} does not have dim={dim}")

@@ -578,6 +578,24 @@ def read_manifest(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, config, error",
+    [
+        (["--dim", "1"], "", "stage_failed"),
+        ([], "d_variant = sideways\n", "bad_config"),
+    ],
+    ids=["dim_flag", "d_variant_config"],
+)
+def test_pipeline_checks_every_setting_before_its_first_stage(runner, tmp_path, args, config, error):
+    out = tmp_path / "run"
+    (tmp_path / "bad.ini").write_text(config)
+    args = ["pipeline", "--outdir", str(out), "--synth", "--papers", "120", "--epochs", "1",
+            "--points", "3", "--config", str(tmp_path / "bad.ini"), *args]
+    payload = run_fail(runner, args)
+    assert payload["error"] == error
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "stage, key, value, flag",
     [
         ("synth", "planted", "invertedu", ["--planted", "u"]),  # click.Choice
@@ -642,6 +660,78 @@ def test_malformed_manifest_is_structured_error(runner, tmp_path, finished_run, 
     payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
     assert payload["error"] == "bad_artifact"
     assert "manifest.json" in payload["message"]
+
+
+MISTYPED_ENTRIES = [
+    (("ingest",), []),
+    (("ingest", "config"), "min_year=1800"),
+    (("ingest", "config", "min_year"), "1800"),
+    (("ingest", "config", "max_year"), 2100.0),
+    (("ingest", "config", "pad_short_codes"), 0),
+    (("ingest", "end_year"), True),
+    (("metrics",), []),
+    (("metrics", "inputs"), "corpus.parsed.jsonl"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value", MISTYPED_ENTRIES, ids=[".".join(keys) for keys, _ in MISTYPED_ENTRIES]
+)
+def test_mistyped_manifest_entry_is_structured_error(runner, tmp_path, finished_run, keys, value):
+    """`disrupt` reads the ingest entry back, and the metrics entry to merge;
+    the manifest is checked before the stage writes anything."""
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    manifest = read_manifest(tmp_path)
+    entry = manifest["stages"]
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    before = snapshot(tmp_path)
+    payload = run_fail(runner, ["disrupt", "--outdir", str(tmp_path)])
+    assert payload["error"] == "bad_artifact"
+    assert "manifest.json" in payload["message"]
+    assert "stages." + ".".join(keys) in payload["message"]
+    assert snapshot(tmp_path) == before
+
+
+def damage_embedding(text, defect):
+    header, first, second, *rest = text.splitlines(keepends=True)
+    if defect == "truncated":
+        return text[: len(text) // 2]
+    if defect == "empty":
+        return ""
+    if defect == "bad_code":
+        return header + "not-a-code" + first[first.index(" "):] + second + "".join(rest)
+    # the second row takes the first row's code; the row count still matches
+    repeated = first.split()[0] + second[second.index(" "):]
+    return header + first + repeated + "".join(rest)
+
+
+@pytest.mark.parametrize("defect", ["truncated", "empty", "bad_code", "repeated_code"])
+def test_malformed_embedding_is_structured_error(runner, tmp_path, finished_run, defect):
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    embedding = tmp_path / "embedding.txt"
+    embedding.write_text(damage_embedding(embedding.read_text(encoding="utf-8"), defect))
+    payload = run_fail(runner, ["metrics", "--outdir", str(tmp_path)])
+    assert payload["error"] == "bad_artifact"
+    assert "embedding.txt" in payload["message"]
+
+
+@pytest.mark.parametrize("field, value", [("outcome", "d_percentil"), ("predictors", "network_distanc")])
+def test_model_naming_an_absent_column_is_structured_error(runner, tmp_path, finished_run, field, value):
+    config = tmp_path / "models.cfg"
+    config.write_text(f"model5.{field} = {value}\n")
+    args = ["regress", "--outdir", str(finished_run), "--model", "model5", "--config", str(config)]
+    payload = run_fail(runner, args)
+    assert payload["error"] == "unknown_column"
+    assert payload["message"] == f"model5 references columns absent from the metrics table: {value}"
+
+
+def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, finished_run):
+    args = ["correlate", "--outdir", str(finished_run), "--columns", "team_size,yeers"]
+    payload = run_fail(runner, args)
+    assert payload == {"error": "stage_failed", "message": "unknown column 'yeers'"}
 
 
 MERGE_INPUT_HEADERS = {
@@ -867,13 +957,10 @@ def test_each_stage_invocation_parses_and_links_for_itself(runner, tmp_path, cor
     assert corpus_calls == {"parse": 6, "graph": 4}
 
 
-def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, monkeypatch, corpus_calls):
-    monkeypatch.setattr(cli, "_CORPUS_MEMO", {})
+def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, corpus_calls):
     parsed = tmp_path / "corpus.parsed.jsonl"
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"])])
-    _, first = cli._read_corpus(str(tmp_path))
-    _, again = cli._read_corpus(str(tmp_path))
-    assert again is first and corpus_calls["parse"] == 1
+    cli._read_corpus(str(tmp_path))
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"]), record("B", 2001, ["11.22.Bb"])])
     _, rewritten = cli._read_corpus(str(tmp_path))
     assert list(rewritten.papers) == ["A", "B"] and corpus_calls["parse"] == 2
