@@ -662,6 +662,7 @@ def _stage_disrupt(
 def _stage_correlate(outdir: str, columns: tuple[str, ...]) -> None:
     metrics_path = _require(outdir, METRICS)
     table = _load_metrics_table(metrics_path)
+    _require_columns("--columns", columns, table)
     matrix = pearson_matrix(table, columns)
     correlations_path = os.path.join(outdir, CORRELATIONS)
     n = len(matrix.columns)
@@ -682,16 +683,20 @@ def _stage_correlate(outdir: str, columns: tuple[str, ...]) -> None:
     )
 
 
-def _fit_named_model(
-    name: str, spec: RegressionSpec, table: AnalysisTable, center: str
-):
-    missing = [c for c in (spec.outcome, *spec.base_columns()) if c not in table.columns]
+def _require_columns(owner: str, names: tuple[str, ...], table: AnalysisTable) -> None:
+    missing = [c for c in names if c not in table.columns]
     if missing:
         _fail(
             "unknown_column",
-            f"{name} references columns absent from the metrics table: "
+            f"{owner} references columns absent from the metrics table: "
             + ", ".join(sorted(missing)),
         )
+
+
+def _fit_named_model(
+    name: str, spec: RegressionSpec, table: AnalysisTable, center: str
+):
+    _require_columns(name, (spec.outcome, *spec.base_columns()), table)
     return fit_model(dataclasses.replace(spec, centering=center), table)
 
 

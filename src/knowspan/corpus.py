@@ -10,6 +10,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator
 
 PAD_CHAR = "_"
@@ -72,7 +73,7 @@ class PacsCode:
         return self.raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paper:
     id: str
     year: int
@@ -178,9 +179,13 @@ def _record_to_paper(
     config: ParseConfig,
     report: ParseReport,
     parsed_codes: dict[str, tuple[PacsCode, bool]],
+    papers: dict[str, Paper],
 ) -> Paper:
     """One validated paper; ``parsed_codes`` memoises ``PacsCode.parse`` by
-    raw text across the records of one parse, so papers share code objects."""
+    raw text across the records of one parse, so papers share code objects.
+
+    A reference to a paper already in ``papers`` (the papers parsed so far)
+    is that paper's own id string, so the two share one object."""
     if not isinstance(obj, dict):
         raise _SkipRecord("not_an_object")
     for key in ("id", "year", "journal", "pacs_codes", "n_pages", "references"):
@@ -253,11 +258,16 @@ def _record_to_paper(
         raise _SkipRecord("invalid_title_length")
 
     raw_refs = obj["references"]
-    if not isinstance(raw_refs, list) or not all(isinstance(r, str) for r in raw_refs):
+    if not isinstance(raw_refs, list) or not all(map(isinstance, raw_refs, repeat(str))):
         raise _SkipRecord("invalid_references")
-    report.self_references_removed += raw_refs.count(paper_id)
-    references = dict.fromkeys(raw_refs)
-    references.pop(paper_id, None)
+    unique_refs = dict.fromkeys(raw_refs)
+    if paper_id in unique_refs:  # rare, so only then are the copies counted
+        del unique_refs[paper_id]
+        report.self_references_removed += raw_refs.count(paper_id)
+    earlier = papers.get
+    references = tuple(
+        [ref if (cited := earlier(ref)) is None else cited.id for ref in unique_refs]
+    )
 
     report.padded_codes += padded_here
     return Paper(
@@ -268,7 +278,7 @@ def _record_to_paper(
         author_count=author_count,
         n_pages=n_pages,
         title_length=title_length,
-        references=tuple(references),
+        references=references,
     )
 
 
@@ -297,7 +307,7 @@ def parse_corpus(
             report.skip_reasons["invalid_json"] += 1
             continue
         try:
-            paper = _record_to_paper(obj, config, report, parsed_codes)
+            paper = _record_to_paper(obj, config, report, parsed_codes, papers)
         except _SkipRecord as skip:
             report.n_skipped += 1
             report.skip_reasons[skip.reason] += 1
@@ -333,11 +343,12 @@ class CitationGraph:
 
     An edge citer -> cited is kept only when both ends are in the corpus and
     year(citer) >= year(cited).  ``cites`` and ``cited_by`` hold the same
-    edges.  Each ``cited_by`` tuple is ordered by (year, id), so the citers
-    from a given year on are a suffix of it.
+    edges, as the papers' own id strings.  Each ``cites`` tuple is in
+    reference order.  Each ``cited_by`` tuple is ordered by (year, id), so
+    the citers from a given year on are a suffix of it.
     """
 
-    cites: dict[str, frozenset[str]]
+    cites: dict[str, tuple[str, ...]]
     cited_by: dict[str, tuple[str, ...]]
     years: dict[str, int]
     n_edges: int
@@ -346,27 +357,33 @@ class CitationGraph:
 
 
 def build_citation_graph(corpus: Corpus) -> CitationGraph:
-    cites: dict[str, set[str]] = {pid: set() for pid in corpus.papers}
-    cited_by: dict[str, list[str]] = {pid: [] for pid in corpus.papers}
+    papers = corpus.papers
+    cites: dict[str, tuple[str, ...]] = dict.fromkeys(papers, ())
+    cited_by: dict[str, list[str] | tuple[str, ...]] = {pid: [] for pid in papers}
     dropped_missing = 0
     dropped_order = 0
     n_edges = 0
     # visiting citers in (year, id) order appends each citer list in that order
-    for paper in sorted(corpus.papers.values(), key=lambda p: (p.year, p.id)):
+    for paper in sorted(papers.values(), key=lambda p: (p.year, p.id)):
+        kept = []
         for ref in paper.references:
-            target = corpus.papers.get(ref)
+            target = papers.get(ref)
             if target is None:
                 dropped_missing += 1
             elif paper.year < target.year:
                 dropped_order += 1
             else:
-                cites[paper.id].add(ref)
+                kept.append(target.id)
                 cited_by[ref].append(paper.id)
-                n_edges += 1
+        if kept:
+            cites[paper.id] = tuple(kept)
+            n_edges += len(kept)
+    for pid, citers in cited_by.items():  # each list is freed as its tuple replaces it
+        cited_by[pid] = tuple(citers)
     return CitationGraph(
-        cites={pid: frozenset(s) for pid, s in cites.items()},
-        cited_by={pid: tuple(citers) for pid, citers in cited_by.items()},
-        years={pid: p.year for pid, p in corpus.papers.items()},
+        cites=cites,
+        cited_by=cited_by,
+        years={pid: p.year for pid, p in papers.items()},
         n_edges=n_edges,
         n_dropped_out_of_corpus=dropped_missing,
         n_dropped_year_order=dropped_order,

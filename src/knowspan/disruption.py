@@ -25,7 +25,7 @@ from .corpus import CitationGraph, Corpus, Paper
 VARIANTS = ("disjoint", "overlapping")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisruptionCounts:
     n_i: int
     n_j: int
@@ -36,7 +36,7 @@ class DisruptionCounts:
         return self.n_i + self.n_j + self.n_k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisruptionScore:
     d: float | None
     percentile: float | None

@@ -266,16 +266,17 @@ def train_embeddings(
     ``_CHUNK_PAIRS`` pairs, with results identical to doing it per pair.
     """
     config = config or TrainingConfig()
-    slots = [code for pair in pairs for code in pair]  # center, context, center, ...
-    if not slots:
+    # Count and index by code text (center, context, center, ...): str hashes
+    # are cached, PacsCode hashes are not.  ``code_of`` keeps the first code
+    # object seen with each text.
+    code_of: dict[str, PacsCode] = {}
+    texts = [code_of.setdefault(code.raw, code).raw for pair in pairs for code in pair]
+    if not texts:
         raise ValueError("no training pairs: no paper carries two or more codes")
-    # Count and index by code text: str hashes are cached, PacsCode hashes are not.
-    texts = [code.raw for code in slots]
     counts = Counter(texts)
     if len(counts) < 2:
         raise ValueError("vocabulary must contain at least two codes")
 
-    code_of = dict(zip(texts, slots))
     vocab_texts = sorted(counts, key=lambda text: (-counts[text], text))
     vocab = tuple(code_of[text] for text in vocab_texts)
     index = {text: i for i, text in enumerate(vocab_texts)}
@@ -412,6 +413,8 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
             values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             if values.shape != (dim,):
                 raise ValueError(f"vector for {code.raw!r} does not have dim={dim}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"vector for {code.raw!r} has a non-finite coordinate")
             vocab.append(code)
             vectors[code] = values
     if len(vocab) != n_vocab:

@@ -703,19 +703,24 @@ def damage_embedding(text, defect):
         return ""
     if defect == "bad_code":
         return header + "not-a-code" + first[first.index(" "):] + second + "".join(rest)
+    if defect in ("nan", "inf"):  # one coordinate of the first row
+        code, _, *values = first.split()
+        return header + " ".join([code, defect, *values]) + "\n" + second + "".join(rest)
     # the second row takes the first row's code; the row count still matches
     repeated = first.split()[0] + second[second.index(" "):]
     return header + first + repeated + "".join(rest)
 
 
-@pytest.mark.parametrize("defect", ["truncated", "empty", "bad_code", "repeated_code"])
+@pytest.mark.parametrize("defect", ["truncated", "empty", "bad_code", "repeated_code", "nan", "inf"])
 def test_malformed_embedding_is_structured_error(runner, tmp_path, finished_run, defect):
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     embedding = tmp_path / "embedding.txt"
     embedding.write_text(damage_embedding(embedding.read_text(encoding="utf-8"), defect))
+    before = snapshot(tmp_path)
     payload = run_fail(runner, ["metrics", "--outdir", str(tmp_path)])
     assert payload["error"] == "bad_artifact"
     assert "embedding.txt" in payload["message"]
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("field, value", [("outcome", "d_percentil"), ("predictors", "network_distanc")])
@@ -728,10 +733,17 @@ def test_model_naming_an_absent_column_is_structured_error(runner, tmp_path, fin
     assert payload["message"] == f"model5 references columns absent from the metrics table: {value}"
 
 
-def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, finished_run):
-    args = ["correlate", "--outdir", str(finished_run), "--columns", "team_size,yeers"]
+def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, tmp_path, finished_run):
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "correlations.csv").unlink()
+    before = snapshot(tmp_path)
+    args = ["correlate", "--outdir", str(tmp_path), "--columns", "team_size,yeers"]
     payload = run_fail(runner, args)
-    assert payload == {"error": "stage_failed", "message": "unknown column 'yeers'"}
+    assert payload == {
+        "error": "unknown_column",
+        "message": "--columns references columns absent from the metrics table: yeers",
+    }
+    assert snapshot(tmp_path) == before
 
 
 MERGE_INPUT_HEADERS = {

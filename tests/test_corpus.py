@@ -265,10 +265,11 @@ def test_graph_restricts_to_corpus_and_counts_drops():
     graph = build_citation_graph(corpus)
     assert graph.n_dropped_out_of_corpus == 1
     assert graph.n_dropped_year_order == 1  # D (1990) cannot cite C (2005)
-    assert graph.cites["B"] == {"A"}
+    assert set(graph.cites["B"]) == {"A"}
+    assert graph.cites["C"] == ("A", "B")  # in reference order
     assert set(graph.cited_by["A"]) == {"B", "C"}
     assert graph.cited_by["A"] == ("B", "C")  # ordered by (year, id)
-    assert graph.cites["D"] == frozenset()
+    assert graph.cites["D"] == ()
 
 
 def test_graph_edge_count_identity():
@@ -276,6 +277,49 @@ def test_graph_edge_count_identity():
     graph = build_citation_graph(corpus)
     assert sum(len(s) for s in graph.cites.values()) == graph.n_edges
     assert sum(len(s) for s in graph.cited_by.values()) == graph.n_edges
+
+
+def shared_id_corpus():
+    # CPython shares every one-character string, so these ids are longer
+    return parse_lines(
+        record(id="first-paper", year=2000, references=["second-paper", "ghost-paper"]),
+        record(id="second-paper", year=2000, references=["first-paper"]),
+        record(id="third-paper", year=2005, references=["second-paper", "ghost-paper", "first-paper"]),
+    )
+
+
+def test_reference_to_an_earlier_paper_is_its_id_object():
+    corpus, _ = shared_id_corpus()
+    papers = corpus.papers
+    assert papers["second-paper"].references[0] is papers["first-paper"].id
+    third = papers["third-paper"].references
+    assert third[0] is papers["second-paper"].id
+    assert third[2] is papers["first-paper"].id
+
+
+def test_forward_and_out_of_corpus_references_keep_their_text():
+    corpus, _ = shared_id_corpus()
+    assert corpus.papers["first-paper"].references == ("second-paper", "ghost-paper")
+    assert corpus.papers["third-paper"].references == ("second-paper", "ghost-paper", "first-paper")
+
+
+def test_graph_cites_are_the_cited_papers_ids_in_reference_order():
+    corpus, _ = shared_id_corpus()
+    papers = corpus.papers
+    graph = build_citation_graph(corpus)
+    assert graph.cites["third-paper"] == ("second-paper", "first-paper")
+    # first-paper named second-paper before it was parsed; the graph still
+    # holds second-paper's own id
+    assert graph.cites["first-paper"] == ("second-paper",)
+    for cited in graph.cites.values():
+        assert type(cited) is tuple
+        assert all(pid is papers[pid].id for pid in cited)
+    assert list(graph.cites) == list(papers)
+
+
+def test_paper_has_no_instance_dict():
+    corpus, _ = parse_lines(record())
+    assert not hasattr(corpus.papers["P1"], "__dict__")
 
 
 @settings(max_examples=30, deadline=None)

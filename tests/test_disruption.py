@@ -13,6 +13,7 @@ from knowspan.corpus import build_citation_graph, parse_corpus
 from knowspan.disruption import (
     VARIANTS,
     DisruptionCounts,
+    DisruptionScore,
     d_score,
     disruption_counts,
     percentile_ranks,
@@ -269,6 +270,13 @@ def test_counts_equal_the_candidate_scan_on_edge_cases(variant):
     n_i = 2 if variant == "overlapping" else 1
     assert (counts.n_i, counts.n_j, counts.n_k) == (n_i, 1, 1)
     assert disruption_counts(corpus.papers["LONE"], graph, variant).total == 0
+
+
+def test_disruption_records_have_no_instance_dict():
+    counts = DisruptionCounts(n_i=1, n_j=0, n_k=2)
+    score = DisruptionScore(d=d_score(counts), percentile=50.0)
+    assert not hasattr(counts, "__dict__")
+    assert not hasattr(score, "__dict__")
 
 
 # ---------------------------------------------------------------- percentiles
