@@ -67,7 +67,6 @@ CORPUS_RAW = "corpus.jsonl"
 CORPUS_PARSED = "corpus.parsed.jsonl"
 PARSE_REPORT = "parse_report.json"
 EMBEDDING = "embedding.txt"
-LOSS_LOG = "loss_log.csv"
 TREE_EDGES = "tree_edges.csv"
 METRICS_SPACE = "metrics_space.csv"
 DISRUPTION = "disruption.csv"
@@ -96,6 +95,9 @@ METRIC_COLUMNS = (
 
 SPACE_COLUMNS = tuple(c for c in METRIC_COLUMNS if not c.startswith("d_"))
 DISRUPTION_COLUMNS = ("paper_id",) + tuple(c for c in METRIC_COLUMNS if c.startswith("d_"))
+
+# the CitationGraph counters that the metrics and disrupt manifest entries record
+GRAPH_COUNTERS = ("n_edges", "n_dropped_out_of_corpus", "n_dropped_year_order")
 
 CONTROLS = ("n_pages", "years", "title_length")
 MODERATOR = "team_size"
@@ -401,13 +403,17 @@ def _table_rows(
 
 
 def _load_metrics_table(path: str) -> AnalysisTable:
-    """The numeric columns of the merged metrics CSV; blanks → NaN."""
+    """The numeric columns of the merged metrics CSV; blanks → NaN.  A cell
+    that is not a number fails the stage with ``bad_artifact``."""
     header, *rows = _table_rows(path, "metrics")
     columns = {}
     for j, name in enumerate(header[1:], start=1):
-        columns[name] = np.array(
-            [float(row[j]) if row[j] != "" else math.nan for row in rows]
-        )
+        try:
+            columns[name] = np.array(
+                [float(row[j]) if row[j] != "" else math.nan for row in rows]
+            )
+        except ValueError as exc:
+            _fail("bad_artifact", f"{path} column {name!r}: {exc}")
     return AnalysisTable(columns)
 
 
@@ -450,8 +456,9 @@ def _stage_synth(outdir: str, config: SynthConfig) -> None:
     )
 
 
-def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> None:
-    """Parse ``input_path``, or corpus.jsonl in ``outdir`` when it is None."""
+def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tuple[str, Corpus]:
+    """Parse ``input_path``, or corpus.jsonl in ``outdir`` when it is None;
+    returns the path and contents of the parsed corpus it writes."""
     if input_path is None:
         input_path = _require(outdir, CORPUS_RAW)
     elif not os.path.exists(input_path):
@@ -476,33 +483,24 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> No
         n_skipped=report.n_skipped,
         end_year=corpus.dataset_end_year,
     )
+    return parsed_path, corpus
 
 
-def _stage_train(
-    outdir: str, parsed_path: str, corpus: Corpus, config: TrainingConfig, loss_log: bool
-) -> None:
+def _stage_train(outdir: str, parsed_path: str, corpus: Corpus, config: TrainingConfig) -> None:
     matrix = train_embeddings(build_training_pairs(corpus), config)
     embedding_path = os.path.join(outdir, EMBEDDING)
     save_embeddings(matrix, embedding_path)
-    outputs = {EMBEDDING: embedding_path}
-    if loss_log:
-        loss_path = os.path.join(outdir, LOSS_LOG)
-        _write_csv(
-            loss_path,
-            ("epoch", "mean_loss"),
-            [(e + 1, loss) for e, loss in enumerate(matrix.loss_by_epoch)],
-        )
-        outputs[LOSS_LOG] = loss_path
     settings = dataclasses.asdict(config)
     seed = settings.pop("seed")  # recorded beside the config, not in it
     _update_manifest(
         outdir,
         "train",
-        config={**settings, "loss_log": loss_log},
+        config=settings,
         inputs={CORPUS_PARSED: parsed_path},
-        outputs=outputs,
+        outputs={EMBEDDING: embedding_path},
         seed=seed,
         vocabulary=len(matrix.vocabulary),
+        loss_by_epoch=list(matrix.loss_by_epoch),
     )
 
 
@@ -631,6 +629,7 @@ def _stage_metrics(
         outputs=outputs,
         n_papers=len(corpus.papers),
         n_missing_vocabulary=n_missing,
+        **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
     )
     _merge_metrics(outdir)
 
@@ -655,6 +654,7 @@ def _stage_disrupt(
         outputs={DISRUPTION: disruption_path},
         n_defined=n_defined,
         n_undefined=len(rows) - n_defined,
+        **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
     )
     _merge_metrics(outdir)
 
@@ -845,8 +845,6 @@ TRAIN_OPTIONS = (
     click.option("--initial-lr", default=0.025, show_default=True, type=float),
     click.option("--final-lr", default=1e-4, show_default=True, type=float),
     _seed_option(0),
-    click.option("--non-deterministic", is_flag=True, default=False),
-    click.option("--loss-log", is_flag=True, default=False, help="Also write loss_log.csv."),
 )
 METRICS_OPTIONS = (
     click.option(
@@ -975,15 +973,14 @@ def _training_config(opts: Options) -> TrainingConfig:
         initial_learning_rate=opts.get("initial_lr"),
         final_learning_rate=opts.get("final_lr"),
         seed=opts.get("seed"),
-        deterministic=not opts.get("non_deterministic"),
     )
 
 
 @_command(*TRAIN_OPTIONS)
 def train(opts: Options, outdir: str) -> None:
     """Fit code vectors on co-assignment pairs; writes embedding.txt."""
-    config, loss_log = _training_config(opts), opts.get("loss_log")
-    _stage_train(outdir, *_read_corpus(outdir), config, loss_log)
+    config = _training_config(opts)
+    _stage_train(outdir, *_read_corpus(outdir), config)
 
 
 @_command(*METRICS_OPTIONS)
@@ -1013,7 +1010,10 @@ def disrupt(opts: Options, outdir: str) -> None:
 )
 def correlate(opts: Options, outdir: str) -> None:
     """Pairwise correlations; writes correlations.csv (r above, p below)."""
-    _stage_correlate(outdir, _as_list(opts.get("columns")))
+    columns = _as_list(opts.get("columns"))
+    if not columns:
+        _fail("bad_arguments", "--columns needs at least one column name")
+    _stage_correlate(outdir, columns)
 
 
 def _selected_models(opts: Options) -> tuple[dict[str, RegressionSpec], tuple[str, ...]]:
@@ -1104,7 +1104,7 @@ def pipeline(opts: Options, outdir: str) -> None:
     if use_synth and opts.ctx.params["input_path"] is not None:
         _fail("bad_arguments", "--input and --synth are mutually exclusive")
     parse = _parse_config(opts)
-    training, loss_log = _training_config(opts), opts.get("loss_log")
+    training = _training_config(opts)
     exclude_self, export_tree = opts.get("exclude_self"), opts.get("export_tree")
     variant = opts.get("d_variant")
     models = _model_specs(opts.config)
@@ -1114,9 +1114,8 @@ def pipeline(opts: Options, outdir: str) -> None:
         seed, papers = opts.get("seed"), opts.get("papers")
         effect = PlantedEffect(quadratic_sign=-1, moderator_sign=1)
         _stage_synth(outdir, SynthConfig(seed=seed, n_papers=papers, planted_effect=effect))
-    _stage_ingest(outdir, opts.ctx.params["input_path"], parse)
-    parsed_path, corpus = _read_corpus(outdir)
-    _stage_train(outdir, parsed_path, corpus, training, loss_log)
+    parsed_path, corpus = _stage_ingest(outdir, opts.ctx.params["input_path"], parse)
+    _stage_train(outdir, parsed_path, corpus, training)
     graph = build_citation_graph(corpus)
     _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
     _stage_disrupt(outdir, parsed_path, corpus, graph, variant)

@@ -7,8 +7,8 @@ loss for one pair with negatives n_1..n_K is
     L = -log sigmoid(u_o . v_c) - sum_k log sigmoid(-u_{n_k} . v_c)
 
 where v are input-side vectors (the ones exported) and u are output-side
-vectors.  Training is plain sequential SGD: with a fixed seed and
-deterministic=True two runs produce bit-identical matrices.
+vectors.  Training is plain sequential SGD seeded from ``seed``, so two runs
+with one seed produce bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class MissingCodeError(KeyError):
         return f"code {self.code.raw!r} is not in the embedding vocabulary"
 
 
+# word2vec's noise exponent (Mikolov et al., NeurIPS 2013)
+NOISE_EXPONENT = 0.75
+
+
 @dataclass
 class TrainingConfig:
     dim: int = 50
@@ -54,9 +58,7 @@ class TrainingConfig:
     epochs: int = 5
     initial_learning_rate: float = 0.025
     final_learning_rate: float = 1e-4
-    noise_exponent: float = 0.75
     seed: int = 0
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -67,8 +69,6 @@ class TrainingConfig:
             raise ValueError("epochs must be at least 1")
         if not (0.0 < self.final_learning_rate <= self.initial_learning_rate):
             raise ValueError("need 0 < final_learning_rate <= initial_learning_rate")
-        if self.noise_exponent < 0:
-            raise ValueError("noise_exponent must be nonnegative")
 
 
 # the cosine state an EmbeddingMatrix keeps for itself
@@ -257,7 +257,7 @@ def train_embeddings(
     """Train input/output vector tables by SGD over the given pair stream.
 
     Negatives are drawn from a noise distribution proportional to slot
-    frequency raised to ``noise_exponent``; a draw equal to the positive
+    frequency raised to ``NOISE_EXPONENT``; a draw equal to the positive
     context is dropped rather than resampled.  The learning rate decays
     linearly from the initial to the final value over all scheduled updates.
 
@@ -283,13 +283,12 @@ def train_embeddings(
     n_vocab = len(vocab)
     dim = config.dim
 
-    seed = config.seed if config.deterministic else None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     bound = 0.5 / dim
     w_in = rng.uniform(-bound, bound, size=(n_vocab, dim))
     w_out = rng.uniform(-bound, bound, size=(n_vocab, dim))
 
-    noise = np.array([counts[t] for t in vocab_texts], dtype=np.float64) ** config.noise_exponent
+    noise = np.array([counts[t] for t in vocab_texts], dtype=np.float64) ** NOISE_EXPONENT
     noise_cdf = np.cumsum(noise)
     noise_cdf /= noise_cdf[-1]
 

@@ -432,7 +432,7 @@ def test_criterion_7_pipeline_determinism_and_budget(tmp_path):
             begin = time.perf_counter()
             result = runner.invoke(
                 cli_main,
-                ["pipeline", "--outdir", str(outdir), "--synth", "--loss-log"],
+                ["pipeline", "--outdir", str(outdir), "--synth"],
             )
             elapsed.append(time.perf_counter() - begin)
             assert result.exit_code == 0, result.stderr

@@ -94,11 +94,10 @@ def test_stagewise_run_produces_each_artifact(runner, tmp_path):
     report = json.loads((tmp_path / "parse_report.json").read_text())
     assert report["n_parsed"] == 150
     assert report["n_skipped"] == 0
-    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN, "--loss-log"])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
     assert (tmp_path / "embedding.txt").exists()
-    header, loss_rows = read_csv(tmp_path / "loss_log.csv")
-    assert header == ["epoch", "mean_loss"]
-    assert len(loss_rows) == 2
+    losses = read_manifest(tmp_path)["stages"]["train"]["loss_by_epoch"]
+    assert len(losses) == 2 and all(isinstance(loss, float) for loss in losses)
     run_ok(runner, ["metrics", "--outdir", out])
     assert (tmp_path / "metrics_space.csv").exists()
     assert not (tmp_path / "metrics.csv").exists()  # merge waits for disrupt
@@ -194,6 +193,22 @@ def test_overlapping_variant_changes_the_counts(runner, tmp_path):
     by_id = {row[0]: dict(zip(header, row)) for row in rows}
     assert by_id["P"]["d_n_i"] == "4"
     assert by_id["P"]["d_score"] == "0.5"
+
+
+def test_metrics_and_disrupt_record_the_graph_counters(runner, tmp_path):
+    out = str(tmp_path)
+    tiny_corpus(tmp_path / "corpus.jsonl")
+    with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        # A is kept; C1 (2002) is later than E, and "gone" is not in the corpus
+        fh.write(json.dumps(record("E", 2001, ["11.22.Aa"], refs=["A", "C1", "gone"])) + "\n")
+    for stage in ("ingest", "train", "metrics", "disrupt"):
+        run_ok(runner, [stage, "--outdir", out, *(FAST_TRAIN if stage == "train" else [])])
+    stages = read_manifest(tmp_path)["stages"]
+    for stage in ("metrics", "disrupt"):
+        counters = {k: stages[stage][k] for k in cli.GRAPH_COUNTERS}
+        assert counters == {
+            "n_edges": 8, "n_dropped_out_of_corpus": 1, "n_dropped_year_order": 1
+        }, stage
 
 
 def test_exclude_self_empties_single_member_cells(runner, tmp_path):
@@ -472,7 +487,7 @@ def test_pipeline_rerun_is_byte_identical(runner, tmp_path):
         run_ok(
             runner,
             ["pipeline", "--outdir", str(d), "--synth", "--papers", "150",
-             *FAST_TRAIN, "--points", "3", "--loss-log"],
+             *FAST_TRAIN, "--points", "3"],
         )
     names = sorted(p.name for p in dirs[0].iterdir())
     assert names == sorted(p.name for p in dirs[1].iterdir())
@@ -539,6 +554,8 @@ def test_malformed_config_line_is_structured_error(runner, tmp_path):
         "input_path",  # declared, but read from the command line only
         "model9.outcome",  # no such preset
         "model1.intercept",  # no such preset field
+        "loss_log",  # the key of the removed train flag --loss-log
+        "non_deterministic",  # the key of the removed train flag --non-deterministic
     ],
 )
 def test_config_key_no_subcommand_reads_is_structured_error(runner, tmp_path, key):
@@ -601,7 +618,7 @@ def test_pipeline_checks_every_setting_before_its_first_stage(runner, tmp_path, 
         ("synth", "planted", "invertedu", ["--planted", "u"]),  # click.Choice
         ("synth", "papers", "many", ["--papers", "60"]),  # int
         ("synth", "density", "dense", ["--density", "2.5"]),  # float
-        ("train", "loss_log", "maybe", ["--loss-log"]),  # bool flag
+        ("ingest", "pad_short_codes", "maybe", ["--pad-short-codes"]),  # bool flag
     ],
 )
 def test_config_value_is_checked_like_its_flag(runner, tmp_path, stage, key, value, flag):
@@ -611,7 +628,7 @@ def test_config_value_is_checked_like_its_flag(runner, tmp_path, stage, key, val
     config = tmp_path / "bad.cfg"
     config.write_text(f"{key} = {value}\n")
     args = [stage, "--outdir", out, "--config", str(config)]
-    small = [] if key == "papers" else {"synth": ["--papers", "60"], "train": FAST_TRAIN}[stage]
+    small = [] if key == "papers" else {"synth": ["--papers", "60"], "ingest": []}[stage]
     payload = run_fail(runner, args + small)
     assert payload["error"] == "bad_config"
     assert payload["key"] == key
@@ -622,32 +639,43 @@ def test_config_value_is_checked_like_its_flag(runner, tmp_path, stage, key, val
 def test_config_values_take_click_spellings_and_flags_win(runner, tmp_path):
     out = str(tmp_path)
     config = tmp_path / "run.cfg"
-    config.write_text("planted = u\npapers = 60\nloss_log = y\nnon_deterministic = f\n")
+    config.write_text("planted = u\npapers = 60\npad_short_codes = y\nexport_tree = f\n")
     run_ok(runner, ["synth", "--outdir", out, "--config", str(config)])
     synth_stage = read_manifest(tmp_path)["stages"]["synth"]
     assert synth_stage["config"]["planted"]["quadratic_sign"] == 1
     assert synth_stage["config"]["n_papers"] == 60
     run_ok(runner, ["synth", "--outdir", out, "--config", str(config), "--planted", "inverted-u"])
     assert read_manifest(tmp_path)["stages"]["synth"]["config"]["planted"]["quadratic_sign"] == -1
-    run_ok(runner, ["ingest", "--outdir", out])
-    run_ok(runner, ["train", "--outdir", out, "--config", str(config), *FAST_TRAIN])
-    train_config = read_manifest(tmp_path)["stages"]["train"]["config"]
-    assert train_config["loss_log"] is True
-    assert train_config["deterministic"] is True
-    assert (tmp_path / "loss_log.csv").exists()
+    run_ok(runner, ["ingest", "--outdir", out, "--config", str(config)])
+    assert read_manifest(tmp_path)["stages"]["ingest"]["config"]["pad_short_codes"] is True
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    run_ok(runner, ["metrics", "--outdir", out, "--config", str(config)])
+    assert read_manifest(tmp_path)["stages"]["metrics"]["config"]["export_tree"] is False
+    assert not (tmp_path / "tree_edges.csv").exists()
+    run_ok(runner, ["metrics", "--outdir", out, "--config", str(config), "--export-tree"])
+    assert read_manifest(tmp_path)["stages"]["metrics"]["config"]["export_tree"] is True
+
+
+BAD_CELL_ROW = ["p1"] + ["abc" if c == "team_size" else "1.0" for c in METRIC_COLUMNS[1:]]
 
 
 @pytest.mark.parametrize("stage", ["correlate", "regress", "curves"])
 @pytest.mark.parametrize(
-    "content",
-    [",".join(METRIC_COLUMNS) + "\np1,0.1\n", ""],
-    ids=["short_row", "empty_file"],
+    "content, column",
+    [
+        (",".join(METRIC_COLUMNS) + "\np1,0.1\n", None),
+        ("", None),
+        (",".join(METRIC_COLUMNS) + "\n" + ",".join(BAD_CELL_ROW) + "\n", "team_size"),
+    ],
+    ids=["short_row", "empty_file", "bad_cell"],
 )
-def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, content):
+def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, content, column):
     (tmp_path / "metrics.csv").write_text(content, encoding="utf-8")
     payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
     assert payload["error"] == "bad_artifact"
     assert "metrics.csv" in payload["message"]
+    if column is not None:
+        assert repr(column) in payload["message"]
 
 
 @pytest.mark.parametrize("stage", ["disrupt", "correlate"])
@@ -744,6 +772,18 @@ def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, tmp
         "message": "--columns references columns absent from the metrics table: yeers",
     }
     assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_correlation_columns_are_refused_before_the_table_is_read(runner, tmp_path, source):
+    """The directory holds no metrics.csv, so reading it would fail first."""
+    config = tmp_path / "run.cfg"
+    config.write_text("columns =\n")
+    extra = ["--columns", " , "] if source == "flag" else ["--config", str(config)]
+    payload = run_fail(runner, ["correlate", "--outdir", str(tmp_path), *extra])
+    assert payload["error"] == "bad_arguments"
+    assert "--columns" in payload["message"]
+    assert not (tmp_path / "correlations.csv").exists()
 
 
 MERGE_INPUT_HEADERS = {
@@ -949,12 +989,53 @@ def corpus_calls(monkeypatch):
     return calls
 
 
-def test_pipeline_parses_twice_and_links_once(runner, tmp_path, corpus_calls):
-    """ingest parses the raw corpus; train, metrics and disrupt share one
-    parse of the file it wrote, and metrics and disrupt one graph."""
+def test_pipeline_parses_once_and_links_once(runner, tmp_path, corpus_calls):
+    """train, metrics and disrupt share the corpus ingest parsed, and metrics
+    and disrupt one graph."""
     args = ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "120"]
     run_ok(runner, args + [*FAST_TRAIN, "--points", "3"])
-    assert corpus_calls == {"parse": 2, "graph": 1}
+    assert corpus_calls == {"parse": 1, "graph": 1}
+
+
+def test_pipeline_writes_the_bytes_of_a_stage_by_stage_run(runner, tmp_path):
+    """pipeline hands on the corpus ingest parsed; the stages re-read the
+    file it wrote.  References forward in the file, out of the corpus and to
+    the paper itself, padded short codes and a paper before 1800 all reach
+    the same tables either way."""
+    run_ok(runner, ["synth", "--outdir", str(tmp_path), "--papers", "150"])
+    source = tmp_path / "corpus.jsonl"
+    with open(source, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    codes = records[0]["pacs_codes"]
+    records += [
+        record("old-1750", 1750, codes),
+        record("fwd-a", 2000, codes, refs=["fwd-b", "old-1750"]),  # fwd-b is later
+        record("fwd-b", 2001, codes, refs=["fwd-c", "nowhere"]),  # fwd-c is earlier
+        record("fwd-c", 1999, [codes[0], codes[1][:-1]], refs=["old-1750"]),  # a short code
+        record("self", 2002, codes, refs=["self", "fwd-a", "self"]),
+    ]
+    write_jsonl(source, records)
+    flags = ["--min-year", "1700", "--pad-short-codes"]
+    stages, piped = tmp_path / "stages", tmp_path / "pipeline"
+    for args in (
+        ["ingest", "--input", str(source), *flags],
+        ["train", *FAST_TRAIN],
+        ["metrics"],
+        ["disrupt"],
+        ["correlate"],
+        ["regress"],
+        ["curves", "--points", "3"],
+    ):
+        run_ok(runner, args + ["--outdir", str(stages)])
+    run_ok(runner, ["pipeline", "--outdir", str(piped), "--input", str(source), *flags,
+                    *FAST_TRAIN, "--points", "3"])
+    report = json.loads((piped / "parse_report.json").read_text())
+    assert report["padded_codes"] == 1 and report["self_references_removed"] == 2
+    assert "old-1750" in (piped / "corpus.parsed.jsonl").read_text()
+    names = sorted(p.name for p in stages.iterdir())
+    assert names == sorted(p.name for p in piped.iterdir())
+    for name in names:  # manifest.json included
+        assert (stages / name).read_bytes() == (piped / name).read_bytes(), name
 
 
 def test_each_stage_invocation_parses_and_links_for_itself(runner, tmp_path, corpus_calls):

@@ -62,11 +62,9 @@ OPTION_SURFACE = {
         ("final_lr", ("--final-lr",), 0.0001, "float", False),
         ("initial_lr", ("--initial-lr",), 0.025, "float", False),
         ("input_path", ("--input",), None, "file", False),
-        ("loss_log", ("--loss-log",), False, "boolean", True),
         ("max_year", ("--max-year",), 2100, "integer", False),
         ("min_year", ("--min-year",), 1800, "integer", False),
         ("negatives", ("--negatives",), 5, "integer", False),
-        ("non_deterministic", ("--non-deterministic",), False, "boolean", True),
         ("outdir", ("--outdir",), ".", "directory", False),
         ("pad_short_codes", ("--pad-short-codes",), False, "boolean", True),
         ("papers", ("--papers",), 5000, "integer", False),
@@ -100,9 +98,7 @@ OPTION_SURFACE = {
         ("epochs", ("--epochs",), 5, "integer", False),
         ("final_lr", ("--final-lr",), 0.0001, "float", False),
         ("initial_lr", ("--initial-lr",), 0.025, "float", False),
-        ("loss_log", ("--loss-log",), False, "boolean", True),
         ("negatives", ("--negatives",), 5, "integer", False),
-        ("non_deterministic", ("--non-deterministic",), False, "boolean", True),
         ("outdir", ("--outdir",), ".", "directory", False),
         ("seed", ("--seed",), 0, "integer", False),
     },
@@ -121,8 +117,10 @@ def test_every_subcommand_keeps_its_option_surface():
 
 
 # sha256 of every file of `pipeline --synth --papers 150 --dim 8 --epochs 2
-# --points 3 --loss-log --export-tree`; for manifest.json, of the canonical
-# JSON of its "stages" only, because "versions" depends on the environment.
+# --points 3 --export-tree`; for manifest.json, of the canonical JSON of its
+# "stages" only, because "versions" depends on the environment.  "loss" is
+# the `epoch,mean_loss` CSV the train stage once wrote, rebuilt from the
+# manifest's `stages.train.loss_by_epoch`.
 PIPELINE_SHA256 = {
     "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
     "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
@@ -137,8 +135,8 @@ PIPELINE_SHA256 = {
     "curves_model8.csv": "d067d50a5719da929ccd9e987b0c84fd32880376e05609ca9c6803b5edbd4f8e",
     "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
-    "loss_log.csv": "e4e68a07325fa6f222bb934d5e675cb4107ed955464ec4696f3d894025797811",
-    "manifest.json": "d63dee6f995343b294419c86d0da5ef97ea442b66f6c4c47ff1f2e530f6811c1",
+    "loss": "e4e68a07325fa6f222bb934d5e675cb4107ed955464ec4696f3d894025797811",
+    "manifest.json": "d30bda99c639c3d34029523ea82662a3333557987b22007d4e5fcea1974ed8a5",
     "metrics.csv": "1f1a10c17daf05da6d303a2173007142732dbf76d63e4e423c472f09314c4f7a",
     "metrics_space.csv": "ebf5d38e00e71f092a7d90a8b3c86336acc505242c79e1671491af41eb951540",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
@@ -169,8 +167,15 @@ def pipeline_digests(outdir, *flags, papers=150):
     return digests
 
 
+def loss_csv(outdir):
+    losses = json.loads((outdir / "manifest.json").read_text())["stages"]["train"]["loss_by_epoch"]
+    return "epoch,mean_loss\n" + "".join(f"{e},{loss!r}\n" for e, loss in enumerate(losses, 1))
+
+
 def test_pipeline_output_matches_the_recorded_digests(tmp_path):
-    assert pipeline_digests(tmp_path, "--loss-log", "--export-tree") == PIPELINE_SHA256
+    digests = pipeline_digests(tmp_path, "--export-tree")
+    digests["loss"] = hashlib.sha256(loss_csv(tmp_path).encode()).hexdigest()
+    assert digests == PIPELINE_SHA256
 
 
 # The same digests for `pipeline --synth --papers 150 --dim 8 --epochs 2
@@ -189,7 +194,7 @@ EXCLUDE_SELF_SHA256 = {
     "curves_model8.csv": "e9d829d63d73fc56e02d0686d57820e983d1dd23348391b02e4c5c85762f4a50",
     "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
-    "manifest.json": "1bdb97e876e10d018fe156a3477d2605609d0fd3cd2190f6eb0bf2e7d5cc45d3",
+    "manifest.json": "2bbd4360e502b4f039699a2867bf59afe1643cbf08c434abd08a64f9e401426b",
     "metrics.csv": "780598781ce2604a91558f9724dc5a45aec5c7c310a6386e86882f4231b3ffb1",
     "metrics_space.csv": "9df755a83a9cc4bf248a9d7d4fe36a306350a51b1f2a607d532393c3d0cbb959",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
@@ -226,7 +231,7 @@ TABLE_PATH_SHA256 = {
     "curves_model8.csv": "a9d398af7060d46a46f4bf7069ab1a8f2856df0877138bc8bd581974fe8a1aac",
     "disruption.csv": "11c2e8c287580ccb4861e482fe58b1a5b565f6d90995522663542b8b061ea303",
     "embedding.txt": "3a87dc9d3250710035cc241d508f045d3e08f88c04bcedc51b1befa3ecf7ded2",
-    "manifest.json": "349b950f5e3d2f4e4c73be07b2e7ba39e5f98e5a72bf80df744898620ba637cf",
+    "manifest.json": "80476da286d847ad323f52a2fcec3d78da2c28c4c3b7669c13cfb66d181ddc90",
     "metrics.csv": "6b70d648d213fea0aad8ceb9ede1ac7dba2ce81d9c6da04c7a0da8fe531de7d5",
     "metrics_space.csv": "688aa93fd23a033520d63000353ca22ed304cd8ff9da2b1ed2e36e9ce9e9d828",
     "parse_report.json": "0007e4cfa5a3bb1719be2e0dc808aad13ec169cedc14a84c8d82a735a2f6a37c",

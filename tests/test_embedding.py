@@ -262,7 +262,7 @@ def seed_train(pairs, config):
     bound = 0.5 / config.dim
     w_in = rng.uniform(-bound, bound, size=(len(vocab), config.dim))
     w_out = rng.uniform(-bound, bound, size=(len(vocab), config.dim))
-    noise = np.array([counts[c] for c in vocab], dtype=np.float64) ** config.noise_exponent
+    noise = np.array([counts[c] for c in vocab], dtype=np.float64) ** embedding.NOISE_EXPONENT
     noise_cdf = np.cumsum(noise)
     noise_cdf /= noise_cdf[-1]
     pair_count = len(pair_list)
@@ -334,21 +334,26 @@ def test_chunked_trainer_matches_the_per_pair_loop_across_real_chunks():
     assert_matches_seed_trainer(random_pairs(3, pair_count, 4), config)
 
 
-# Digests of `train --loss-log` on the default 5k corpus (`synth`, `ingest`,
-# all options at their defaults), recorded with the per-pair trainer above.
+# Digests of `train` on the default 5k corpus (`synth`, `ingest`, all options
+# at their defaults), recorded with the per-pair trainer above.  The loss is
+# that of the `epoch,mean_loss` CSV the train stage once wrote beside the
+# embedding, rebuilt from the manifest's `stages.train.loss_by_epoch`.
 DEFAULT_TRAIN_SHA256 = {
     "embedding.txt": "1f2a2395e153619c0a399c6f28bf9c4c97adf344533d3bf848200b61ff9de04e",
-    "loss_log.csv": "15a59802ca02d23d130ed96e9c92a488d2e424b0a01ec4e97df9ebc4cf398968",
+    "loss": "15a59802ca02d23d130ed96e9c92a488d2e424b0a01ec4e97df9ebc4cf398968",
 }
 
 
 def test_default_train_outputs_match_the_recorded_digests(tmp_path):
     runner = CliRunner()
-    for args in (["synth"], ["ingest"], ["train", "--loss-log"]):
+    for args in (["synth"], ["ingest"], ["train"]):
         result = runner.invoke(main, args + ["--outdir", str(tmp_path)])
         assert result.exit_code == 0, result.stderr or result.output
+    losses = json.loads((tmp_path / "manifest.json").read_text())["stages"]["train"]["loss_by_epoch"]
+    loss_csv = "epoch,mean_loss\n" + "".join(f"{e},{loss!r}\n" for e, loss in enumerate(losses, 1))
+    outputs = {"embedding.txt": (tmp_path / "embedding.txt").read_bytes(), "loss": loss_csv.encode()}
     for name, digest in DEFAULT_TRAIN_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(outputs[name]).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------- cosine distance
