@@ -24,7 +24,6 @@ from typing import Iterator
 
 import click
 import numpy as np
-import scipy
 from click.core import ParameterSource
 
 from . import __version__
@@ -244,7 +243,6 @@ def _update_manifest(
         "knowspan": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "click": importlib.metadata.version("click"),
     }
     entry = {
@@ -404,16 +402,24 @@ def _table_rows(
 
 def _load_metrics_table(path: str) -> AnalysisTable:
     """The numeric columns of the merged metrics CSV; blanks → NaN.  A cell
-    that is not a number fails the stage with ``bad_artifact``."""
+    that is not a finite number fails the stage with ``bad_artifact``: the
+    stages never write inf or nan, and the analyses would drop its row as
+    missing."""
     header, *rows = _table_rows(path, "metrics")
     columns = {}
     for j, name in enumerate(header[1:], start=1):
         try:
-            columns[name] = np.array(
-                [float(row[j]) if row[j] != "" else math.nan for row in rows]
-            )
+            values = np.array([float(row[j]) if row[j] != "" else math.nan for row in rows])
         except ValueError as exc:
             _fail("bad_artifact", f"{path} column {name!r}: {exc}")
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            if rows[i][j] != "":
+                _fail(
+                    "bad_artifact",
+                    f"{path} column {name!r}: data row {i + 1} holds {rows[i][j]!r}, "
+                    "not a finite number",
+                )
+        columns[name] = values
     return AnalysisTable(columns)
 
 
@@ -1103,6 +1109,8 @@ def pipeline(opts: Options, outdir: str) -> None:
     use_synth = opts.ctx.params["use_synth"]  # from the command line only
     if use_synth and opts.ctx.params["input_path"] is not None:
         _fail("bad_arguments", "--input and --synth are mutually exclusive")
+    if not use_synth and opts.ctx.get_parameter_source("papers") == ParameterSource.COMMANDLINE:
+        _fail("bad_arguments", "--papers sizes the --synth corpus; it needs --synth")
     parse = _parse_config(opts)
     training = _training_config(opts)
     exclude_self, export_tree = opts.get("exclude_self"), opts.get("export_tree")

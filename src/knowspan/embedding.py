@@ -13,6 +13,7 @@ with one seed produce bit-identical matrices.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,17 +24,17 @@ import numpy as np
 from .corpus import Corpus, PacsCode
 
 
-def expit(x):
-    """The logistic function, ``scipy.special.expit``.
+def expit(x: float) -> float:
+    """The logistic function of one float, bit for bit ``scipy.special.expit``.
 
-    The first call imports it and rebinds this module's ``expit`` to the
-    ufunc itself, so later calls cost nothing extra and stages that never
-    train do not load ``scipy.special``.
+    Both evaluate ``1 / (1 + exp(-x))`` with the C library's ``exp``;
+    numpy's vectorised ``exp`` rounds differently on some machines, so it
+    would change the trained bytes.
     """
-    global expit
-    from scipy.special import expit
-
-    return expit(x)
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) is past the largest float: 1 / inf
+        return 0.0
 
 
 class MissingCodeError(KeyError):
@@ -168,7 +169,7 @@ def pair_gradients(
     """Analytic gradients of pair_loss w.r.t. center, context, and negatives."""
     negative_vecs = np.asarray(negative_vecs)
     p_pos = expit(float(context_vec @ center_vec))
-    p_neg = expit(negative_vecs @ center_vec)
+    p_neg = np.array([expit(s) for s in (negative_vecs @ center_vec).tolist()])
     g_context = (p_pos - 1.0) * center_vec
     g_negatives = p_neg[:, None] * center_vec[None, :]
     g_center = (p_pos - 1.0) * context_vec + p_neg @ negative_vecs
@@ -199,15 +200,18 @@ def _sgd_step(
     v = w_in[center]
     u = w_out.take(targets, axis=0)  # a copy, so u stays at pre-update values
     np.dot(u, v, out=scores)
-    err = expit(scores)
-    err[0] -= 1.0
-    err *= lr
+    probs = list(map(expit, scores.tolist()))
+    probs[0] -= 1.0
+    err = np.array([lr * p for p in probs])
     grad_center = np.dot(err, u)
+    # the outer product err v as a k=1 matrix product: each entry is one
+    # rounded product, as with broadcasting, at less call overhead
+    outer = np.dot(err[:, None], v[None, :])
     if distinct:  # write the updated copy back in one assignment
-        u -= err[:, None] * v
+        u -= outer
         w_out[targets] = u
     else:
-        np.subtract.at(w_out, targets, err[:, None] * v)
+        np.subtract.at(w_out, targets, outer)
     v -= grad_center
 
 

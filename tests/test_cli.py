@@ -612,6 +612,17 @@ def test_pipeline_checks_every_setting_before_its_first_stage(runner, tmp_path, 
     assert list(out.iterdir()) == []
 
 
+def test_pipeline_refuses_papers_without_synth(runner, tmp_path):
+    """--papers sizes only the --synth corpus; with --input it would be ignored."""
+    corpus = tmp_path / "corpus.jsonl"
+    tiny_corpus(corpus)
+    out = tmp_path / "run"
+    payload = run_fail(runner, ["pipeline", "--outdir", str(out), "--input", str(corpus), "--papers", "10"])
+    assert payload["error"] == "bad_arguments"
+    assert "--papers" in payload["message"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "stage, key, value, flag",
     [
@@ -656,7 +667,10 @@ def test_config_values_take_click_spellings_and_flags_win(runner, tmp_path):
     assert read_manifest(tmp_path)["stages"]["metrics"]["config"]["export_tree"] is True
 
 
-BAD_CELL_ROW = ["p1"] + ["abc" if c == "team_size" else "1.0" for c in METRIC_COLUMNS[1:]]
+def table_with_team_size(cell):
+    """A one-row metrics table whose team_size cell holds ``cell``."""
+    row = ["p1"] + [cell if c == "team_size" else "1.0" for c in METRIC_COLUMNS[1:]]
+    return ",".join(METRIC_COLUMNS) + "\n" + ",".join(row) + "\n"
 
 
 @pytest.mark.parametrize("stage", ["correlate", "regress", "curves"])
@@ -665,9 +679,12 @@ BAD_CELL_ROW = ["p1"] + ["abc" if c == "team_size" else "1.0" for c in METRIC_CO
     [
         (",".join(METRIC_COLUMNS) + "\np1,0.1\n", None),
         ("", None),
-        (",".join(METRIC_COLUMNS) + "\n" + ",".join(BAD_CELL_ROW) + "\n", "team_size"),
+        (table_with_team_size("abc"), "team_size"),
+        (table_with_team_size("inf"), "team_size"),
+        (table_with_team_size("-inf"), "team_size"),
+        (table_with_team_size("nan"), "team_size"),
     ],
-    ids=["short_row", "empty_file", "bad_cell"],
+    ids=["short_row", "empty_file", "bad_cell", "inf_cell", "minus_inf_cell", "nan_cell"],
 )
 def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, content, column):
     (tmp_path / "metrics.csv").write_text(content, encoding="utf-8")
@@ -835,38 +852,36 @@ def test_merge_refuses_tables_of_different_corpora(runner, tmp_path, stale):
         assert [row[0] for row in rows] == [json.loads(line)["id"] for line in fh]
 
 
-def probe_in_subprocess(code):
-    """stdout of ``python -c code`` with this package's source on the path."""
+# Runs the command line in a fresh interpreter in which every scipy import fails.
+WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from knowspan.cli import main; main()"
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: no stage imports any part of it."""
     import knowspan
 
     src = os.path.dirname(os.path.dirname(knowspan.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    return result.stdout.strip()
-
-
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    probe = "import sys, knowspan.cli; print('scipy.stats' in sys.modules)"
-    assert probe_in_subprocess(probe) == "False"
-
-
-def test_ingest_metrics_disrupt_and_curves_leave_scipy_special_unloaded(runner, tmp_path):
-    out = str(tmp_path)
-    run_ok(runner, ["synth", "--outdir", out, "--papers", "120"])
-    run_ok(runner, ["ingest", "--outdir", out])
-    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
-    probe = (
-        "import sys, knowspan.cli as cli\n"
-        "loaded = ['scipy.special' in sys.modules]\n"
-        "for stage in ('ingest', 'metrics', 'disrupt', 'curves'):\n"
-        f"    cli.main([stage, '--outdir', {out!r}], standalone_mode=False)\n"
-        "    loaded.append('scipy.special' in sys.modules)\n"
-        "print(loaded)"
-    )
-    assert probe_in_subprocess(probe) == "[False, False, False, False, False]"
-    assert len(list(tmp_path.glob("curves_model*.csv"))) == 8
+    out = str(tmp_path / "stages")
+    runs = [
+        ["synth", "--outdir", out, "--papers", "150"],
+        ["ingest", "--outdir", out],
+        ["train", "--outdir", out, *FAST_TRAIN],
+        ["metrics", "--outdir", out],
+        ["disrupt", "--outdir", out],
+        ["correlate", "--outdir", out],
+        ["regress", "--outdir", out],
+        ["curves", "--outdir", out],
+        ["pipeline", "--outdir", str(tmp_path / "pipeline"), "--synth", "--papers", "150", "--epochs", "1"],
+    ]
+    assert {args[0] for args in runs} == set(main.commands)
+    for args in runs:
+        result = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, *args], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, (args[0], result.stderr)
+    assert len(list((tmp_path / "stages").glob("regression_model*.csv"))) == 8
+    assert (tmp_path / "pipeline" / "correlations.csv").exists()
 
 
 def test_metrics_normalises_each_code_at_most_once(runner, tmp_path, monkeypatch):

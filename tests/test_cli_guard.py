@@ -124,7 +124,7 @@ def test_every_subcommand_keeps_its_option_surface():
 PIPELINE_SHA256 = {
     "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
     "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
-    "correlations.csv": "7fd65f74eebe852f483c2c51c9610341a9b333c9c2b30d731c175864b1ffbb24",
+    "correlations.csv": "aedbdd55825dea2b8e64fc72256de09283add411fd33bc4df5295403180fa4c0",
     "curves_model1.csv": "99a1d93014d1798bf047dab9761d5a3eb13918c614fade4d4f7b430f3c75cb0f",
     "curves_model2.csv": "a1cfcfe47606e7262ec08e2270ab9823802a9861b7ebbada27c4d60e548089f0",
     "curves_model3.csv": "472763b405e8689a1124b7a6c9b8cb6f6fb19f6db558980c1685b88c9f2565c1",
@@ -136,18 +136,18 @@ PIPELINE_SHA256 = {
     "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
     "loss": "e4e68a07325fa6f222bb934d5e675cb4107ed955464ec4696f3d894025797811",
-    "manifest.json": "d30bda99c639c3d34029523ea82662a3333557987b22007d4e5fcea1974ed8a5",
+    "manifest.json": "ff7b46ca156448abc55e19a2b436643d851eec2211e13cf23b855ecbd54f36ff",
     "metrics.csv": "1f1a10c17daf05da6d303a2173007142732dbf76d63e4e423c472f09314c4f7a",
     "metrics_space.csv": "ebf5d38e00e71f092a7d90a8b3c86336acc505242c79e1671491af41eb951540",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
-    "regression_model1.csv": "3e8ec4bb4cda91eb96fa21a5b34cfd486788f046be919b18982af68d43f59510",
-    "regression_model2.csv": "01b641c7fe20fb62f898f79f0df51d7ff95afa48307cb22b9501ea799897d497",
-    "regression_model3.csv": "0529739f53653fdb573bcd17da1af62e0c0e8fec6e397bb3bd70eaf30b58c4f9",
-    "regression_model4.csv": "3167ac4f6c188c5f8d156184ac6c0c883cbbb2d262d5633c8859a354a170602a",
-    "regression_model5.csv": "3e2b17fc24a3426adfe010b9005f462b96d395e1081697aa3bd76217e31ca1ef",
-    "regression_model6.csv": "6317a2a5ce322756a0d3a55c296c446022d4cf4794008fbe3df19870e0ad7091",
-    "regression_model7.csv": "1e49ae581c6d17544df8efbf7c20a575cbead3a0442667b0e007a9a861c095a8",
-    "regression_model8.csv": "aa0b19df046a76a31497a8651b98dfceec92725cbc62ba2dbbac374e6a60a76c",
+    "regression_model1.csv": "e0f043c9fce471f408560f6b2fcf17c227500226e5aa929c9166e80c4fc4d104",
+    "regression_model2.csv": "e9042cfe2184621e365379a9f4c036d004a09007f67a43c4c5c1dd38c89ba988",
+    "regression_model3.csv": "808bfe6bc24cc3322ff2c9541d01b64c6c77e8814ae075df4bfd01a78f360340",
+    "regression_model4.csv": "7b94929bc96dfece4e1d070c911d8db5818ea4b6e4abb0a7c33a74d158fb685c",
+    "regression_model5.csv": "83823e673612c98f81de39802c2a12351be5b3a3957239670a99b9183080c78f",
+    "regression_model6.csv": "d5f2390e2ed14a5a4a67d88fdadc31eab5529ced819553a99baea80dcae7728f",
+    "regression_model7.csv": "4f6bdb61ee5a5809330af5e62877c63c811874a0989abe7b16a412eae95a50bc",
+    "regression_model8.csv": "5c4f222d3f89ee44fd4ef3b3064164b0238a440afaf89203ba4c46a2514fc515",
     "tree_edges.csv": "54f2643e91d21e794c5d21d1acf5fcfd52bc48183db0f0fe0a23268255c50d17",
 }
 
@@ -183,7 +183,7 @@ def test_pipeline_output_matches_the_recorded_digests(tmp_path):
 EXCLUDE_SELF_SHA256 = {
     "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
     "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
-    "correlations.csv": "a9b326d80371c4084d50a16655f217c9bcb121428383c3bc0db81d98a1444409",
+    "correlations.csv": "4fe0dfa2bf14276084affb73a1d8d38c5a552cb4d092fb0a125cb4a049574b60",
     "curves_model1.csv": "99a1d93014d1798bf047dab9761d5a3eb13918c614fade4d4f7b430f3c75cb0f",
     "curves_model2.csv": "a1cfcfe47606e7262ec08e2270ab9823802a9861b7ebbada27c4d60e548089f0",
     "curves_model3.csv": "64ddc342c111a44245d49fc5b703ddeedf50f370081146a3e37af884e3d35c41",
@@ -194,18 +194,18 @@ EXCLUDE_SELF_SHA256 = {
     "curves_model8.csv": "e9d829d63d73fc56e02d0686d57820e983d1dd23348391b02e4c5c85762f4a50",
     "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
-    "manifest.json": "2bbd4360e502b4f039699a2867bf59afe1643cbf08c434abd08a64f9e401426b",
+    "manifest.json": "9dac7145717da56915b2a354da29c11eecd4b8c2afa30e9d231e90f651ffb97e",
     "metrics.csv": "780598781ce2604a91558f9724dc5a45aec5c7c310a6386e86882f4231b3ffb1",
     "metrics_space.csv": "9df755a83a9cc4bf248a9d7d4fe36a306350a51b1f2a607d532393c3d0cbb959",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
-    "regression_model1.csv": "3e8ec4bb4cda91eb96fa21a5b34cfd486788f046be919b18982af68d43f59510",
-    "regression_model2.csv": "01b641c7fe20fb62f898f79f0df51d7ff95afa48307cb22b9501ea799897d497",
-    "regression_model3.csv": "0c7008ebf3f0636af55d2f07dc4d4d8631dccf809c1c8cbe78fed766b8f91ad5",
-    "regression_model4.csv": "c55035765df983f26577404fdd7affb5917d213f8331cb5e6db808b8dfb032cc",
-    "regression_model5.csv": "3e2b17fc24a3426adfe010b9005f462b96d395e1081697aa3bd76217e31ca1ef",
-    "regression_model6.csv": "6317a2a5ce322756a0d3a55c296c446022d4cf4794008fbe3df19870e0ad7091",
-    "regression_model7.csv": "418db3d3fd33a15c2739e1687b56df2de9d8fab18f7a423efcdaee4ad6747e7f",
-    "regression_model8.csv": "6c744b2b018f1d65b2c708e21bb0a1858ddf9db39f7722800ab6b046807ad5a5",
+    "regression_model1.csv": "e0f043c9fce471f408560f6b2fcf17c227500226e5aa929c9166e80c4fc4d104",
+    "regression_model2.csv": "e9042cfe2184621e365379a9f4c036d004a09007f67a43c4c5c1dd38c89ba988",
+    "regression_model3.csv": "1d244a3a85c420acb2152176bdd15d75c382720834da77bd779a9d4a32762f85",
+    "regression_model4.csv": "c98cbfb8d0797ae81d56fc4188d99fe77db7a1514031a763ff9d69813804789b",
+    "regression_model5.csv": "83823e673612c98f81de39802c2a12351be5b3a3957239670a99b9183080c78f",
+    "regression_model6.csv": "d5f2390e2ed14a5a4a67d88fdadc31eab5529ced819553a99baea80dcae7728f",
+    "regression_model7.csv": "9ed316915e8d3730ef224ce9b82200fa1b21a9f70c7ecae70ff680f191a6c44b",
+    "regression_model8.csv": "dbceea575c37c401091a1d56eba3d08a1e50df157ef729ca0279d6632de5e1e2",
 }
 
 
@@ -220,7 +220,7 @@ def test_exclude_self_pipeline_output_matches_the_recorded_digests(tmp_path):
 TABLE_PATH_SHA256 = {
     "corpus.jsonl": "4b854ec471f57f09f696cd9d8ec9e8146a879a502f4aeb0750713b0b1bebc4c8",
     "corpus.parsed.jsonl": "4b854ec471f57f09f696cd9d8ec9e8146a879a502f4aeb0750713b0b1bebc4c8",
-    "correlations.csv": "c9b1f37da2649472dadf64a79c40d1a78f2338d822b211e12ed7f570acdca5c6",
+    "correlations.csv": "a0f3fc998b416f981206ff9202b76a75aaeb5a3450bc93e9cb777fd17f0a606b",
     "curves_model1.csv": "12f3cab6e19b3ec7b9cea2b8904f39d39eb81ec50c4092d59a5894c0afcb28aa",
     "curves_model2.csv": "c4b0c606068613b8da87cb1eb61f73219e19b70794d47c47387a0206ee46eecc",
     "curves_model3.csv": "48055d7bfc282e4feb4a0922fdd1920251c380b4031dbe2c3675114e2921ea10",
@@ -231,18 +231,18 @@ TABLE_PATH_SHA256 = {
     "curves_model8.csv": "a9d398af7060d46a46f4bf7069ab1a8f2856df0877138bc8bd581974fe8a1aac",
     "disruption.csv": "11c2e8c287580ccb4861e482fe58b1a5b565f6d90995522663542b8b061ea303",
     "embedding.txt": "3a87dc9d3250710035cc241d508f045d3e08f88c04bcedc51b1befa3ecf7ded2",
-    "manifest.json": "80476da286d847ad323f52a2fcec3d78da2c28c4c3b7669c13cfb66d181ddc90",
+    "manifest.json": "91f2af9ae9029ebe64c674a1d74f11a0a099ebb8e9f76b4156ad6c966b644130",
     "metrics.csv": "6b70d648d213fea0aad8ceb9ede1ac7dba2ce81d9c6da04c7a0da8fe531de7d5",
     "metrics_space.csv": "688aa93fd23a033520d63000353ca22ed304cd8ff9da2b1ed2e36e9ce9e9d828",
     "parse_report.json": "0007e4cfa5a3bb1719be2e0dc808aad13ec169cedc14a84c8d82a735a2f6a37c",
-    "regression_model1.csv": "1ce846721951b4909b3ef3cd70fe0ab2e66bae1d22fed4e37fe42bd268a66964",
-    "regression_model2.csv": "e59c691487bac92bd4fed3ad371fec18af9f3a6d9fa238d2c99984c977f1793c",
-    "regression_model3.csv": "bf024b290bc9ce76513dcd865426c9e0193d818bfc899fa3655acb7a20819e79",
-    "regression_model4.csv": "4bd00f3ace825720f419355efeabfc001c8460a8d147fd19099d9fcec5c63101",
-    "regression_model5.csv": "43981747bb2832a05b7b7a781e949125f6b8f944f052fe39d522a6aa67b9d4fe",
-    "regression_model6.csv": "9c1be0d8f2eb10a29ac4c04d8548e7dbe39ea0e6a04883b5cb0c034e1b5c5f76",
-    "regression_model7.csv": "43774737e2840eb495d1f63696948b2473bd53e178c4554e83c84dc1988b529e",
-    "regression_model8.csv": "80757bbb1328c3913721f601ab9e9b428747d42a56f16ca7f67f53d15034df35",
+    "regression_model1.csv": "8532434de985dc918b71b7ad245ffbaa34d679802e21ad9992cd6c88e73b833f",
+    "regression_model2.csv": "bb1225ff3bbacf1d94014f4dd05abaa91253b4856a6a8a33fb37851467979a36",
+    "regression_model3.csv": "bb1770a7b1dd7df78e60418b8f0fa9aca95d49e1f4ce26bd54c8176e5743bbb2",
+    "regression_model4.csv": "0e0044bd750e17b08cf5f88a71fd1620b043c304f3f09d795cc53a92affc72ae",
+    "regression_model5.csv": "eb675406718ce776e4c1dc9a540f7932c09dfc6e667f22e39fbfecf2151fa243",
+    "regression_model6.csv": "81f54b6734a6309745e5de54b9df8ababb4a5dc2203306e32b44b2676a204d09",
+    "regression_model7.csv": "89f3d0d6c8feb90847ca4effd145e2b87202acaac5aaf3e065e67e057c0e94bb",
+    "regression_model8.csv": "42d68b5dade177f2c12cfb45f40d64337df57673cc3ddab2a9cedcb16d97f2d2",
 }
 
 

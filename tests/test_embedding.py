@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -160,6 +160,34 @@ def test_padded_score_rows_give_the_unpadded_loss(width):
     losses = _pair_losses(scores, np.array([width, 20]))
     for loss, row in zip(losses, (scores[0, :width], scores[1])):
         assert loss == float(np.logaddexp(0.0, row).sum() - row[0])
+
+
+def float_bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+# Where exp(-x) leaves the doubles (|x| ~ 709.78), where the logistic leaves
+# them (x ~ -745.13), subnormals, and the values scipy treats specially.
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(), st.floats(-800.0, 800.0), st.floats(-1e-300, 1e-300)))
+@example(709.78)
+@example(-709.78)
+@example(709.79)
+@example(-709.79)
+@example(745.2)
+@example(-745.2)
+@example(-745.13)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(-2.2250738585072014e-308)
+@example(0.0)
+@example(-0.0)
+@example(np.inf)
+@example(-np.inf)
+@example(np.nan)
+def test_logistic_equals_scipy_expit_bit_for_bit(x):
+    assert float_bits(embedding.expit(x)) == float_bits(expit(x))
 
 
 # ---------------------------------------------------------------- training

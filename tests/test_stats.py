@@ -107,20 +107,57 @@ def test_pearson_p_value_matches_t_transform():
     assert p == pytest.approx(2 * student_t.sf(t_stat, df), rel=1e-12)
 
 
-@pytest.mark.parametrize("df", [1, 3, 10, 100, 4998, 159984])
-def test_t_survival_equals_scipy_stats_exactly(df):
-    from scipy.stats import t as student_t
+# 10**7: the continued fraction alone is off by about 7.5e-10 there
+T_SF_DF = [1, 2, 3, 10, 100, 4998, 9990, 159984, 10**6, 10**7]
+T_SF_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
+
+def t_sf_inputs(df):
+    """Fixed points, draws from the distribution itself, and |t| up to 40."""
     rng = np.random.default_rng(df)
-    x = np.concatenate(
+    return np.concatenate(
         (
-            [0.0, -0.0, 1e-300, 0.5, 1.96, 40.0, 1e300, np.inf, -np.inf, np.nan, -3.0],
-            np.abs(rng.standard_t(df, size=200)),
-            rng.normal(scale=30.0, size=50),
+            [1e-300, 1e-8, 0.5, 1.0, 1.96, 40.0, 1e300, -3.0, -1e-8],
+            np.abs(rng.standard_t(df, size=60)),
+            rng.uniform(-40.0, 40.0, size=30),
         )
     )
-    np.testing.assert_array_equal(_t_sf(x, df), student_t.sf(x, df))
-    for value in x[:11]:
+
+
+def mp_t_sf(t, df):
+    """P(T > t) at 50 digits: ½ I_x(df/2, ½), x = df / (df + t²)."""
+    with mp.workdps(50):
+        t, df = mp.mpf(t), mp.mpf(df)
+        half_tail = mp.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
+        return half_tail if t > 0 else 1 - half_tail
+
+
+@pytest.mark.parametrize("df", T_SF_DF)
+def test_t_survival_is_within_1e_10_of_a_50_digit_oracle(df):
+    """The stated tolerance of the in-house t tail, wherever p >= 1e-290."""
+    x = t_sf_inputs(df)
+    tails = _t_sf(x, df)
+    checked = 0
+    for t, tail in zip(x.tolist(), tails.tolist()):
+        exact = mp_t_sf(t, df)
+        if exact >= 1e-290:
+            assert abs(tail - exact) <= 1e-10 * exact, t
+            checked += 1
+    assert checked >= 80
+    for i in range(9):  # a scalar gives the array's value
+        assert _t_sf(x[i], df) == tails[i]
+
+
+@pytest.mark.parametrize("df", T_SF_DF)
+def test_t_survival_is_within_1e_8_of_scipy_stats(df):
+    """scipy.stats.t.sf itself is about 3e-9 off at df = 1, t = 1e-8."""
+    from scipy.stats import t as student_t
+
+    x = np.concatenate((t_sf_inputs(df), np.random.default_rng(df).normal(scale=30.0, size=50)))
+    np.testing.assert_allclose(_t_sf(x, df), student_t.sf(x, df), rtol=1e-8, atol=1e-300)
+    special = np.array(T_SF_SPECIAL)
+    np.testing.assert_array_equal(_t_sf(special, df), student_t.sf(special, df))
+    for value in T_SF_SPECIAL:
         np.testing.assert_array_equal(_t_sf(value, df), student_t.sf(value, df))
 
 
