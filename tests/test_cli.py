@@ -852,16 +852,51 @@ def test_merge_refuses_tables_of_different_corpora(runner, tmp_path, stale):
         assert [row[0] for row in rows] == [json.loads(line)["id"] for line in fh]
 
 
+def subprocess_env():
+    """The environment with this package's source on the path."""
+    import knowspan
+
+    src = os.path.dirname(os.path.dirname(knowspan.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def probe_in_subprocess(code):
+    """stdout of ``python -c code`` with this package's source on the path."""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), check=True
+    )
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    probe = "import sys, knowspan.cli; print('scipy.stats' in sys.modules)"
+    assert probe_in_subprocess(probe) == "False"
+
+
+def test_ingest_metrics_disrupt_and_curves_leave_scipy_special_unloaded(runner, tmp_path):
+    out = str(tmp_path)
+    run_ok(runner, ["synth", "--outdir", out, "--papers", "120"])
+    run_ok(runner, ["ingest", "--outdir", out])
+    run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
+    probe = (
+        "import sys, knowspan.cli as cli\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        "for stage in ('ingest', 'metrics', 'disrupt', 'curves'):\n"
+        f"    cli.main([stage, '--outdir', {out!r}], standalone_mode=False)\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
+        "print(loaded)"
+    )
+    assert probe_in_subprocess(probe) == "[False, False, False, False, False]"
+    assert len(list(tmp_path.glob("curves_model*.csv"))) == 8
+
+
 # Runs the command line in a fresh interpreter in which every scipy import fails.
 WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from knowspan.cli import main; main()"
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
     """scipy is a test-only dependency: no stage imports any part of it."""
-    import knowspan
-
-    src = os.path.dirname(os.path.dirname(knowspan.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = subprocess_env()
     out = str(tmp_path / "stages")
     runs = [
         ["synth", "--outdir", out, "--papers", "150"],
