@@ -124,7 +124,7 @@ def test_every_subcommand_keeps_its_option_surface():
 PIPELINE_SHA256 = {
     "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
     "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
-    "correlations.csv": "aedbdd55825dea2b8e64fc72256de09283add411fd33bc4df5295403180fa4c0",
+    "correlations.csv": "e1bc4ec7d4ea2ffed54d81304e9b38ef07ec170a050bda86dfed7bf94d69c5ab",
     "curves_model1.csv": "99a1d93014d1798bf047dab9761d5a3eb13918c614fade4d4f7b430f3c75cb0f",
     "curves_model2.csv": "a1cfcfe47606e7262ec08e2270ab9823802a9861b7ebbada27c4d60e548089f0",
     "curves_model3.csv": "472763b405e8689a1124b7a6c9b8cb6f6fb19f6db558980c1685b88c9f2565c1",
@@ -136,18 +136,18 @@ PIPELINE_SHA256 = {
     "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
     "loss": "e4e68a07325fa6f222bb934d5e675cb4107ed955464ec4696f3d894025797811",
-    "manifest.json": "ff7b46ca156448abc55e19a2b436643d851eec2211e13cf23b855ecbd54f36ff",
+    "manifest.json": "81c7b0220c6c3643012b74f099d5cab6e08eef64b3f86f0d6b8723ecba2cca33",
     "metrics.csv": "1f1a10c17daf05da6d303a2173007142732dbf76d63e4e423c472f09314c4f7a",
     "metrics_space.csv": "ebf5d38e00e71f092a7d90a8b3c86336acc505242c79e1671491af41eb951540",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
-    "regression_model1.csv": "e0f043c9fce471f408560f6b2fcf17c227500226e5aa929c9166e80c4fc4d104",
-    "regression_model2.csv": "e9042cfe2184621e365379a9f4c036d004a09007f67a43c4c5c1dd38c89ba988",
-    "regression_model3.csv": "808bfe6bc24cc3322ff2c9541d01b64c6c77e8814ae075df4bfd01a78f360340",
-    "regression_model4.csv": "7b94929bc96dfece4e1d070c911d8db5818ea4b6e4abb0a7c33a74d158fb685c",
-    "regression_model5.csv": "83823e673612c98f81de39802c2a12351be5b3a3957239670a99b9183080c78f",
-    "regression_model6.csv": "d5f2390e2ed14a5a4a67d88fdadc31eab5529ced819553a99baea80dcae7728f",
-    "regression_model7.csv": "4f6bdb61ee5a5809330af5e62877c63c811874a0989abe7b16a412eae95a50bc",
-    "regression_model8.csv": "5c4f222d3f89ee44fd4ef3b3064164b0238a440afaf89203ba4c46a2514fc515",
+    "regression_model1.csv": "93166ccb81312bc7daf4fe2a66b4dc6a92d0137a261c51e2fb3bd41ba6a136ce",
+    "regression_model2.csv": "2053a040e0e04ed6d1d1a146ea4cd307e3e20f2593bf25d56c8e7e6089925d0a",
+    "regression_model3.csv": "a86c8c3e858de3a74beea40f0947da077b878db184dc0bfb47edf2e278f72e0a",
+    "regression_model4.csv": "16b10e378341046584afe773a5ff6dd40a17a26eb95c1e3aa4e6a38b57861018",
+    "regression_model5.csv": "2997f465ffb27efcdb99b180e3305df709b854dae3639c541acfecca26857669",
+    "regression_model6.csv": "e876195b7377273c34cbe9e52eabf4fad6042c4721b26911e7a882f607d0b149",
+    "regression_model7.csv": "9a7acc09850dfeab43af14a211b252170e7aafc9743cfcbf6ed9e48f0f47e15f",
+    "regression_model8.csv": "42086739967b0984825e659ec528b3e12e67a01f5398f44b708d25c99dce0e7e",
     "tree_edges.csv": "54f2643e91d21e794c5d21d1acf5fcfd52bc48183db0f0fe0a23268255c50d17",
 }
 
@@ -183,7 +183,7 @@ def test_pipeline_output_matches_the_recorded_digests(tmp_path):
 EXCLUDE_SELF_SHA256 = {
     "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
     "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
-    "correlations.csv": "4fe0dfa2bf14276084affb73a1d8d38c5a552cb4d092fb0a125cb4a049574b60",
+    "correlations.csv": "d969434ab1aefd6cf7818cd2ee60c2ea60325d9b379cdb023d78105c6b6661f2",
     "curves_model1.csv": "99a1d93014d1798bf047dab9761d5a3eb13918c614fade4d4f7b430f3c75cb0f",
     "curves_model2.csv": "a1cfcfe47606e7262ec08e2270ab9823802a9861b7ebbada27c4d60e548089f0",
     "curves_model3.csv": "64ddc342c111a44245d49fc5b703ddeedf50f370081146a3e37af884e3d35c41",
@@ -194,18 +194,18 @@ EXCLUDE_SELF_SHA256 = {
     "curves_model8.csv": "e9d829d63d73fc56e02d0686d57820e983d1dd23348391b02e4c5c85762f4a50",
     "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
-    "manifest.json": "9dac7145717da56915b2a354da29c11eecd4b8c2afa30e9d231e90f651ffb97e",
+    "manifest.json": "2053ee9551101a92338afe17fbddb2951e12bef2f02dba526028c3ca37d54296",
     "metrics.csv": "780598781ce2604a91558f9724dc5a45aec5c7c310a6386e86882f4231b3ffb1",
     "metrics_space.csv": "9df755a83a9cc4bf248a9d7d4fe36a306350a51b1f2a607d532393c3d0cbb959",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
-    "regression_model1.csv": "e0f043c9fce471f408560f6b2fcf17c227500226e5aa929c9166e80c4fc4d104",
-    "regression_model2.csv": "e9042cfe2184621e365379a9f4c036d004a09007f67a43c4c5c1dd38c89ba988",
-    "regression_model3.csv": "1d244a3a85c420acb2152176bdd15d75c382720834da77bd779a9d4a32762f85",
-    "regression_model4.csv": "c98cbfb8d0797ae81d56fc4188d99fe77db7a1514031a763ff9d69813804789b",
-    "regression_model5.csv": "83823e673612c98f81de39802c2a12351be5b3a3957239670a99b9183080c78f",
-    "regression_model6.csv": "d5f2390e2ed14a5a4a67d88fdadc31eab5529ced819553a99baea80dcae7728f",
-    "regression_model7.csv": "9ed316915e8d3730ef224ce9b82200fa1b21a9f70c7ecae70ff680f191a6c44b",
-    "regression_model8.csv": "dbceea575c37c401091a1d56eba3d08a1e50df157ef729ca0279d6632de5e1e2",
+    "regression_model1.csv": "93166ccb81312bc7daf4fe2a66b4dc6a92d0137a261c51e2fb3bd41ba6a136ce",
+    "regression_model2.csv": "2053a040e0e04ed6d1d1a146ea4cd307e3e20f2593bf25d56c8e7e6089925d0a",
+    "regression_model3.csv": "36eabc1009f31521767837e7145bf76e83e2a9da191bcac55b9f717b8d6c70ed",
+    "regression_model4.csv": "2c49a386d3e8c2bda2a6e52d33cf6b176a5c49fe7f8fbd937875fd3bab0571f7",
+    "regression_model5.csv": "2997f465ffb27efcdb99b180e3305df709b854dae3639c541acfecca26857669",
+    "regression_model6.csv": "e876195b7377273c34cbe9e52eabf4fad6042c4721b26911e7a882f607d0b149",
+    "regression_model7.csv": "7df34596ce8543ba561685fcb8cd8c7869a6d34d6747caac86251b71ba9d3eb7",
+    "regression_model8.csv": "b495e4368c1401aa328020773fabbf17c3b2f9048011f54ece7d02f0a1a0bfe3",
 }
 
 
@@ -220,7 +220,7 @@ def test_exclude_self_pipeline_output_matches_the_recorded_digests(tmp_path):
 TABLE_PATH_SHA256 = {
     "corpus.jsonl": "4b854ec471f57f09f696cd9d8ec9e8146a879a502f4aeb0750713b0b1bebc4c8",
     "corpus.parsed.jsonl": "4b854ec471f57f09f696cd9d8ec9e8146a879a502f4aeb0750713b0b1bebc4c8",
-    "correlations.csv": "a0f3fc998b416f981206ff9202b76a75aaeb5a3450bc93e9cb777fd17f0a606b",
+    "correlations.csv": "21255cefaf8ee9e0011b6e1e252b6fb66aeb309094f8cb53c0c69c62ecbddc0a",
     "curves_model1.csv": "12f3cab6e19b3ec7b9cea2b8904f39d39eb81ec50c4092d59a5894c0afcb28aa",
     "curves_model2.csv": "c4b0c606068613b8da87cb1eb61f73219e19b70794d47c47387a0206ee46eecc",
     "curves_model3.csv": "48055d7bfc282e4feb4a0922fdd1920251c380b4031dbe2c3675114e2921ea10",
@@ -231,18 +231,18 @@ TABLE_PATH_SHA256 = {
     "curves_model8.csv": "a9d398af7060d46a46f4bf7069ab1a8f2856df0877138bc8bd581974fe8a1aac",
     "disruption.csv": "11c2e8c287580ccb4861e482fe58b1a5b565f6d90995522663542b8b061ea303",
     "embedding.txt": "3a87dc9d3250710035cc241d508f045d3e08f88c04bcedc51b1befa3ecf7ded2",
-    "manifest.json": "91f2af9ae9029ebe64c674a1d74f11a0a099ebb8e9f76b4156ad6c966b644130",
+    "manifest.json": "ed335db1d64a85a4e91d27c8835574ba00c27bbf7567091f28618596eb94a46b",
     "metrics.csv": "6b70d648d213fea0aad8ceb9ede1ac7dba2ce81d9c6da04c7a0da8fe531de7d5",
     "metrics_space.csv": "688aa93fd23a033520d63000353ca22ed304cd8ff9da2b1ed2e36e9ce9e9d828",
     "parse_report.json": "0007e4cfa5a3bb1719be2e0dc808aad13ec169cedc14a84c8d82a735a2f6a37c",
-    "regression_model1.csv": "8532434de985dc918b71b7ad245ffbaa34d679802e21ad9992cd6c88e73b833f",
-    "regression_model2.csv": "bb1225ff3bbacf1d94014f4dd05abaa91253b4856a6a8a33fb37851467979a36",
-    "regression_model3.csv": "bb1770a7b1dd7df78e60418b8f0fa9aca95d49e1f4ce26bd54c8176e5743bbb2",
-    "regression_model4.csv": "0e0044bd750e17b08cf5f88a71fd1620b043c304f3f09d795cc53a92affc72ae",
-    "regression_model5.csv": "eb675406718ce776e4c1dc9a540f7932c09dfc6e667f22e39fbfecf2151fa243",
-    "regression_model6.csv": "81f54b6734a6309745e5de54b9df8ababb4a5dc2203306e32b44b2676a204d09",
-    "regression_model7.csv": "89f3d0d6c8feb90847ca4effd145e2b87202acaac5aaf3e065e67e057c0e94bb",
-    "regression_model8.csv": "42d68b5dade177f2c12cfb45f40d64337df57673cc3ddab2a9cedcb16d97f2d2",
+    "regression_model1.csv": "cc64efb00c59b44acbacedf4e57fb7762046903620215e7abc89ef39a55659a0",
+    "regression_model2.csv": "851a8036b7906ce82df8474ef417c153098ca86982d4531acc99927a9cf27bf0",
+    "regression_model3.csv": "2a4660f693248e8828f83f0f8f405a79377ab786e894b23eb91387e8f47c59d8",
+    "regression_model4.csv": "a2c399a787992d96b3c1c280f3d5930654319733a599c529fa184929aef8e4bb",
+    "regression_model5.csv": "b51c2d5665adc5a75252e68a08f93c3342e388fd8cc54edb78f7fa2aabef61bf",
+    "regression_model6.csv": "379e2d2610d61a145437eb24e403196120d19042a76f778ee689946ae99fb097",
+    "regression_model7.csv": "1f7989f7220ba4e8e10eb094e1505a400d85f364ac8e9e67d81048ed89e0d281",
+    "regression_model8.csv": "4aa3ec7574c0cdb6f729689ee12c8d07960119346c58b0ec9d7cf0fdf353ff71",
 }
 
 
