@@ -8,13 +8,13 @@ from .corpus import (
     Corpus,
     CorpusError,
     InvalidCodeError,
-    PacsCode,
     Paper,
     ParseConfig,
     ParseReport,
     build_citation_graph,
     citation_count,
     log_citation_count,
+    parse_code,
     parse_corpus,
     team_size,
 )

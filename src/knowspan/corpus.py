@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -24,53 +25,23 @@ class CorpusError(ValueError):
     """Corpus-level failure: duplicate paper id or an empty parse result."""
 
 
-@dataclass(frozen=True)
-class PacsCode:
-    """A six-character hierarchical category code, canonically ``dd.dd.cc``.
+def parse_code(text: str, pad_short: bool = False) -> tuple[str, bool]:
+    """A code's canonical ``dd.dd.cc`` text, and whether it was padded.
 
-    The six significant characters define a five-step ancestry chain below a
-    shared root: first character, first two, first three, first four, and the
-    full code.
+    With ``pad_short``, codes attested at coarser granularity (four or five
+    significant characters) are padded to leaf length with a reserved filler
+    character.  The text is interned, so equal codes are one object.
     """
-
-    raw: str
-
-    @classmethod
-    def parse(cls, text: str, pad_short: bool = False) -> tuple["PacsCode", bool]:
-        """Canonicalize ``text``; returns the code and whether it was padded.
-
-        With ``pad_short``, codes attested at coarser granularity (four or
-        five significant characters) are padded to leaf length with a
-        reserved filler character.
-        """
-        compact = text.strip().replace(".", "")
-        padded = False
-        if pad_short and 4 <= len(compact) < 6:
-            compact = compact.ljust(6, PAD_CHAR)
-            padded = True
-        if len(compact) != 6 or any(ch.isspace() for ch in compact):
-            raise InvalidCodeError(
-                f"category code {text!r} does not have 6 significant characters"
-            )
-        return cls(f"{compact[:2]}.{compact[2:4]}.{compact[4:6]}"), padded
-
-    @classmethod
-    def from_text(cls, text: str) -> "PacsCode":
-        code, _ = cls.parse(text)
-        return code
-
-    @property
-    def compact(self) -> str:
-        return self.raw.replace(".", "")
-
-    @property
-    def levels(self) -> tuple[str, str, str, str, str]:
-        """Ancestry labels from the coarsest split down to the full code."""
-        c = self.compact
-        return (c[:1], c[:2], c[:3], c[:4], c)
-
-    def __str__(self) -> str:
-        return self.raw
+    compact = text.strip().replace(".", "")
+    padded = False
+    if pad_short and 4 <= len(compact) < 6:
+        compact = compact.ljust(6, PAD_CHAR)
+        padded = True
+    if len(compact) != 6 or any(ch.isspace() for ch in compact):
+        raise InvalidCodeError(
+            f"category code {text!r} does not have 6 significant characters"
+        )
+    return sys.intern(f"{compact[:2]}.{compact[2:4]}.{compact[4:6]}"), padded
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +49,7 @@ class Paper:
     id: str
     year: int
     journal: str
-    pacs_codes: tuple[PacsCode, ...]
+    pacs_codes: tuple[str, ...]  # canonical code texts
     author_count: int
     n_pages: int
     title_length: int
@@ -90,7 +61,7 @@ class Paper:
             "id": self.id,
             "year": self.year,
             "journal": self.journal,
-            "pacs_codes": [c.raw for c in self.pacs_codes],
+            "pacs_codes": list(self.pacs_codes),
             "author_count": self.author_count,
             "n_pages": self.n_pages,
             "title_length": self.title_length,
@@ -150,12 +121,8 @@ class Corpus:
     def __iter__(self) -> Iterator[Paper]:
         return iter(self.papers.values())
 
-    def distinct_codes(self) -> list[PacsCode]:
-        seen: dict[PacsCode, None] = {}
-        for paper in self.papers.values():
-            for code in paper.pacs_codes:
-                seen[code] = None
-        return sorted(seen, key=lambda c: c.raw)
+    def distinct_codes(self) -> list[str]:
+        return sorted({code for paper in self.papers.values() for code in paper.pacs_codes})
 
     def paper_age(self, paper: Paper) -> int:
         """Whole years between publication and the dataset end year."""
@@ -178,11 +145,11 @@ def _record_to_paper(
     obj: object,
     config: ParseConfig,
     report: ParseReport,
-    parsed_codes: dict[str, tuple[PacsCode, bool]],
+    parsed_codes: dict[str, tuple[str, bool]],
     papers: dict[str, Paper],
 ) -> Paper:
-    """One validated paper; ``parsed_codes`` memoises ``PacsCode.parse`` by
-    raw text across the records of one parse, so papers share code objects.
+    """One validated paper; ``parsed_codes`` memoises ``parse_code`` by raw
+    text across the records of one parse.
 
     A reference to a paper already in ``papers`` (the papers parsed so far)
     is that paper's own id string, so the two share one object."""
@@ -211,7 +178,7 @@ def _record_to_paper(
     raw_codes = obj["pacs_codes"]
     if not isinstance(raw_codes, list):
         raise _SkipRecord("invalid_code")
-    codes: dict[str, PacsCode] = {}  # canonical text -> code
+    codes: dict[str, None] = {}  # the distinct codes in record order
     padded_here = 0
     for raw in raw_codes:
         if not isinstance(raw, str):
@@ -219,17 +186,17 @@ def _record_to_paper(
         parsed = parsed_codes.get(raw)
         if parsed is None:
             try:
-                parsed = PacsCode.parse(raw, pad_short=config.pad_short_codes)
+                parsed = parse_code(raw, pad_short=config.pad_short_codes)
             except InvalidCodeError:
                 raise _SkipRecord("invalid_code") from None
             parsed_codes[raw] = parsed
         code, padded = parsed
         padded_here += padded
-        if code.raw in codes:
+        if code in codes:
             # counted even when a later code skips the record
             report.duplicate_codes_removed += 1
         else:
-            codes[code.raw] = code
+            codes[code] = None
     if not codes:
         raise _SkipRecord("no_codes")
 
@@ -274,7 +241,7 @@ def _record_to_paper(
         id=paper_id,
         year=year,
         journal=journal,
-        pacs_codes=tuple(codes.values()),
+        pacs_codes=tuple(codes),
         author_count=author_count,
         n_pages=n_pages,
         title_length=title_length,
@@ -294,7 +261,7 @@ def parse_corpus(
     config = config or ParseConfig()
     report = ParseReport()
     papers: dict[str, Paper] = {}
-    parsed_codes: dict[str, tuple[PacsCode, bool]] = {}
+    parsed_codes: dict[str, tuple[str, bool]] = {}
     for line in lines:
         line = line.strip()
         if not line:

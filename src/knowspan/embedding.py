@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, PacsCode
+from .corpus import Corpus, parse_code
 
 
 def expit(x: float) -> float:
@@ -40,12 +40,12 @@ def expit(x: float) -> float:
 class MissingCodeError(KeyError):
     """Lookup of a code absent from the trained vocabulary."""
 
-    def __init__(self, code: PacsCode):
-        super().__init__(code.raw)
+    def __init__(self, code: str):
+        super().__init__(code)
         self.code = code
 
     def __str__(self) -> str:
-        return f"code {self.code.raw!r} is not in the embedding vocabulary"
+        return f"code {self.code!r} is not in the embedding vocabulary"
 
 
 # word2vec's noise exponent (Mikolov et al., NeurIPS 2013)
@@ -87,32 +87,31 @@ class EmbeddingMatrix:
     """
 
     dim: int
-    vocabulary: tuple[PacsCode, ...]
-    vectors: dict[PacsCode, np.ndarray]
-    frequencies: dict[PacsCode, int] = field(default_factory=dict)
+    vocabulary: tuple[str, ...]
+    vectors: dict[str, np.ndarray]
+    frequencies: dict[str, int] = field(default_factory=dict)
     loss_by_epoch: tuple[float, ...] = ()
-    # each code normalised so far, by code text (PacsCode hashes are not
-    # cached): its slot in the table and its direction_and_norm
+    # each code normalised so far: its slot in the table and its direction_and_norm
     _seen: dict[str, tuple[int, tuple[np.ndarray, float]]] = _cache_field(default_factory=dict)
     _terms_summed: int = _cache_field(default=0)
     _table: list[list[float | None]] | None = _cache_field(default=None)
 
-    def __contains__(self, code: PacsCode) -> bool:
+    def __contains__(self, code: str) -> bool:
         return code in self.vectors
 
-    def __getitem__(self, code: PacsCode) -> np.ndarray:
+    def __getitem__(self, code: str) -> np.ndarray:
         try:
             return self.vectors[code]
         except KeyError:
             raise MissingCodeError(code) from None
 
-    def _normalised(self, code: PacsCode) -> tuple[int, tuple[np.ndarray, float]]:
-        seen = self._seen.get(code.raw)
+    def _normalised(self, code: str) -> tuple[int, tuple[np.ndarray, float]]:
+        seen = self._seen.get(code)
         if seen is None:
-            seen = self._seen[code.raw] = (len(self._seen), direction_and_norm(self[code]))
+            seen = self._seen[code] = (len(self._seen), direction_and_norm(self[code]))
         return seen
 
-    def mean_pair_distance(self, codes: Sequence[PacsCode]) -> float:
+    def mean_pair_distance(self, codes: Sequence[str]) -> float:
         """Mean ``cosine_distance``, bit for bit, over the pairs i < j of two
         or more codes, summed in pair order.
 
@@ -142,7 +141,7 @@ class EmbeddingMatrix:
         return total / n_terms
 
 
-def build_training_pairs(corpus: Corpus) -> Iterator[tuple[PacsCode, PacsCode]]:
+def build_training_pairs(corpus: Corpus) -> Iterator[tuple[str, str]]:
     """All ordered co-occurrence pairs: m*(m-1) per paper with m codes."""
     for paper in corpus.papers.values():
         codes = paper.pacs_codes
@@ -256,7 +255,7 @@ def _draw_targets(
 
 
 def train_embeddings(
-    pairs: Iterable[tuple[PacsCode, PacsCode]], config: TrainingConfig | None = None
+    pairs: Iterable[tuple[str, str]], config: TrainingConfig | None = None
 ) -> EmbeddingMatrix:
     """Train input/output vector tables by SGD over the given pair stream.
 
@@ -270,20 +269,15 @@ def train_embeddings(
     ``_CHUNK_PAIRS`` pairs, with results identical to doing it per pair.
     """
     config = config or TrainingConfig()
-    # Count and index by code text (center, context, center, ...): str hashes
-    # are cached, PacsCode hashes are not.  ``code_of`` keeps the first code
-    # object seen with each text.
-    code_of: dict[str, PacsCode] = {}
-    texts = [code_of.setdefault(code.raw, code).raw for pair in pairs for code in pair]
-    if not texts:
+    slots = [code for pair in pairs for code in pair]  # center, context, center, ...
+    if not slots:
         raise ValueError("no training pairs: no paper carries two or more codes")
-    counts = Counter(texts)
+    counts = Counter(slots)
     if len(counts) < 2:
         raise ValueError("vocabulary must contain at least two codes")
 
-    vocab_texts = sorted(counts, key=lambda text: (-counts[text], text))
-    vocab = tuple(code_of[text] for text in vocab_texts)
-    index = {text: i for i, text in enumerate(vocab_texts)}
+    vocab = tuple(sorted(counts, key=lambda code: (-counts[code], code)))
+    index = {code: i for i, code in enumerate(vocab)}
     n_vocab = len(vocab)
     dim = config.dim
 
@@ -292,11 +286,11 @@ def train_embeddings(
     w_in = rng.uniform(-bound, bound, size=(n_vocab, dim))
     w_out = rng.uniform(-bound, bound, size=(n_vocab, dim))
 
-    noise = np.array([counts[t] for t in vocab_texts], dtype=np.float64) ** NOISE_EXPONENT
+    noise = np.array([counts[code] for code in vocab], dtype=np.float64) ** NOISE_EXPONENT
     noise_cdf = np.cumsum(noise)
     noise_cdf /= noise_cdf[-1]
 
-    ids = np.fromiter(map(index.__getitem__, texts), dtype=np.int64, count=len(texts))
+    ids = np.fromiter(map(index.__getitem__, slots), dtype=np.int64, count=len(slots))
     centers, contexts = ids[0::2], ids[1::2]
     pair_count = len(centers)
 
@@ -340,7 +334,7 @@ def train_embeddings(
         dim=dim,
         vocabulary=vocab,
         vectors=vectors,
-        frequencies={code_of[text]: n for text, n in counts.items()},
+        frequencies=dict(counts),
         loss_by_epoch=tuple(losses),
     )
 
@@ -393,7 +387,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
         fh.write(f"dim={matrix.dim} vocab={len(matrix.vocabulary)}\n")
         for code in matrix.vocabulary:
             vec = matrix.vectors[code]
-            fh.write(code.raw + " " + " ".join(map(repr, vec.tolist())) + "\n")
+            fh.write(code + " " + " ".join(map(repr, vec.tolist())) + "\n")
 
 
 def load_embeddings(path: str) -> EmbeddingMatrix:
@@ -404,20 +398,20 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
             n_vocab = int(header[1].removeprefix("vocab="))
         except (IndexError, ValueError):
             raise ValueError(f"malformed embedding header in {path!r}") from None
-        vocab: list[PacsCode] = []
-        vectors: dict[PacsCode, np.ndarray] = {}
+        vocab: list[str] = []
+        vectors: dict[str, np.ndarray] = {}
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            code = PacsCode.from_text(parts[0])
+            code, _ = parse_code(parts[0])
             if code in vectors:
-                raise ValueError(f"code {code.raw!r} has more than one row")
+                raise ValueError(f"code {code!r} has more than one row")
             values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             if values.shape != (dim,):
-                raise ValueError(f"vector for {code.raw!r} does not have dim={dim}")
+                raise ValueError(f"vector for {code!r} does not have dim={dim}")
             if not np.isfinite(values).all():
-                raise ValueError(f"vector for {code.raw!r} has a non-finite coordinate")
+                raise ValueError(f"vector for {code!r} has a non-finite coordinate")
             vocab.append(code)
             vectors[code] = values
     if len(vocab) != n_vocab:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import PacsCode
+from .corpus import parse_code
 
 MAX_TEAM = 25
 
@@ -72,9 +72,9 @@ class SynthConfig:
             raise ValueError("citation_density must be nonnegative")
 
 
-def block_of_code(code: PacsCode) -> int:
+def block_of_code(code: str) -> int:
     """Block index of a generated code (its leading discipline digit)."""
-    return int(code.compact[0])
+    return int(code[0])
 
 
 def _make_codes(config: SynthConfig, rng: np.random.Generator) -> list[list[str]]:
@@ -95,7 +95,7 @@ def _make_codes(config: SynthConfig, rng: np.random.Generator) -> list[list[str]
             compact = f"{b}{digits[0]}{digits[1]}{digits[2]}{upper}{lower}"
             if compact not in seen:
                 seen.add(compact)
-                members.append(PacsCode.from_text(compact).raw)
+                members.append(parse_code(compact)[0])
         blocks.append(members)
     return blocks
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import PacsCode, Paper
+from .corpus import Paper
 
 ROOT = "physics"
 ROOT_LEVEL = 1
@@ -21,7 +21,7 @@ LEAF_LEVEL = 6
 class KnowledgeTree:
     parent: dict[str, str]  # child label -> parent label; the root has none
     level: dict[str, int]  # label -> level, 1 at the root, 6 at leaves
-    leaves: frozenset[str]  # compact six-character leaf labels
+    leaves: frozenset[str]  # six-character leaf labels, see leaf_label
 
     def edges(self) -> list[tuple[str, str, int]]:
         """(child, parent, child_level) rows, deterministically ordered."""
@@ -30,7 +30,20 @@ class KnowledgeTree:
         return rows
 
 
-def build_tree(codes: Iterable[PacsCode]) -> KnowledgeTree:
+def leaf_label(code: str) -> str:
+    """The six significant characters of a canonical ``dd.dd.cc`` code."""
+    return code.replace(".", "")
+
+
+def ancestry_labels(code: str) -> tuple[str, str, str, str, str]:
+    """A code's five-step ancestry chain below the root, from the coarsest
+    split down to the full code: its first one, two, three, four and six
+    significant characters."""
+    c = leaf_label(code)
+    return (c[:1], c[:2], c[:3], c[:4], c)
+
+
+def build_tree(codes: Iterable[str]) -> KnowledgeTree:
     codes = list(codes)
     if not codes:
         raise ValueError("cannot build a tree from zero codes")
@@ -38,16 +51,16 @@ def build_tree(codes: Iterable[PacsCode]) -> KnowledgeTree:
     level: dict[str, int] = {ROOT: ROOT_LEVEL}
     leaves: set[str] = set()
     for code in codes:
-        chain = (ROOT, *code.levels)
+        chain = (ROOT, *ancestry_labels(code))
         for depth, label in enumerate(chain[1:], start=2):
             parent[label] = chain[depth - 2]
             level[label] = depth
-        leaves.add(code.compact)
+        leaves.add(chain[-1])
     return KnowledgeTree(parent=parent, level=level, leaves=frozenset(leaves))
 
 
 def _label_lca_level(a: str, b: str) -> int:
-    """Level of the lowest common ancestor of two compact leaf labels."""
+    """Level of the lowest common ancestor of two leaf labels."""
     shared = 0
     for ca, cb in zip(a, b):
         if ca != cb:
@@ -60,23 +73,23 @@ def _label_lca_level(a: str, b: str) -> int:
     return shared + 1
 
 
-def lca_level(p: PacsCode, q: PacsCode) -> int:
+def lca_level(p: str, q: str) -> int:
     """Level of the lowest common ancestor of two leaf codes."""
-    return _label_lca_level(p.compact, q.compact)
+    return _label_lca_level(leaf_label(p), leaf_label(q))
 
 
-def _leaf_labels(tree: KnowledgeTree, codes: Iterable[PacsCode]) -> list[str]:
-    """Compact labels of leaf codes; a code outside the tree is a KeyError."""
+def _leaf_labels(tree: KnowledgeTree, codes: Iterable[str]) -> list[str]:
+    """Leaf labels of codes; a code outside the tree is a KeyError."""
     labels = []
     for code in codes:
-        label = code.compact
+        label = leaf_label(code)
         if label not in tree.leaves:
-            raise KeyError(f"code {code.raw!r} is not a leaf of this tree")
+            raise KeyError(f"code {code!r} is not a leaf of this tree")
         labels.append(label)
     return labels
 
 
-def path_length(tree: KnowledgeTree, p: PacsCode, q: PacsCode) -> int:
+def path_length(tree: KnowledgeTree, p: str, q: str) -> int:
     """Edge count of the unique tree path between two leaf codes."""
     a, b = _leaf_labels(tree, (p, q))
     return 2 * (LEAF_LEVEL - _label_lca_level(a, b))

@@ -20,9 +20,9 @@ from click.testing import CliRunner
 from knowspan.cli import METRIC_COLUMNS, main as cli_main
 from knowspan.corpus import (
     Corpus,
-    PacsCode,
     Paper,
     build_citation_graph,
+    parse_code,
     parse_corpus,
 )
 from knowspan.disruption import (
@@ -42,7 +42,7 @@ from knowspan.embedding import (
 )
 from knowspan.geometry import article_distance, journal_cells, journal_reference, paper_vector
 from knowspan.stats import AnalysisTable, RegressionSpec, fit_model
-from knowspan.tree import build_tree, network_distance, path_length
+from knowspan.tree import build_tree, leaf_label, network_distance, path_length
 
 mp.mp.dps = 40
 
@@ -64,7 +64,7 @@ def make_paper(pid, year, codes, journal="J", refs=()):
         id=pid,
         year=year,
         journal=journal,
-        pacs_codes=tuple(PacsCode.from_text(c) for c in codes),
+        pacs_codes=tuple(parse_code(c)[0] for c in codes),
         author_count=1,
         n_pages=1,
         title_length=1,
@@ -151,28 +151,28 @@ def test_criterion_2_tree_distance_identity():
             upper = chr(65 + rng.integers(0, 26))
             lower = chr(97 + rng.integers(0, 26))
             seen.add(f"{d[0]}{d[1]}.{d[2]}{d[3]}.{upper}{lower}")
-        codes = [PacsCode.from_text(c) for c in sorted(seen)]
+        codes = [parse_code(c)[0] for c in sorted(seen)]
         tree = build_tree(codes)
         edges = tree.edges()
 
         def shared(a, b):
             count = 0
-            for x, y in zip(a.compact, b.compact):
+            for x, y in zip(leaf_label(a), leaf_label(b)):
                 if x != y:
                     break
                 count += 1
             return count
 
         for i, p in enumerate(codes):
-            distances = bfs_distances(edges, p.compact)
+            distances = bfs_distances(edges, leaf_label(p))
             for q in codes[i + 1 :]:
                 k = shared(p, q)
                 lca = 6 if k == 6 else (5 if k >= 4 else k + 1)
                 length = path_length(tree, p, q)
                 assert length == 2 * (6 - lca)
-                assert length == distances[q.compact]
-        six = (PacsCode.from_text("42.50.Ab"), PacsCode.from_text("42.65.Cd"))
-        eight = (PacsCode.from_text("42.50.Ab"), PacsCode.from_text("47.20.Ft"))
+                assert length == distances[leaf_label(q)]
+        six = (parse_code("42.50.Ab")[0], parse_code("42.65.Cd")[0])
+        eight = (parse_code("42.50.Ab")[0], parse_code("47.20.Ft")[0])
         scratch = build_tree(list(six) + list(eight))
         assert path_length(scratch, *six) == 6
         assert path_length(scratch, *eight) == 8
@@ -279,7 +279,7 @@ def test_criterion_4_embedding_structure_recovery():
         start = time.perf_counter()
         corpus, block_a, block_b = two_block_corpus()
         matrix = train_embeddings(build_training_pairs(corpus), TrainingConfig())
-        vec = {c: matrix[PacsCode.from_text(c)] for c in block_a + block_b}
+        vec = {c: matrix[parse_code(c)[0]] for c in block_a + block_b}
 
         def mean_similarity(pairs):
             sims = [1.0 - cosine_distance(vec[a], vec[b]) for a, b in pairs]
@@ -323,9 +323,9 @@ def test_criterion_5_distance_formula_oracles():
                 pool.append(c)
         emb = EmbeddingMatrix(
             dim=16,
-            vocabulary=tuple(PacsCode.from_text(c) for c in pool),
+            vocabulary=tuple(parse_code(c)[0] for c in pool),
             vectors={
-                PacsCode.from_text(c): rng.normal(size=16) for c in pool
+                parse_code(c)[0]: rng.normal(size=16) for c in pool
             },
         )
         records = []
@@ -348,7 +348,7 @@ def test_criterion_5_distance_formula_oracles():
         tree = build_tree(corpus.distinct_codes())
 
         def level_of(a, b):
-            k = len(os.path.commonprefix([a.compact, b.compact]))
+            k = len(os.path.commonprefix([leaf_label(a), leaf_label(b)]))
             return 6 if k == 6 else (5 if k >= 4 else k + 1)
 
         for paper in corpus:

@@ -14,17 +14,18 @@ from knowspan.corpus import (
     Corpus,
     CorpusError,
     InvalidCodeError,
-    PacsCode,
     Paper,
     ParseConfig,
     ParseReport,
     build_citation_graph,
     citation_count,
     log_citation_count,
+    parse_code,
     parse_corpus,
     team_size,
 )
 from knowspan.synthgen import SynthConfig, generate_records
+from knowspan.tree import ancestry_labels, leaf_label
 
 LN_10 = 2.302585092994046  # ln(10) frozen from a 40-digit evaluation
 
@@ -51,42 +52,42 @@ def parse_lines(*lines, config=None):
 # ---------------------------------------------------------------- codes
 
 def test_code_canonical_form():
-    code = PacsCode.from_text("0367Ah")
-    assert code.raw == "03.67.Ah"
-    assert code.compact == "0367Ah"
+    code = parse_code("0367Ah")[0]
+    assert code == "03.67.Ah"
+    assert leaf_label(code) == "0367Ah"
 
 
 def test_code_canonicalization_is_idempotent_and_case_preserving():
-    once = PacsCode.from_text("03.67.Ah")
-    twice = PacsCode.from_text(once.raw)
+    once = parse_code("03.67.Ah")[0]
+    twice = parse_code(once)[0]
     assert once == twice
-    assert "Ah" in once.raw
+    assert "Ah" in once
 
 
 def test_code_levels_are_prefixes():
-    code = PacsCode.from_text("03.67.Ah")
-    assert code.levels == ("0", "03", "036", "0367", "0367Ah")
+    code = parse_code("03.67.Ah")[0]
+    assert ancestry_labels(code) == ("0", "03", "036", "0367", "0367Ah")
 
 
 @pytest.mark.parametrize("bad", ["3.67", "03.67.Ahx", "", "03.6", "03 67 Ah"])
 def test_invalid_codes_rejected(bad):
     with pytest.raises(InvalidCodeError):
-        PacsCode.from_text(bad)
+        parse_code(bad)
 
 
 def test_short_code_padding_opt_in():
-    code, padded = PacsCode.parse("03.67", pad_short=True)
+    code, padded = parse_code("03.67", pad_short=True)
     assert padded
-    assert code.raw == "03.67.__"
+    assert code == "03.67.__"
     # three significant characters stay invalid even with padding
     with pytest.raises(InvalidCodeError):
-        PacsCode.parse("3.67", pad_short=True)
+        parse_code("3.67", pad_short=True)
 
 
 @given(st.text(alphabet="0123456789ABCDEFabcdef", min_size=6, max_size=6))
 def test_code_levels_prefix_monotone(compact):
-    code = PacsCode.from_text(compact)
-    labels = code.levels
+    code = parse_code(compact)[0]
+    labels = ancestry_labels(code)
     for shorter, longer in zip(labels, labels[1:]):
         assert longer.startswith(shorter)
 
@@ -127,7 +128,7 @@ def test_invalid_code_skips_whole_record():
 def test_duplicate_codes_deduplicated_and_counted():
     corpus, report = parse_lines(record(pacs_codes=["03.67.Ah", "0367Ah", "05.45.Xt"]))
     paper = corpus.papers["P1"]
-    assert [c.raw for c in paper.pacs_codes] == ["03.67.Ah", "05.45.Xt"]
+    assert list(paper.pacs_codes) == ["03.67.Ah", "05.45.Xt"]
     assert report.duplicate_codes_removed == 1
 
 
@@ -424,7 +425,7 @@ def oracle_record_to_paper(obj, config, report):
         if not isinstance(raw, str):
             raise _OracleSkip("invalid_code")
         try:
-            code, padded = PacsCode.parse(raw, pad_short=config.pad_short_codes)
+            code, padded = parse_code(raw, pad_short=config.pad_short_codes)
         except InvalidCodeError:
             raise _OracleSkip("invalid_code") from None
         padded_here += padded

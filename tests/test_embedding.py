@@ -14,7 +14,7 @@ from scipy.special import expit
 
 from knowspan import embedding
 from knowspan.cli import main
-from knowspan.corpus import PacsCode, parse_corpus
+from knowspan.corpus import parse_code, parse_corpus
 from knowspan.embedding import (
     EmbeddingMatrix,
     MissingCodeError,
@@ -55,7 +55,7 @@ def toy_corpus(code_lists):
 
 
 def code(text):
-    return PacsCode.from_text(text)
+    return parse_code(text)[0]
 
 
 # ---------------------------------------------------------------- pairs
@@ -232,13 +232,13 @@ def test_every_trained_vector_has_config_dim_and_is_nonzero():
 def test_planted_blocks_separate():
     corpus = two_block_corpus(400)
     matrix = train_embeddings(build_training_pairs(corpus), TrainingConfig(dim=16, seed=3))
-    keys = sorted(matrix.vocabulary, key=lambda c: c.raw)
+    keys = sorted(matrix.vocabulary)
     sims = {"within": [], "cross": []}
     for i, a in enumerate(keys):
         for b in keys[i + 1 :]:
             va, vb = matrix.vectors[a], matrix.vectors[b]
             sim = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
-            same = a.raw[0] == b.raw[0]
+            same = a[0] == b[0]
             sims["within" if same else "cross"].append(sim)
     assert np.mean(sims["within"]) - np.mean(sims["cross"]) >= 0.3
 
@@ -284,7 +284,7 @@ def seed_train(pairs, config):
     for center, context in pair_list:
         counts[center] += 1
         counts[context] += 1
-    vocab = tuple(sorted(counts, key=lambda c: (-counts[c], c.raw)))
+    vocab = tuple(sorted(counts, key=lambda c: (-counts[c], c)))
     index = {c: i for i, c in enumerate(vocab)}
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / config.dim

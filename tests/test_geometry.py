@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knowspan.corpus import PacsCode, Paper, parse_corpus
+from knowspan.corpus import Paper, parse_code, parse_corpus
 from knowspan.embedding import EmbeddingMatrix, MissingCodeError, cosine_distance
 from knowspan.geometry import article_distance, journal_cells, journal_reference, paper_vector
 
@@ -34,7 +34,7 @@ def mean_oracle(rows):
 
 def build_embedding(code_texts, dim=6, seed=0):
     rng = np.random.default_rng(seed)
-    keys = tuple(PacsCode.from_text(t) for t in code_texts)
+    keys = tuple(parse_code(t)[0] for t in code_texts)
     vectors = {key: rng.normal(size=dim) for key in keys}
     return EmbeddingMatrix(dim=dim, vocabulary=keys, vectors=vectors)
 
@@ -270,7 +270,7 @@ def test_article_distance_single_code_is_zero():
 
 
 def test_article_distance_identical_vectors_is_zero():
-    keys = tuple(PacsCode.from_text(t) for t in CODE_POOL[:2])
+    keys = tuple(parse_code(t)[0] for t in CODE_POOL[:2])
     same = np.array([0.3, -1.2, 0.8])
     emb = EmbeddingMatrix(
         dim=3, vocabulary=keys, vectors={k: same.copy() for k in keys}
@@ -280,7 +280,7 @@ def test_article_distance_identical_vectors_is_zero():
 
 
 def test_article_distance_orthogonal_pair_is_one():
-    keys = tuple(PacsCode.from_text(t) for t in CODE_POOL[:2])
+    keys = tuple(parse_code(t)[0] for t in CODE_POOL[:2])
     emb = EmbeddingMatrix(
         dim=2,
         vocabulary=keys,
@@ -375,7 +375,7 @@ def papers_and_embeddings(draw):
     """One to four papers of one to eight codes, possibly repeated, whose
     vectors may copy, negate or rescale an earlier code's vector, so the
     clip to [0, 2] applies."""
-    keys = [PacsCode.from_text(t) for t in CODE_POOL]
+    keys = [parse_code(t)[0] for t in CODE_POOL]
     dim = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = [rng.normal(size=dim)]
@@ -418,7 +418,7 @@ def test_article_distance_equals_the_pair_loop_exactly(case):
 def test_matrices_over_the_same_codes_keep_their_own_terms():
     """Each matrix scores with its own vectors, however the calls interleave:
     the two codes coincide in one matrix and not in the other."""
-    keys = [PacsCode.from_text(t) for t in CODE_POOL]
+    keys = [parse_code(t)[0] for t in CODE_POOL]
     rng = np.random.default_rng(5)
     apart = rng.normal(size=(len(keys), 4))
     together = apart.copy()
@@ -446,7 +446,7 @@ def test_article_distance_equals_the_pair_loop_where_the_clip_applies():
 
     # a vector whose self-cosine rounds above one, so both clips are reached
     v = next(u for u in vectors if self_cosine(u) > 1.0)
-    keys = [PacsCode.from_text(t) for t in CODE_POOL[:3]]
+    keys = [parse_code(t)[0] for t in CODE_POOL[:3]]
     emb = EmbeddingMatrix(
         dim=5, vocabulary=tuple(keys), vectors=dict(zip(keys, (v, v.copy(), -v)))
     )
@@ -456,7 +456,7 @@ def test_article_distance_equals_the_pair_loop_where_the_clip_applies():
 
 
 def test_article_distance_zero_vector_is_error():
-    keys = [PacsCode.from_text(t) for t in CODE_POOL[:3]]
+    keys = [parse_code(t)[0] for t in CODE_POOL[:3]]
     emb = EmbeddingMatrix(
         dim=2,
         vocabulary=tuple(keys),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from knowspan.corpus import PacsCode, build_citation_graph, parse_corpus
+from knowspan.corpus import build_citation_graph, parse_code, parse_corpus
 from knowspan.stats import AnalysisTable, RegressionSpec, fit_model
 from knowspan.synthgen import (
     MAX_TEAM,
@@ -18,6 +18,7 @@ from knowspan.synthgen import (
     generate_records,
     write_corpus,
 )
+from knowspan.tree import leaf_label
 
 
 def small_config(**overrides):
@@ -28,7 +29,7 @@ def small_config(**overrides):
 
 def spread_from_record(record):
     """Foreign-code fraction, measured against the modal leading digit."""
-    digits = [PacsCode.from_text(c).compact[0] for c in record["pacs_codes"]]
+    digits = [leaf_label(parse_code(c)[0])[0] for c in record["pacs_codes"]]
     top = collections.Counter(digits).most_common(1)[0][1]
     return 1.0 - top / len(digits)
 
@@ -118,8 +119,8 @@ def test_records_parse_cleanly_and_fields_are_bounded():
         assert len(record["pacs_codes"]) == config.codes_per_paper
         assert len(set(record["pacs_codes"])) == config.codes_per_paper
         for code in record["pacs_codes"]:
-            parsed = PacsCode.from_text(code)
-            assert parsed.raw == code
+            parsed = parse_code(code)[0]
+            assert parsed == code
             assert block_of_code(parsed) < config.n_blocks
 
 
@@ -153,7 +154,7 @@ def test_zero_leakage_means_single_block_papers():
         n_codes=30, n_blocks=5, codes_per_paper=5, cross_block_leakage=0.0
     )
     for record in generate_records(config):
-        digits = {PacsCode.from_text(c).compact[0] for c in record["pacs_codes"]}
+        digits = {leaf_label(parse_code(c)[0])[0] for c in record["pacs_codes"]}
         assert len(digits) == 1
 
 

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knowspan.corpus import PacsCode, Paper
+from knowspan.corpus import Paper, parse_code
 from knowspan.tree import (
     LEAF_LEVEL,
     ROOT,
     build_tree,
     lca_level,
+    leaf_label,
     network_distance,
     path_length,
 )
 
 
 def codes(*texts):
-    return [PacsCode.from_text(t) for t in texts]
+    return [parse_code(t)[0] for t in texts]
 
 
 def bfs_distance(tree, start: str, goal: str) -> int:
@@ -46,7 +47,7 @@ def make_paper(code_texts, paper_id="P", year=2000):
         id=paper_id,
         year=year,
         journal="J",
-        pacs_codes=tuple(PacsCode.from_text(t) for t in code_texts),
+        pacs_codes=tuple(parse_code(t)[0] for t in code_texts),
         author_count=1,
         n_pages=4,
         title_length=5,
@@ -122,7 +123,7 @@ code_text = st.text(alphabet="0123456789ABab", min_size=6, max_size=6)
 @settings(max_examples=120)
 @given(code_text, code_text)
 def test_metric_properties(a_text, b_text):
-    a, b = PacsCode.from_text(a_text), PacsCode.from_text(b_text)
+    a, b = parse_code(a_text)[0], parse_code(b_text)[0]
     tree = build_tree([a, b])
     d = path_length(tree, a, b)
     assert d == path_length(tree, b, a)
@@ -134,7 +135,7 @@ def test_metric_properties(a_text, b_text):
 @settings(max_examples=60)
 @given(code_text, code_text, code_text)
 def test_triangle_inequality(a_text, b_text, c_text):
-    a, b, c = (PacsCode.from_text(t) for t in (a_text, b_text, c_text))
+    a, b, c = (parse_code(t)[0] for t in (a_text, b_text, c_text))
     tree = build_tree([a, b, c])
     assert path_length(tree, a, c) <= path_length(tree, a, b) + path_length(tree, b, c)
 
@@ -142,9 +143,9 @@ def test_triangle_inequality(a_text, b_text, c_text):
 @settings(max_examples=40, deadline=None)
 @given(code_text, code_text)
 def test_closed_form_matches_bfs(a_text, b_text):
-    a, b = PacsCode.from_text(a_text), PacsCode.from_text(b_text)
+    a, b = parse_code(a_text)[0], parse_code(b_text)[0]
     tree = build_tree([a, b])
-    assert path_length(tree, a, b) == bfs_distance(tree, a.compact, b.compact)
+    assert path_length(tree, a, b) == bfs_distance(tree, leaf_label(a), leaf_label(b))
 
 
 # ---------------------------------------------------------------- paper means
@@ -189,7 +190,7 @@ def test_edges_export_order_is_deterministic():
 # ---------------------------------------------------------------- pair-loop oracle
 
 def seed_lca_level(p, q):
-    a, b = p.compact, q.compact
+    a, b = leaf_label(p), leaf_label(q)
     shared = 0
     for ca, cb in zip(a, b):
         if ca != cb:
@@ -204,8 +205,8 @@ def seed_lca_level(p, q):
 
 def seed_path_length(tree, p, q):
     for code in (p, q):
-        if code.compact not in tree.leaves:
-            raise KeyError(f"code {code.raw!r} is not a leaf of this tree")
+        if leaf_label(code) not in tree.leaves:
+            raise KeyError(f"code {code!r} is not a leaf of this tree")
     return 2 * (LEAF_LEVEL - seed_lca_level(p, q))
 
 
@@ -249,7 +250,7 @@ def test_network_distance_equals_the_pair_loop_exactly(data):
     paper_texts = data.draw(st.lists(related, min_size=1, max_size=8), label="paper")
     other_texts = data.draw(st.lists(related, max_size=3), label="others")
     leaves = data.draw(st.sets(st.sampled_from(paper_texts)), label="leaves")
-    tree_codes = [PacsCode.from_text(t) for t in sorted(leaves) + other_texts]
+    tree_codes = [parse_code(t)[0] for t in sorted(leaves) + other_texts]
     if not tree_codes:
         tree_codes = codes("99.99.zz")
     tree = build_tree(tree_codes)
