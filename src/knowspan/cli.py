@@ -1043,9 +1043,10 @@ def regress(opts: Options, outdir: str) -> None:
 
 
 def _finite_levels(raw: str) -> tuple[float, ...]:
-    """The moderator levels of a --levels value, each a finite number."""
+    """The moderator levels of a --levels value: one or more finite numbers."""
+    parts = _as_list(raw) or (raw,)  # a value naming no number fails as a whole
     levels = []
-    for part in _as_list(raw):
+    for part in parts:
         try:
             value = float(part)
         except ValueError:
@@ -1081,7 +1082,7 @@ def curves(opts: Options, outdir: str) -> None:
     """Predicted-outcome grids per predictor; writes curves_<model>.csv."""
     points = _grid_points(opts)
     raw_levels = opts.get("levels")
-    levels = _finite_levels(raw_levels) if raw_levels else None
+    levels = None if raw_levels is None else _finite_levels(raw_levels)
     models, names = _selected_models(opts)
     _stage_curves(outdir, models, names, opts.get("center"), points, levels)
 

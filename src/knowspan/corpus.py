@@ -109,7 +109,6 @@ class ParseReport:
 @dataclass
 class Corpus:
     papers: dict[str, Paper]
-    journal_year_index: dict[tuple[str, int], tuple[str, ...]]
     dataset_end_year: int
 
     def __len__(self) -> int:
@@ -296,12 +295,7 @@ def parse_corpus(
             f"dataset end year {end_year} precedes the latest paper year {latest}"
         )
 
-    index: dict[tuple[str, int], list[str]] = {}
-    for paper in papers.values():
-        index.setdefault((paper.journal, paper.year), []).append(paper.id)
-    frozen_index = {key: tuple(ids) for key, ids in index.items()}
-
-    return Corpus(papers, frozen_index, end_year), report
+    return Corpus(papers, end_year), report
 
 
 @dataclass(frozen=True)

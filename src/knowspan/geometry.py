@@ -32,14 +32,15 @@ def journal_cells(
     """Mean and count of the defined paper vectors in each (journal, year) cell.
 
     ``vectors`` maps each paper id to its paper vector, or to None when the
-    vector is undefined.  Members are averaged in ``journal_year_index``
-    order; a cell with no defined member maps to None.
+    vector is undefined.  Cells and their members come in corpus order; a
+    cell with no defined member maps to None.
     """
-    cells: dict[tuple[str, int], tuple[np.ndarray, int] | None] = {}
-    for key, member_ids in corpus.journal_year_index.items():
-        stacked = [vectors[pid] for pid in member_ids if vectors[pid] is not None]
-        cells[key] = (np.mean(stacked, axis=0), len(stacked)) if stacked else None
-    return cells
+    defined: dict[tuple[str, int], list[np.ndarray]] = {}
+    for pid, paper in corpus.papers.items():
+        stacked = defined.setdefault((paper.journal, paper.year), [])
+        if (vector := vectors[pid]) is not None:
+            stacked.append(vector)
+    return {key: (np.mean(v, axis=0), len(v)) if v else None for key, v in defined.items()}
 
 
 def journal_reference(

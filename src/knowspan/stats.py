@@ -323,7 +323,6 @@ class RegressionResult:
     adjusted_r2: float
     n: int
     df_resid: int
-    mean_outcome: float
     design: Design
 
     @cached_property
@@ -412,7 +411,6 @@ def ols_fit(design: Design, y: np.ndarray) -> RegressionResult:
         adjusted_r2=adjusted,
         n=n,
         df_resid=df_resid,
-        mean_outcome=mean_y,
         design=design,
     )
 

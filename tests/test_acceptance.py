@@ -107,7 +107,7 @@ def test_criterion_1_disruption_oracle_equivalence():
                     f"N{j}" for j in range(i) if rng.random() < 0.2
                 )
                 papers[f"N{i}"] = make_paper(f"N{i}", int(years[i]), [code], refs=refs)
-            corpus = Corpus(papers, {}, int(years[-1]))
+            corpus = Corpus(papers, int(years[-1]))
             graph = build_citation_graph(corpus)
             paper_list = list(papers.values())
             for paper in paper_list:
@@ -250,7 +250,7 @@ def two_block_corpus(n_papers=2000, codes_per_block=10, per_paper=3, seed=4):
         block = block_a if i % 2 == 0 else block_b
         picks = rng.choice(codes_per_block, size=per_paper, replace=False)
         papers[f"P{i}"] = make_paper(f"P{i}", 2000, [block[j] for j in picks])
-    return Corpus(papers, {}, 2000), block_a, block_b
+    return Corpus(papers, 2000), block_a, block_b
 
 
 def finite_difference_check(rng):
@@ -379,8 +379,11 @@ def test_criterion_5_distance_formula_oracles():
             assert relative_close(network_distance(paper, tree), expected_network, 1e-12)
 
         cells = journal_cells(corpus, {p.id: paper_vector(p, emb) for p in corpus})
-        for key, member_ids in corpus.journal_year_index.items():
-            members = [corpus.papers[pid] for pid in member_ids]
+        cell_members = {}
+        for paper in corpus:
+            cell_members.setdefault((paper.journal, paper.year), []).append(paper)
+        assert list(cells) == list(cell_members)
+        for key, members in cell_members.items():
             stacked = [paper_vector(p, emb) for p in members]
             expected_jv = [
                 float(mp.fsum(mp.mpf(float(v[k])) for v in stacked) / len(stacked))

@@ -368,7 +368,7 @@ def test_curves_levels_come_from_the_rows_the_model_fits(runner, tmp_path):
     assert sorted({float(row[2]) for row in curve}) == [2.0, 4.0]
 
 
-@pytest.mark.parametrize("value", ["2,x", "nan", "1,inf", "-inf"])
+@pytest.mark.parametrize("value", ["2,x", "nan", "1,inf", "-inf", ","])
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_curves_levels_must_be_finite_numbers(runner, tmp_path, value, route):
     """Checked before the metrics table is read, so no model is fitted."""

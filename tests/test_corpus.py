@@ -211,16 +211,6 @@ def test_dataset_end_year_before_the_latest_paper_is_hard_error():
     assert corpus.paper_age(corpus.papers["P2"]) == 0
 
 
-def test_journal_year_index_groups_members():
-    corpus, _ = parse_lines(
-        record(),
-        record(id="P2", journal="J"),
-        record(id="P3", journal="K"),
-    )
-    assert set(corpus.journal_year_index[("J", 2000)]) == {"P1", "P2"}
-    assert corpus.journal_year_index[("K", 2000)] == ("P3",)
-
-
 record_strategy = st.fixed_dictionaries(
     {
         "id": st.text(alphabet="PQRS0123456789", min_size=1, max_size=8),
@@ -521,12 +511,7 @@ def oracle_parse_corpus(lines, config=None):
             f"dataset end year {end_year} precedes the latest paper year {latest}"
         )
 
-    index = {}
-    for paper in papers.values():
-        index.setdefault((paper.journal, paper.year), []).append(paper.id)
-    frozen_index = {key: tuple(ids) for key, ids in index.items()}
-
-    return Corpus(papers, frozen_index, end_year), report
+    return Corpus(papers, end_year), report
 
 
 def parse_outcome(parse, lines, config):
@@ -539,9 +524,12 @@ def parse_outcome(parse, lines, config):
         (pid, paper, [type(code) for code in paper.pacs_codes])
         for pid, paper in corpus.papers.items()
     ]
+    cells = {}
+    for pid, paper in corpus.papers.items():
+        cells.setdefault((paper.journal, paper.year), []).append(pid)
     return (
         papers,
-        list(corpus.journal_year_index.items()),
+        list(cells.items()),
         corpus.dataset_end_year,
         report.as_dict(),
     )

@@ -460,6 +460,33 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_a_code_is_its_canonical_text_from_parse_to_saved_embedding(tmp_path):
+    """Codes parse to one shared canonical str each, records round-trip, and
+    trained and loaded matrices answer a lookup by a fresh copy of the text."""
+    corpus = toy_corpus(
+        [["0367Ah", "05.45.Xt"], [" 03.67.Ah ", "0545Xt", "11.11.Aa"], ["03.67.Ah", "11.11.Aa"]]
+    )
+    texts = ["03.67.Ah", "05.45.Xt", "11.11.Aa"]
+    assert corpus.distinct_codes() == texts
+    first_seen = {}
+    for paper in corpus:
+        for code in paper.pacs_codes:
+            assert type(code) is str
+            assert first_seen.setdefault(code, code) is code
+    again, _ = parse_corpus(json.dumps(paper.to_record()) for paper in corpus)
+    assert again.papers == corpus.papers
+
+    matrix = train_embeddings(build_training_pairs(corpus), TrainingConfig(dim=4, epochs=1))
+    path = tmp_path / "embedding.txt"
+    save_embeddings(matrix, str(path))
+    loaded = load_embeddings(str(path))
+    for text in texts:
+        fresh = "".join(list(text))  # equal text, another object
+        for emb in (matrix, loaded):
+            assert fresh in emb
+            assert np.array_equal(emb[fresh], matrix.vectors[first_seen[text]])
+
+
 def test_export_header_format(tmp_path):
     corpus = two_block_corpus(10)
     matrix = train_embeddings(build_training_pairs(corpus), TrainingConfig(dim=6, epochs=1, seed=1))

@@ -121,6 +121,25 @@ def test_journal_vector_is_member_mean():
     assert n_members == 2
 
 
+def test_journal_cells_group_members_by_journal_and_year():
+    corpus = build_corpus(
+        [
+            ("P1", 2000, "J", CODE_POOL[:1]),
+            ("P3", 2000, "K", CODE_POOL[:1]),
+            ("P2", 2000, "J", CODE_POOL[:1]),
+            ("P4", 2001, "J", CODE_POOL[:1]),
+        ]
+    )
+    vectors = {"P1": np.array([1.0, 0.0]), "P2": np.array([0.0, 3.0]), "P3": np.array([2.0, 2.0])}
+    cells = journal_cells(corpus, {**vectors, "P4": None})
+    assert list(cells) == [("J", 2000), ("K", 2000), ("J", 2001)]
+    mean, n_members = cells[("J", 2000)]
+    assert mean.tolist() == [0.5, 1.5] and n_members == 2
+    mean, n_members = cells[("K", 2000)]
+    assert mean.tolist() == [2.0, 2.0] and n_members == 1
+    assert cells[("J", 2001)] is None
+
+
 def test_journal_vector_leaves_out_undefined_members():
     emb = build_embedding(CODE_POOL[:6])
     corpus = build_corpus(
@@ -194,7 +213,7 @@ def oracle_paper_vector(paper, emb):
 
 def oracle_journal_vector(journal, year, corpus, emb):
     """Oracle: the per-paper journal_vector that recomputed its whole cell."""
-    member_ids = corpus.journal_year_index.get((journal, year))
+    member_ids = [p.id for p in corpus if (p.journal, p.year) == (journal, year)]
     if not member_ids:
         raise ValueError(f"no papers for journal {journal!r} in year {year}")
     stacked = np.stack(
