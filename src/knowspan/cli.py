@@ -10,11 +10,12 @@ exit nonzero.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
-import importlib.metadata
+import itertools
 import json
 import math
 import operator
@@ -200,7 +201,7 @@ def _require(outdir: str, filename: str) -> str:
 def _digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
 
@@ -243,7 +244,6 @@ def _update_manifest(
         "knowspan": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
-        "click": importlib.metadata.version("click"),
     }
     entry = {
         "config": config,
@@ -368,11 +368,22 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+    """Write the header and each row as they come, to ``<path>.partial``,
+    which replaces ``path`` after the last row.  Any failure, a bad row of a
+    streamed table included, removes the partial file and leaves ``path`` as
+    it was."""
+    partial = path + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell(v) for v in row])
+        os.replace(partial, path)
+    except BaseException:  # a StageFailure is a SystemExit
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _table_rows(
@@ -516,35 +527,32 @@ def _space_rows(
     emb: EmbeddingMatrix,
     tree: KnowledgeTree,
     exclude_self: bool,
-) -> tuple[list[tuple], int]:
-    """Per-paper metric rows; embedding-derived cells are empty when a code
-    is missing from the trained vocabulary or a journal-year cell has no
-    usable reference point."""
+) -> tuple[Iterator[tuple], int]:
+    """Per-paper metric rows, computed one at a time as they are read, and
+    the number of papers with a code missing from the trained vocabulary.
+    Embedding-derived cells are empty for such a paper, and the journal
+    distance also when its journal-year cell has no usable reference point."""
     vectors: dict[str, np.ndarray | None] = {
         pid: paper_vector(paper, emb) if all(code in emb for code in paper.pacs_codes) else None
         for pid, paper in corpus.papers.items()
     }
     cells = journal_cells(corpus, vectors)
 
-    rows = []
-    n_missing = 0
-    for pid, paper in corpus.papers.items():
-        vec = vectors[pid]
-        journal_dist = None
-        article_dist = None
-        article_dist_log = None
-        if vec is None:
-            n_missing += 1
-        else:
-            article_dist = article_distance(paper, emb)
-            article_dist_log = float(np.log1p(article_dist))
-            reference = journal_reference(
-                cells[(paper.journal, paper.year)], vec, exclude_self
-            )
-            if reference is not None:
-                journal_dist = cosine_distance(vec, reference)
-        rows.append(
-            (
+    def rows() -> Iterator[tuple]:
+        for pid, paper in corpus.papers.items():
+            vec = vectors[pid]
+            journal_dist = None
+            article_dist = None
+            article_dist_log = None
+            if vec is not None:
+                article_dist = article_distance(paper, emb)
+                article_dist_log = float(np.log1p(article_dist))
+                reference = journal_reference(
+                    cells[(paper.journal, paper.year)], vec, exclude_self
+                )
+                if reference is not None:
+                    journal_dist = cosine_distance(vec, reference)
+            yield (
                 pid,
                 journal_dist,
                 article_dist,
@@ -557,48 +565,85 @@ def _space_rows(
                 paper.n_pages,
                 paper.title_length,
             )
-        )
-    return rows, n_missing
+
+    return rows(), sum(vec is None for vec in vectors.values())
+
+
+def _paired_rows(
+    space_rows: Iterator[list[str]], space_path: str,
+    disruption_rows: Iterator[list[str]], disruption_path: str,
+) -> Iterator[list[str]]:
+    """Each space row followed by the disruption row at the same position.
+    Both tables list the papers of one parsed corpus in its order, so a pair
+    naming two papers, or one table ending first, fails with ``bad_artifact``."""
+    for number, (space, disruption) in enumerate(
+        itertools.zip_longest(space_rows, disruption_rows), start=1
+    ):
+        if space is None or disruption is None:
+            _fail(
+                "bad_artifact",
+                f"{space_path} and {disruption_path} differ in length: "
+                f"only one has a data row {number}",
+            )
+        if space[0] != disruption[0]:
+            _fail(
+                "bad_artifact",
+                f"data row {number} is paper {space[0]!r} in {space_path} "
+                f"but paper {disruption[0]!r} in {disruption_path}",
+            )
+        yield space + disruption
+
+
+def _drop_merged_table(outdir: str, manifest: dict) -> None:
+    """Remove metrics.csv and its `merge` entry, where they exist."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(outdir, METRICS))
+    manifest["stages"].pop("merge", None)
+    _write_manifest(outdir, manifest)
 
 
 def _merge_metrics(outdir: str) -> None:
-    """Join the space and disruption tables on paper_id into metrics.csv.
+    """Join the space and disruption tables row by row into metrics.csv.
 
-    Runs from whichever stage finished second, when both tables exist and
+    Runs from whichever stage finished second, when both tables exist.  If
     the manifest records that `metrics` and `disrupt` read the same parsed
-    corpus.  Otherwise metrics.csv and its `merge` entry are removed, so the
-    merged table is missing rather than mixing generations; so is a table
-    written from a space table with a malformed row.
+    corpus, both tables list its papers in its order and stream through the
+    join together.  Otherwise both are still checked row by row, and
+    metrics.csv and its `merge` entry are removed, so the merged table is
+    missing rather than mixing generations.  A malformed or mismatched table
+    also removes them, and fails the stage.
     """
     space_path = os.path.join(outdir, METRICS_SPACE)
     disruption_path = os.path.join(outdir, DISRUPTION)
     if not (os.path.exists(space_path) and os.path.exists(disruption_path)):
         return
-    _, *disruption_rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
-    disruption_by_id = {row[0]: row for row in disruption_rows}
-    undefined = [""] * len(DISRUPTION_COLUMNS)
-    # each merged column by name from a space row followed by its disruption row
-    pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
-    space_rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
-    next(space_rows)
-    merged = (pick(row + disruption_by_id.get(row[0], undefined)) for row in space_rows)
-    merged_path = os.path.join(outdir, METRICS)
-    # rows stream out as they pass their check; a bad one leaves no table
-    try:
-        _write_csv(merged_path, METRIC_COLUMNS, merged)
-    except StageFailure:
-        os.remove(merged_path)
-        raise
     manifest = _read_manifest(outdir)
     stages = manifest["stages"]
     metrics_corpus, disrupt_corpus = (
         stages.get(stage, {}).get("inputs", {}).get(CORPUS_PARSED)
         for stage in ("metrics", "disrupt")
     )
-    if metrics_corpus is None or metrics_corpus != disrupt_corpus:
-        os.remove(merged_path)
-        stages.pop("merge", None)
-        _write_manifest(outdir, manifest)
+    one_corpus = metrics_corpus is not None and metrics_corpus == disrupt_corpus
+    merged_path = os.path.join(outdir, METRICS)
+    # each merged column by name from a space row followed by its disruption row
+    pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
+    space_rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
+    disruption_rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
+    try:
+        with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
+            next(space_rows)  # the headers, checked as they are read
+            next(disruption_rows)
+            if one_corpus:
+                pairs = _paired_rows(space_rows, space_path, disruption_rows, disruption_path)
+                _write_csv(merged_path, METRIC_COLUMNS, map(pick, pairs))
+            else:
+                for _ in itertools.chain(space_rows, disruption_rows):
+                    pass
+    except StageFailure:
+        _drop_merged_table(outdir, manifest)
+        raise
+    if not one_corpus:
+        _drop_merged_table(outdir, manifest)
         return
     _update_manifest(
         outdir,
@@ -644,14 +689,13 @@ def _stage_disrupt(
     outdir: str, parsed_path: str, corpus: Corpus, graph: CitationGraph, variant: str
 ) -> None:
     scored = score_corpus(corpus, graph, variant)
-    rows = []
-    n_defined = 0
-    for pid in corpus.papers:
-        counts, score = scored[pid]
-        n_defined += score.d is not None
-        rows.append((pid, score.d, score.percentile, counts.n_i, counts.n_j, counts.n_k))
+    rows = (
+        (pid, score.d, score.percentile, counts.n_i, counts.n_j, counts.n_k)
+        for pid, (counts, score) in scored.items()
+    )
     disruption_path = os.path.join(outdir, DISRUPTION)
     _write_csv(disruption_path, DISRUPTION_COLUMNS, rows)
+    n_defined = sum(score.d is not None for _, score in scored.values())
     _update_manifest(
         outdir,
         "disrupt",
@@ -659,7 +703,7 @@ def _stage_disrupt(
         inputs={CORPUS_PARSED: parsed_path},
         outputs={DISRUPTION: disruption_path},
         n_defined=n_defined,
-        n_undefined=len(rows) - n_defined,
+        n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
     )
     _merge_metrics(outdir)

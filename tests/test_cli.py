@@ -294,7 +294,8 @@ def test_correlations_put_r_above_and_p_below(runner, tmp_path):
         runner,
         ["correlate", "--outdir", out, "--columns", "team_size,citation_count,years"],
     )
-    rows = list(csv.reader(open(tmp_path / "correlations.csv", newline="")))
+    header, rows = read_csv(tmp_path / "correlations.csv")
+    rows.insert(0, header)
     assert rows[0] == ["", "team_size", "citation_count", "years"]
     names = [row[0] for row in rows[1:]]
     assert names == ["team_size", "citation_count", "years"]
@@ -852,6 +853,39 @@ def test_merge_refuses_tables_of_different_corpora(runner, tmp_path, stale):
         assert [row[0] for row in rows] == [json.loads(line)["id"] for line in fh]
 
 
+def damage_table(path, defect):
+    """Cut a table to its first half, or give its last row the first row's paper."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if defect == "missing_rows":
+        rows = rows[: len(rows) // 2]
+    else:
+        first_id = rows[0].split(",", 1)[0]
+        rows[-1] = first_id + rows[-1][rows[-1].index(","):]
+    path.write_text(header + "".join(rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "table, stage",
+    [("disruption.csv", "metrics"), ("metrics_space.csv", "disrupt")],
+    ids=["disruption", "metrics_space"],
+)
+@pytest.mark.parametrize("defect", ["missing_rows", "other_paper"])
+def test_merge_refuses_a_table_that_does_not_list_the_corpus(runner, tmp_path, finished_run, table, stage, defect):
+    """Both stages read one corpus, so each table lists its papers in its
+    order; a cut or altered table fails the merge instead of leaving blank
+    cells that the analyses would drop as missing."""
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    damage_table(tmp_path / table, defect)
+    payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
+    assert payload["error"] == "bad_artifact"
+    assert "metrics_space.csv" in payload["message"] and "disruption.csv" in payload["message"]
+    assert not (tmp_path / "metrics.csv").exists()
+    assert "merge" not in read_manifest(tmp_path)["stages"]
+    assert not list(tmp_path.glob("*.partial"))
+    payload = run_fail(runner, ["regress", "--outdir", str(tmp_path), "--model", "model5"])
+    assert payload["error"] == "missing_artifact"
+
+
 def subprocess_env():
     """The environment with this package's source on the path."""
     import knowspan
@@ -874,19 +908,21 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 
 def test_ingest_metrics_disrupt_and_curves_leave_scipy_special_unloaded(runner, tmp_path):
+    """Nor importlib.metadata, which no output byte needs."""
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "120"])
     run_ok(runner, ["ingest", "--outdir", out])
     run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
     probe = (
         "import sys, knowspan.cli as cli\n"
-        "loaded = ['scipy.special' in sys.modules]\n"
+        "modules = ('scipy.special', 'importlib.metadata')\n"
+        "loaded = [[m in sys.modules for m in modules]]\n"
         "for stage in ('ingest', 'metrics', 'disrupt', 'curves'):\n"
         f"    cli.main([stage, '--outdir', {out!r}], standalone_mode=False)\n"
-        "    loaded.append('scipy.special' in sys.modules)\n"
+        "    loaded.append([m in sys.modules for m in modules])\n"
         "print(loaded)"
     )
-    assert probe_in_subprocess(probe) == "[False, False, False, False, False]"
+    assert probe_in_subprocess(probe) == str([[False, False]] * 5)
     assert len(list(tmp_path.glob("curves_model*.csv"))) == 8
 
 
