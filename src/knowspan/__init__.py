@@ -53,12 +53,5 @@ from .stats import (
     predicted_curve,
     star_label,
 )
-from .synthgen import PlantedEffect, SynthConfig, block_of_code, generate, write_corpus
-from .tree import (
-    KnowledgeTree,
-    build_tree,
-    export_edges,
-    lca_level,
-    network_distance,
-    path_length,
-)
+from .synthgen import PlantedEffect, SynthConfig, block_of_code, generate
+from .tree import KnowledgeTree, build_tree, lca_level, network_distance, path_length

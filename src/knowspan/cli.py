@@ -21,7 +21,7 @@ import math
 import operator
 import os
 import sys
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import click
 import numpy as np
@@ -59,8 +59,8 @@ from .stats import (
     pearson_matrix,
     predicted_curve,
 )
-from .synthgen import PlantedEffect, SynthConfig, write_corpus
-from .tree import KnowledgeTree, build_tree, export_edges, network_distance
+from .synthgen import PlantedEffect, SynthConfig, generate
+from .tree import KnowledgeTree, build_tree, network_distance
 
 # Artifact names are fixed so stages can find each other's outputs.
 CORPUS_RAW = "corpus.jsonl"
@@ -147,11 +147,11 @@ class StageFailure(SystemExit):
     """Raised after the structured error line has been written."""
 
 
-def _fail(kind: str, message: str, **fields) -> None:
+def _fail(kind: str, message: str, *, exit_code: int = 1, **fields) -> None:
     payload = {"error": kind, "message": message}
     payload.update(fields)
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-    raise StageFailure(1)
+    raise StageFailure(exit_code)
 
 
 def _structured_errors(fn):
@@ -253,13 +253,7 @@ def _update_manifest(
     }
     entry.update(extra)
     manifest.setdefault("stages", {})[stage] = entry
-    _write_manifest(outdir, manifest)
-
-
-def _write_manifest(outdir: str, manifest: dict) -> None:
-    with open(os.path.join(outdir, MANIFEST), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, MANIFEST), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def _model_specs(config: dict[str, str]) -> dict[str, RegressionSpec]:
 
 
 # ---------------------------------------------------------------------------
-# CSV helpers
+# artifact writers
 
 
 def _cell(value) -> str:
@@ -367,23 +361,37 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    """Write the header and each row as they come, to ``<path>.partial``,
-    which replaces ``path`` after the last row.  Any failure, a bad row of a
-    streamed table included, removes the partial file and leaves ``path`` as
-    it was."""
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A text file at ``<path>.partial``, which replaces ``path`` when the
+    block ends.  Any failure in the block removes the partial file and leaves
+    ``path`` as it was, so a later stage never reads a half-written artifact.
+    Every artifact is written through here."""
     partial = path + ".partial"
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
         os.replace(partial, path)
     except BaseException:  # a StageFailure is a SystemExit
         with contextlib.suppress(FileNotFoundError):
             os.remove(partial)
         raise
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """Write the header and each row as they come; a bad row of a streamed
+    table leaves ``path`` as it was."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+
+
+def _write_json(path: str, obj) -> None:
+    with _replacing(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _table_rows(
@@ -459,7 +467,9 @@ def _read_corpus(outdir: str) -> tuple[str, Corpus]:
 
 def _stage_synth(outdir: str, config: SynthConfig) -> None:
     out_path = os.path.join(outdir, CORPUS_RAW)
-    write_corpus(config, out_path)
+    with _replacing(out_path) as fh:
+        for line in generate(config):
+            fh.write(line + "\n")
     settings = dataclasses.asdict(config)
     seed = settings.pop("seed")  # recorded beside the config, not in it
     settings["planted"] = settings.pop("planted_effect")
@@ -484,12 +494,10 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tu
     report_path = os.path.join(outdir, PARSE_REPORT)
     with open(input_path, encoding="utf-8") as fh:
         corpus, report = parse_corpus(fh, parse)
-    with open(parsed_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(parsed_path) as fh:
         for paper in corpus:
             fh.write(json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":")) + "\n")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(report_path, report.as_dict())
     _update_manifest(
         outdir,
         "ingest",
@@ -506,7 +514,8 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tu
 def _stage_train(outdir: str, parsed_path: str, corpus: Corpus, config: TrainingConfig) -> None:
     matrix = train_embeddings(build_training_pairs(corpus), config)
     embedding_path = os.path.join(outdir, EMBEDDING)
-    save_embeddings(matrix, embedding_path)
+    with _replacing(embedding_path) as fh:
+        save_embeddings(matrix, fh)
     settings = dataclasses.asdict(config)
     seed = settings.pop("seed")  # recorded beside the config, not in it
     _update_manifest(
@@ -599,7 +608,7 @@ def _drop_merged_table(outdir: str, manifest: dict) -> None:
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(outdir, METRICS))
     manifest["stages"].pop("merge", None)
-    _write_manifest(outdir, manifest)
+    _write_json(os.path.join(outdir, MANIFEST), manifest)
 
 
 def _merge_metrics(outdir: str) -> None:
@@ -670,7 +679,7 @@ def _stage_metrics(
     outputs = {METRICS_SPACE: space_path}
     if export_tree:
         tree_path = os.path.join(outdir, TREE_EDGES)
-        export_edges(tree, tree_path)
+        _write_csv(tree_path, ("child_label", "parent_label", "level"), tree.edges())
         outputs[TREE_EDGES] = tree_path
     _update_manifest(
         outdir,
@@ -915,7 +924,31 @@ DISRUPT_OPTIONS = (
 )
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a usage error, such as an unknown subcommand or option or a flag
+    value its type refuses, as ``bad_arguments``, with click's exit code."""
+    try:
+        yield
+    except click.UsageError as exc:
+        if isinstance(exc, getattr(click.exceptions, "NoArgsIsHelpError", ())):
+            raise  # a bare `knowspan` prints its help (click 8.2 and later)
+        _fail("bad_arguments", exc.format_message(), exit_code=exc.exit_code)
+
+
+class _Group(click.Group):
+    """Parses the command line, its subcommand's included, under _usage_errors."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="knowspan")
 def main() -> None:
     """Category-embedding analytics for citation corpora.
@@ -1063,6 +1096,9 @@ def correlate(opts: Options, outdir: str) -> None:
     columns = _as_list(opts.get("columns"))
     if not columns:
         _fail("bad_arguments", "--columns needs at least one column name")
+    repeated = sorted({name for name in columns if columns.count(name) > 1})
+    if repeated:
+        _fail("bad_arguments", f"--columns names {', '.join(repeated)} more than once")
     _stage_correlate(outdir, columns)
 
 
@@ -1146,10 +1182,10 @@ def curves(opts: Options, outdir: str) -> None:
 def pipeline(opts: Options, outdir: str) -> None:
     """Run every stage in order on one corpus.
 
-    With --synth, first generates the default 5,000-paper corpus with a
-    planted inverted-U citation effect (amplified by team size).  --seed
-    seeds both the corpus and the training.  Every setting is checked
-    before the first stage runs.
+    With --synth, first generates a corpus with a planted inverted-U
+    citation effect (amplified by team size); --papers sizes it (5,000 by
+    default).  --seed seeds both the corpus and the training.  Every
+    setting is checked before the first stage runs.
     """
     use_synth = opts.ctx.params["use_synth"]  # from the command line only
     if use_synth and opts.ctx.params["input_path"] is not None:

@@ -102,9 +102,6 @@ class ParseReport:
             "padded_codes": self.padded_codes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 @dataclass
 class Corpus:

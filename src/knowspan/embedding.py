@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -377,20 +377,23 @@ def _clipped_distance(u: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) 
     return min(2.0, max(0.0, d))
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
-    """Plain-text export: ``dim=<M> vocab=<V>`` header, then one code per line.
+def save_embeddings(matrix: EmbeddingMatrix, fh: TextIO) -> None:
+    """Plain-text export to an open text file: ``dim=<M> vocab=<V>`` header,
+    then one code per line.
 
     Floats are written with shortest round-trip precision, so save/load is
     exact and re-saving an unchanged matrix is byte-identical.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"dim={matrix.dim} vocab={len(matrix.vocabulary)}\n")
-        for code in matrix.vocabulary:
-            vec = matrix.vectors[code]
-            fh.write(code + " " + " ".join(map(repr, vec.tolist())) + "\n")
+    fh.write(f"dim={matrix.dim} vocab={len(matrix.vocabulary)}\n")
+    for code in matrix.vocabulary:
+        vec = matrix.vectors[code]
+        fh.write(code + " " + " ".join(map(repr, vec.tolist())) + "\n")
 
 
 def load_embeddings(path: str) -> EmbeddingMatrix:
+    """Read a ``save_embeddings`` file.  A file that training could not have
+    written, with fewer than two dimensions or vocabulary rows, is a
+    ValueError, as is any malformed line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         try:
@@ -398,6 +401,8 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
             n_vocab = int(header[1].removeprefix("vocab="))
         except (IndexError, ValueError):
             raise ValueError(f"malformed embedding header in {path!r}") from None
+        if dim < 2:
+            raise ValueError(f"dim={dim}, but training needs at least 2")
         vocab: list[str] = []
         vectors: dict[str, np.ndarray] = {}
         for line in fh:
@@ -416,4 +421,6 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
             vectors[code] = values
     if len(vocab) != n_vocab:
         raise ValueError(f"expected {n_vocab} vocabulary rows, found {len(vocab)}")
+    if n_vocab < 2:
+        raise ValueError(f"{n_vocab} vocabulary rows, but training needs at least 2")
     return EmbeddingMatrix(dim=dim, vocabulary=tuple(vocab), vectors=vectors)

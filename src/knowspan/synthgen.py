@@ -182,13 +182,3 @@ def generate(config: SynthConfig) -> Iterator[str]:
     """The record stream as JSON lines, parse-ready as written."""
     for record in generate_records(config):
         yield json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def write_corpus(config: SynthConfig, path: str) -> int:
-    """Write the generated corpus to ``path``; returns the record count."""
-    count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in generate(config):
-            fh.write(line + "\n")
-            count += 1
-    return count

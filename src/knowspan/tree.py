@@ -109,10 +109,3 @@ def network_distance(paper: Paper, tree: KnowledgeTree) -> float:
         for j in range(i + 1, m):
             total += 2 * (LEAF_LEVEL - _label_lca_level(labels[i], labels[j]))
     return total / (m * (m - 1) // 2)
-
-
-def export_edges(tree: KnowledgeTree, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("child_label,parent_label,level\n")
-        for child, parent, level in tree.edges():
-            fh.write(f"{child},{parent},{level}\n")

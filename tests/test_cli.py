@@ -1,7 +1,10 @@
 """Stage wiring, artifact contracts, and error surfaces of the command line."""
 
+import builtins
 import csv
+import errno
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -14,6 +17,7 @@ from click.testing import CliRunner
 
 from knowspan import cli
 from knowspan.cli import DISRUPTION_COLUMNS, METRIC_COLUMNS, SPACE_COLUMNS, main
+from knowspan.corpus import Paper
 
 FAST_TRAIN = ["--dim", "8", "--epochs", "2"]
 
@@ -511,6 +515,122 @@ def test_pipeline_does_not_mutate_its_input(runner, tmp_path):
     assert not (out / "corpus.jsonl").exists()  # input stays where it was
 
 
+# ---------------------------------------------------------------- artifact writes
+
+def test_every_artifact_arrives_by_a_rename_from_its_partial_file(runner, tmp_path, monkeypatch):
+    renames = []
+    replace = os.replace
+
+    def recorded(src, dst):
+        renames.append((os.fspath(src), os.fspath(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    args = ["pipeline", "--synth", "--papers", "150", "--export-tree", *FAST_TRAIN, "--points", "3"]
+    run_ok(runner, [*args, "--outdir", str(tmp_path)])
+    assert all(src == dst + ".partial" for src, dst in renames), renames
+    arrived = {os.path.basename(dst) for _, dst in renames}
+    assert {path.name for path in tmp_path.iterdir()} == arrived
+
+
+class FullDisk:
+    """A text file with room for ``room`` more characters; a write that does
+    not fit fails as on a full disk."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, text):
+        if len(text) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+def fill_disk(monkeypatch, path):
+    """Writes to ``path``, or to its partial file, fail half-way through its
+    present size."""
+    room = len(path.read_text(encoding="utf-8")) // 2
+    targets = {str(path), str(path) + ".partial"}
+    real_open = builtins.open
+
+    def opener(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and isinstance(file, (str, os.PathLike)) and os.fspath(file) in targets:
+            return FullDisk(fh, room)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", opener)
+
+
+def fail_to_record_after(monkeypatch, n):
+    """Paper.to_record raises on each call after the n-th."""
+    to_record, calls = Paper.to_record, itertools.count(1)
+
+    def failing(paper):
+        if next(calls) > n:
+            raise ValueError(f"record of paper {paper.id!r} cannot be written")
+        return to_record(paper)
+
+    monkeypatch.setattr(Paper, "to_record", failing)
+
+
+@pytest.fixture(scope="module")
+def finished_300(tmp_path_factory):
+    """A finished 300-paper run with its tree export; tests copy it."""
+    out = tmp_path_factory.mktemp("finished_300")
+    args = ["pipeline", "--synth", "--papers", "300", "--epochs", "1", "--dim", "8",
+            "--points", "3", "--export-tree", "--outdir", str(out)]
+    run_ok(CliRunner(), args)
+    return out
+
+
+@pytest.mark.parametrize(
+    "args, artifact",
+    [
+        (["synth", "--papers", "300"], "corpus.jsonl"),
+        (["ingest"], "corpus.parsed.jsonl"),
+        (["ingest"], "parse_report.json"),
+        (["train", "--epochs", "1", "--dim", "8"], "embedding.txt"),
+        (["metrics", "--export-tree"], "tree_edges.csv"),
+        (["disrupt"], "disruption.csv"),
+        (["correlate"], "manifest.json"),
+    ],
+    ids=["synth", "ingest_parsed", "ingest_report", "train", "tree_export", "csv_table", "manifest"],
+)
+def test_a_write_that_fails_part_way_leaves_the_earlier_artifact(
+    runner, tmp_path, finished_300, monkeypatch, args, artifact
+):
+    """Every other file the stage writes before the failure gets its earlier
+    bytes again, so the whole directory is as it was."""
+    shutil.copytree(finished_300, tmp_path, dirs_exist_ok=True)
+    before = snapshot(tmp_path)
+    if artifact == "corpus.parsed.jsonl":
+        fail_to_record_after(monkeypatch, 200)  # of 300 papers
+        error = "stage_failed"
+    else:
+        fill_disk(monkeypatch, tmp_path / artifact)
+        error = "io_error"
+    payload = run_fail(runner, [*args, "--outdir", str(tmp_path)])
+    monkeypatch.undo()
+    assert payload["error"] == error
+    assert not list(tmp_path.glob("*.partial"))
+    assert snapshot(tmp_path) == before
+    if artifact == "corpus.parsed.jsonl":
+        run_ok(runner, ["disrupt", "--outdir", str(tmp_path)])
+        _, rows = read_csv(tmp_path / "disruption.csv")
+        assert len(rows) == 300
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
@@ -747,6 +867,11 @@ def damage_embedding(text, defect):
         return text[: len(text) // 2]
     if defect == "empty":
         return ""
+    if defect == "no_rows":  # dim=8 vocab=0
+        return header.split()[0] + " vocab=0\n"
+    if defect == "zero_dim":  # dim=0 with code-only rows
+        codes = [line.split()[0] for line in (first, second, *rest)]
+        return header.replace(header.split()[0], "dim=0") + "".join(c + "\n" for c in codes)
     if defect == "bad_code":
         return header + "not-a-code" + first[first.index(" "):] + second + "".join(rest)
     if defect in ("nan", "inf"):  # one coordinate of the first row
@@ -757,7 +882,9 @@ def damage_embedding(text, defect):
     return header + first + repeated + "".join(rest)
 
 
-@pytest.mark.parametrize("defect", ["truncated", "empty", "bad_code", "repeated_code", "nan", "inf"])
+@pytest.mark.parametrize(
+    "defect", ["truncated", "empty", "bad_code", "repeated_code", "nan", "inf", "no_rows", "zero_dim"]
+)
 def test_malformed_embedding_is_structured_error(runner, tmp_path, finished_run, defect):
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     embedding = tmp_path / "embedding.txt"
@@ -792,16 +919,58 @@ def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, tmp
     assert snapshot(tmp_path) == before
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_empty_correlation_columns_are_refused_before_the_table_is_read(runner, tmp_path, source):
+@pytest.mark.parametrize(
+    "source, value, message",
+    [
+        pytest.param(source, value, message, id=source + suffix)
+        for suffix, value, message in (
+            ("", " , ", "--columns needs at least one column name"),
+            ("_repeated", "d_score,team_size,d_score", "--columns names d_score more than once"),
+        )
+        for source in ("flag", "config")
+    ],
+)
+def test_empty_correlation_columns_are_refused_before_the_table_is_read(
+    runner, tmp_path, source, value, message
+):
     """The directory holds no metrics.csv, so reading it would fail first."""
     config = tmp_path / "run.cfg"
-    config.write_text("columns =\n")
-    extra = ["--columns", " , "] if source == "flag" else ["--config", str(config)]
+    config.write_text(f"columns = {value}\n")
+    extra = ["--columns", value] if source == "flag" else ["--config", str(config)]
     payload = run_fail(runner, ["correlate", "--outdir", str(tmp_path), *extra])
-    assert payload["error"] == "bad_arguments"
-    assert "--columns" in payload["message"]
+    assert payload == {"error": "bad_arguments", "message": message}
     assert not (tmp_path / "correlations.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["train", "--dim", "abc"], "--dim"),
+        (["train", "--config", "{out}/missing.cfg"], "--config"),
+        (["ingest", "--input", "{out}"], "--input"),
+        (["train", "--bogus"], "--bogus"),
+        (["bogus"], "bogus"),
+    ],
+    ids=["bad_value", "missing_config", "directory_input", "unknown_option", "unknown_subcommand"],
+)
+def test_usage_errors_are_structured(runner, tmp_path, finished_run, args, named):
+    """A flag click refuses fails as its value from a config file does: one
+    JSON line, before anything is written.  The exit code stays click's 2."""
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    args = [arg.format(out=tmp_path) for arg in args]
+    before = snapshot(tmp_path)
+    payload = run_fail(runner, [*args, "--outdir", str(tmp_path)])
+    assert payload["error"] == "bad_arguments"
+    assert named in payload["message"]
+    assert runner.invoke(main, [*args, "--outdir", str(tmp_path)]).exit_code == 2
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("args", [["--help"], ["train", "--help"], ["--version"]])
+def test_help_and_version_print_text(runner, args):
+    result = run_ok(runner, args)
+    assert result.output.startswith(("Usage:", "knowspan, version"))
+    assert not result.stderr
 
 
 MERGE_INPUT_HEADERS = {

@@ -448,7 +448,8 @@ def test_save_load_round_trip_is_exact(tmp_path):
     corpus = two_block_corpus(40)
     matrix = train_embeddings(build_training_pairs(corpus), TrainingConfig(dim=8, epochs=1, seed=1))
     path = tmp_path / "embedding.txt"
-    save_embeddings(matrix, str(path))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        save_embeddings(matrix, fh)
     loaded = load_embeddings(str(path))
     assert loaded.dim == matrix.dim
     assert loaded.vocabulary == matrix.vocabulary
@@ -456,7 +457,8 @@ def test_save_load_round_trip_is_exact(tmp_path):
         assert np.array_equal(loaded.vectors[key], matrix.vectors[key])
     # byte-identical on re-save
     second = tmp_path / "again.txt"
-    save_embeddings(loaded, str(second))
+    with open(second, "w", encoding="utf-8", newline="\n") as fh:
+        save_embeddings(loaded, fh)
     assert path.read_bytes() == second.read_bytes()
 
 
@@ -478,7 +480,8 @@ def test_a_code_is_its_canonical_text_from_parse_to_saved_embedding(tmp_path):
 
     matrix = train_embeddings(build_training_pairs(corpus), TrainingConfig(dim=4, epochs=1))
     path = tmp_path / "embedding.txt"
-    save_embeddings(matrix, str(path))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        save_embeddings(matrix, fh)
     loaded = load_embeddings(str(path))
     for text in texts:
         fresh = "".join(list(text))  # equal text, another object
@@ -491,7 +494,8 @@ def test_export_header_format(tmp_path):
     corpus = two_block_corpus(10)
     matrix = train_embeddings(build_training_pairs(corpus), TrainingConfig(dim=6, epochs=1, seed=1))
     path = tmp_path / "emb.txt"
-    save_embeddings(matrix, str(path))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        save_embeddings(matrix, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == f"dim=6 vocab={len(matrix.vocabulary)}"
     assert len(lines) == 1 + len(matrix.vocabulary)

@@ -16,7 +16,6 @@ from knowspan.synthgen import (
     block_of_code,
     generate,
     generate_records,
-    write_corpus,
 )
 from knowspan.tree import leaf_label
 
@@ -93,13 +92,11 @@ def test_multi_block_corpus_matches_the_recorded_digest():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MULTI_BLOCK_SHA256
 
 
-def test_write_corpus_round_trips(tmp_path):
-    path = tmp_path / "corpus.jsonl"
+def test_write_corpus_round_trips():
     config = small_config()
-    count = write_corpus(config, str(path))
-    assert count == config.n_papers
-    with open(path, encoding="utf-8") as fh:
-        corpus, report = parse_corpus(fh)
+    lines = list(generate(config))
+    assert len(lines) == config.n_papers
+    corpus, report = parse_corpus(lines)
     assert len(corpus.papers) == config.n_papers
     assert not report.skip_reasons
     assert report.duplicate_codes_removed == 0
