@@ -919,15 +919,17 @@ def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, tmp
     assert snapshot(tmp_path) == before
 
 
+EMPTY_COLUMNS = "--columns needs at least one column name"
+REPEATED_COLUMN = "--columns names d_score more than once"
+
+
 @pytest.mark.parametrize(
     "source, value, message",
     [
-        pytest.param(source, value, message, id=source + suffix)
-        for suffix, value, message in (
-            ("", " , ", "--columns needs at least one column name"),
-            ("_repeated", "d_score,team_size,d_score", "--columns names d_score more than once"),
-        )
-        for source in ("flag", "config")
+        pytest.param("flag", " , ", EMPTY_COLUMNS, id="flag"),
+        pytest.param("config", "", EMPTY_COLUMNS, id="config"),
+        pytest.param("flag", "d_score,team_size,d_score", REPEATED_COLUMN, id="flag_repeated"),
+        pytest.param("config", "d_score,team_size,d_score", REPEATED_COLUMN, id="config_repeated"),
     ],
 )
 def test_empty_correlation_columns_are_refused_before_the_table_is_read(
@@ -935,7 +937,7 @@ def test_empty_correlation_columns_are_refused_before_the_table_is_read(
 ):
     """The directory holds no metrics.csv, so reading it would fail first."""
     config = tmp_path / "run.cfg"
-    config.write_text(f"columns = {value}\n")
+    config.write_text(f"columns = {value}".rstrip() + "\n")
     extra = ["--columns", value] if source == "flag" else ["--config", str(config)]
     payload = run_fail(runner, ["correlate", "--outdir", str(tmp_path), *extra])
     assert payload == {"error": "bad_arguments", "message": message}
@@ -950,8 +952,16 @@ def test_empty_correlation_columns_are_refused_before_the_table_is_read(
         (["ingest", "--input", "{out}"], "--input"),
         (["train", "--bogus"], "--bogus"),
         (["bogus"], "bogus"),
+        (["--bogus"], "--bogus"),
     ],
-    ids=["bad_value", "missing_config", "directory_input", "unknown_option", "unknown_subcommand"],
+    ids=[
+        "bad_value",
+        "missing_config",
+        "directory_input",
+        "unknown_option",
+        "unknown_subcommand",
+        "unknown_group_option",
+    ],
 )
 def test_usage_errors_are_structured(runner, tmp_path, finished_run, args, named):
     """A flag click refuses fails as its value from a config file does: one
