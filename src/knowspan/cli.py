@@ -10,6 +10,7 @@ exit nonzero.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import dataclasses
@@ -366,8 +367,10 @@ def _replacing(path: str) -> Iterator[TextIO]:
     """A text file at ``<path>.partial``, which replaces ``path`` when the
     block ends.  Any failure in the block removes the partial file and leaves
     ``path`` as it was, so a later stage never reads a half-written artifact.
-    Every artifact is written through here."""
+    Every artifact is written through here, so the output directory is made
+    by the first write, and a command refused before it writes makes none."""
     partial = path + ".partial"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     try:
         with open(partial, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
@@ -423,23 +426,43 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     """The numeric columns of the merged metrics CSV; blanks → NaN.  A cell
     that is not a finite number fails the stage with ``bad_artifact``: the
     stages never write inf or nan, and the analyses would drop its row as
-    missing."""
-    header, *rows = _table_rows(path, "metrics")
-    columns = {}
-    for j, name in enumerate(header[1:], start=1):
-        try:
-            values = np.array([float(row[j]) if row[j] != "" else math.nan for row in rows])
-        except ValueError as exc:
-            _fail("bad_artifact", f"{path} column {name!r}: {exc}")
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            if rows[i][j] != "":
-                _fail(
-                    "bad_artifact",
-                    f"{path} column {name!r}: data row {i + 1} holds {rows[i][j]!r}, "
-                    "not a finite number",
-                )
-        columns[name] = values
-    return AnalysisTable(columns)
+    missing.  Of several such cells, the leftmost column's is reported, and
+    in it the first cell that is no number, else the first non-finite one.
+
+    Each cell is parsed as its row is read, straight into its column's
+    buffer, so no row outlives its parsing.
+    """
+    rows = _table_rows(path, "metrics")
+    with contextlib.closing(rows):
+        names = next(rows)[1:]
+        buffers = [array.array("d") for _ in names]
+        not_numbers: dict[int, str] = {}  # per column index, its first defect of each kind
+        not_finite: dict[int, str] = {}
+        for number, row in enumerate(rows, start=1):
+            for j, cell in enumerate(row[1:]):
+                try:
+                    value = float(cell) if cell != "" else math.nan
+                except ValueError as exc:
+                    not_numbers.setdefault(j, str(exc))
+                    value = math.nan
+                else:
+                    if cell != "" and not math.isfinite(value):
+                        not_finite.setdefault(
+                            j, f"data row {number} holds {cell!r}, not a finite number"
+                        )
+                buffers[j].append(value)
+    if not_numbers or not_finite:
+        j = min(not_numbers.keys() | not_finite.keys())
+        _fail("bad_artifact", f"{path} column {names[j]!r}: {not_numbers.get(j) or not_finite[j]}")
+    return AnalysisTable(
+        {name: np.frombuffer(buffer, dtype=np.float64) for name, buffer in zip(names, buffers)}
+    )
+
+
+def _read_metrics(outdir: str) -> tuple[str, AnalysisTable]:
+    """Path and numeric columns of the merged metrics table."""
+    path = _require(outdir, METRICS)
+    return path, _load_metrics_table(path)
 
 
 def _read_corpus(outdir: str) -> tuple[str, Corpus]:
@@ -541,10 +564,14 @@ def _space_rows(
     the number of papers with a code missing from the trained vocabulary.
     Embedding-derived cells are empty for such a paper, and the journal
     distance also when its journal-year cell has no usable reference point."""
-    vectors: dict[str, np.ndarray | None] = {
-        pid: paper_vector(paper, emb) if all(code in emb for code in paper.pacs_codes) else None
-        for pid, paper in corpus.papers.items()
-    }
+    matrix = np.zeros((len(corpus.papers), emb.dim))  # one row per paper, in corpus order
+    vectors: dict[str, np.ndarray | None] = {}
+    for row, (pid, paper) in zip(matrix, corpus.papers.items()):
+        if all(code in emb for code in paper.pacs_codes):
+            row[:] = paper_vector(paper, emb)
+            vectors[pid] = row
+        else:
+            vectors[pid] = None
     cells = journal_cells(corpus, vectors)
 
     def rows() -> Iterator[tuple]:
@@ -718,9 +745,9 @@ def _stage_disrupt(
     _merge_metrics(outdir)
 
 
-def _stage_correlate(outdir: str, columns: tuple[str, ...]) -> None:
-    metrics_path = _require(outdir, METRICS)
-    table = _load_metrics_table(metrics_path)
+def _stage_correlate(
+    outdir: str, metrics_path: str, table: AnalysisTable, columns: tuple[str, ...]
+) -> None:
     _require_columns("--columns", columns, table)
     matrix = pearson_matrix(table, columns)
     correlations_path = os.path.join(outdir, CORRELATIONS)
@@ -760,10 +787,9 @@ def _fit_named_model(
 
 
 def _stage_regress(
-    outdir: str, models: dict[str, RegressionSpec], names: tuple[str, ...], center: str
+    outdir: str, metrics_path: str, table: AnalysisTable,
+    models: dict[str, RegressionSpec], names: tuple[str, ...], center: str,
 ) -> None:
-    metrics_path = _require(outdir, METRICS)
-    table = _load_metrics_table(metrics_path)
     outputs = {}
     summaries = {}
     for name in names:
@@ -801,14 +827,14 @@ def _moderator_levels(spec: RegressionSpec, table: AnalysisTable) -> list[float]
 
 def _stage_curves(
     outdir: str,
+    metrics_path: str,
+    table: AnalysisTable,
     models: dict[str, RegressionSpec],
     names: tuple[str, ...],
     center: str,
     points: int,
     levels: tuple[float, ...] | None,
 ) -> None:
-    metrics_path = _require(outdir, METRICS)
-    table = _load_metrics_table(metrics_path)
     outputs = {}
     for name in names:
         spec = models[name]
@@ -972,7 +998,6 @@ def _command(*options):
         @click.pass_context
         @_structured_errors
         def command(ctx, outdir, config_path, **_):
-            os.makedirs(outdir, exist_ok=True)
             config = _read_config(config_path) if config_path else {}
             _check_config_keys(config)
             body(Options(ctx, config), outdir)
@@ -1099,7 +1124,7 @@ def correlate(opts: Options, outdir: str) -> None:
     repeated = sorted({name for name in columns if columns.count(name) > 1})
     if repeated:
         _fail("bad_arguments", f"--columns names {', '.join(repeated)} more than once")
-    _stage_correlate(outdir, columns)
+    _stage_correlate(outdir, *_read_metrics(outdir), columns)
 
 
 def _selected_models(opts: Options) -> tuple[dict[str, RegressionSpec], tuple[str, ...]]:
@@ -1119,7 +1144,7 @@ def _selected_models(opts: Options) -> tuple[dict[str, RegressionSpec], tuple[st
 def regress(opts: Options, outdir: str) -> None:
     """Fit model presets; writes regression_<model>.csv term tables."""
     models, names = _selected_models(opts)
-    _stage_regress(outdir, models, names, opts.get("center"))
+    _stage_regress(outdir, *_read_metrics(outdir), models, names, opts.get("center"))
 
 
 def _finite_levels(raw: str) -> tuple[float, ...]:
@@ -1164,7 +1189,7 @@ def curves(opts: Options, outdir: str) -> None:
     raw_levels = opts.get("levels")
     levels = None if raw_levels is None else _finite_levels(raw_levels)
     models, names = _selected_models(opts)
-    _stage_curves(outdir, models, names, opts.get("center"), points, levels)
+    _stage_curves(outdir, *_read_metrics(outdir), models, names, opts.get("center"), points, levels)
 
 
 @_command(
@@ -1208,9 +1233,10 @@ def pipeline(opts: Options, outdir: str) -> None:
     graph = build_citation_graph(corpus)
     _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
     _stage_disrupt(outdir, parsed_path, corpus, graph, variant)
-    _stage_correlate(outdir, DEFAULT_CORRELATION_COLUMNS)
-    _stage_regress(outdir, models, tuple(models), center)
-    _stage_curves(outdir, models, tuple(models), center, points, None)
+    metrics_path, table = _read_metrics(outdir)
+    _stage_correlate(outdir, metrics_path, table, DEFAULT_CORRELATION_COLUMNS)
+    _stage_regress(outdir, metrics_path, table, models, tuple(models), center)
+    _stage_curves(outdir, metrics_path, table, models, tuple(models), center, points, None)
 
 
 if __name__ == "__main__":

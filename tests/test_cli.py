@@ -6,10 +6,12 @@ import errno
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -730,7 +732,7 @@ def test_pipeline_checks_every_setting_before_its_first_stage(runner, tmp_path, 
             "--points", "3", "--config", str(tmp_path / "bad.ini"), *args]
     payload = run_fail(runner, args)
     assert payload["error"] == error
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # a refused command makes no output directory
 
 
 def test_pipeline_refuses_papers_without_synth(runner, tmp_path):
@@ -741,7 +743,7 @@ def test_pipeline_refuses_papers_without_synth(runner, tmp_path):
     payload = run_fail(runner, ["pipeline", "--outdir", str(out), "--input", str(corpus), "--papers", "10"])
     assert payload["error"] == "bad_arguments"
     assert "--papers" in payload["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -814,6 +816,124 @@ def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, co
     assert "metrics.csv" in payload["message"]
     if column is not None:
         assert repr(column) in payload["message"]
+
+
+def row_based_load_metrics_table(path):
+    """The metrics-table loader that held every row as strings before it
+    parsed any column; the column-wise loader must match it exactly."""
+    header, *rows = cli._table_rows(path, "metrics")
+    columns = {}
+    for j, name in enumerate(header[1:], start=1):
+        try:
+            values = np.array([float(row[j]) if row[j] != "" else math.nan for row in rows])
+        except ValueError as exc:
+            cli._fail("bad_artifact", f"{path} column {name!r}: {exc}")
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            if rows[i][j] != "":
+                cli._fail(
+                    "bad_artifact",
+                    f"{path} column {name!r}: data row {i + 1} holds {rows[i][j]!r}, "
+                    "not a finite number",
+                )
+        columns[name] = values
+    return cli.AnalysisTable(columns)
+
+
+def assert_same_tables(path):
+    expected, loaded = row_based_load_metrics_table(path), cli._load_metrics_table(path)
+    assert list(loaded.columns) == list(expected.columns)
+    for name, values in expected.columns.items():
+        assert loaded.columns[name].dtype == np.float64
+        assert np.array_equal(loaded.columns[name], values, equal_nan=True), name
+
+
+def test_column_wise_loader_matches_the_row_based_one_on_a_default_run(runner, tmp_path):
+    run_ok(runner, ["pipeline", "--outdir", str(tmp_path), "--synth"])
+    assert_same_tables(str(tmp_path / "metrics.csv"))
+
+
+def metrics_text(rows):
+    return "\n".join([",".join(METRIC_COLUMNS), *(",".join(row) for row in rows)]) + "\n"
+
+
+def random_metrics_rows(n, blank_share, seed=0):
+    """``n`` rows of METRIC_COLUMNS cells, each numeric cell blank with
+    probability ``blank_share``."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(scale=1e3, size=(n, len(METRIC_COLUMNS) - 1))
+    blank = rng.random(values.shape) < blank_share
+    return [
+        [f"p{i}"] + ["" if gap else repr(float(v)) for v, gap in zip(row, gaps)]
+        for i, (row, gaps) in enumerate(zip(values, blank))
+    ]
+
+
+@pytest.mark.parametrize("n, blank_share", [(0, 0.0), (1, 1.0), (300, 0.2), (300, 1.0)])
+def test_column_wise_loader_matches_the_row_based_one_on_blank_cells(tmp_path, n, blank_share):
+    path = tmp_path / "metrics.csv"
+    path.write_text(metrics_text(random_metrics_rows(n, blank_share)), encoding="utf-8")
+    assert_same_tables(str(path))
+
+
+def with_cells(rows, *cells):
+    """``rows`` with each (row index, column name, text) cell replaced."""
+    rows = [list(row) for row in rows]
+    for i, name, text in cells:
+        rows[i][METRIC_COLUMNS.index(name)] = text
+    return rows
+
+
+BASE_ROWS = random_metrics_rows(5, 0.2)
+DEFECTIVE_TABLES = {
+    "bad_cell": metrics_text(with_cells(BASE_ROWS, (2, "team_size", "abc"))),
+    "inf_cell": metrics_text(with_cells(BASE_ROWS, (3, "d_score", "inf"))),
+    "minus_inf_cell": metrics_text(with_cells(BASE_ROWS, (0, "years", "-Infinity"))),
+    "nan_cell": metrics_text(with_cells(BASE_ROWS, (4, "n_pages", " NaN"))),
+    # of several defects, the leftmost column's, and a non-number before a non-finite cell
+    "two_columns": metrics_text(
+        with_cells(BASE_ROWS, (0, "d_score", "x"), (3, "team_size", "inf"))
+    ),
+    "one_column": metrics_text(
+        with_cells(BASE_ROWS, (1, "team_size", "nan"), (3, "team_size", "y"))
+    ),
+    # a short row anywhere comes before any cell
+    "short_row_after_a_bad_cell": metrics_text(
+        with_cells(BASE_ROWS, (0, "team_size", "abc"))[:3] + [["p9", "0.1"]]
+    ),
+    "short_row": metrics_text([["p1", "0.1"]]),
+    "long_row": metrics_text([BASE_ROWS[0] + ["1.0"]]),
+    "paper_id_only": "paper_id\np1\n",
+    "empty_file": "",
+}
+
+
+@pytest.mark.parametrize("content", DEFECTIVE_TABLES.values(), ids=DEFECTIVE_TABLES)
+def test_column_wise_loader_refuses_what_the_row_based_one_refuses(tmp_path, capsys, content):
+    path = tmp_path / "metrics.csv"
+    path.write_text(content, encoding="utf-8")
+    refusals = []
+    for load in (row_based_load_metrics_table, cli._load_metrics_table):
+        with pytest.raises((cli.StageFailure, ValueError)) as caught:
+            load(str(path))
+        refusals.append((type(caught.value), str(caught.value), capsys.readouterr().err))
+    assert refusals[0] == refusals[1]
+
+
+def test_loader_holds_little_more_than_the_columns_it_returns(tmp_path):
+    """Each cell goes straight into its column, so the loader's peak stays
+    close to the arrays it returns; a list of string rows would be about
+    eight times as large."""
+    path = tmp_path / "metrics.csv"
+    path.write_text(metrics_text(random_metrics_rows(20_000, 0.1)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        table = cli._load_metrics_table(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column_bytes = sum(values.nbytes for values in table.columns.values())
+    assert table.n == 20_000 and column_bytes == 20_000 * (len(METRIC_COLUMNS) - 1) * 8
+    assert peak <= 2 * column_bytes
 
 
 @pytest.mark.parametrize("stage", ["disrupt", "correlate"])
@@ -1260,6 +1380,80 @@ def test_pipeline_parses_once_and_links_once(runner, tmp_path, corpus_calls):
     args = ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "120"]
     run_ok(runner, args + [*FAST_TRAIN, "--points", "3"])
     assert corpus_calls == {"parse": 1, "graph": 1}
+
+
+def test_pipeline_reads_the_metrics_table_once(runner, tmp_path, monkeypatch):
+    """correlate, regress and curves share the table pipeline loads after
+    disrupt; run one by one, each loads it for itself and writes the same
+    bytes.  The digests the manifest records read the file in binary mode
+    and are not counted."""
+    loads, opens = [], []
+    load, real_open = cli._load_metrics_table, builtins.open
+
+    def counted_load(path):
+        loads.append(os.path.basename(path))
+        return load(path)
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.basename(file) == "metrics.csv":
+            opens.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_metrics_table", counted_load)
+    monkeypatch.setattr(builtins, "open", counted_open)
+    piped, staged = tmp_path / "pipeline", tmp_path / "stages"
+    run_ok(runner, ["pipeline", "--outdir", str(piped), "--synth", "--papers", "150",
+                    *FAST_TRAIN, "--points", "3"])
+    assert loads == ["metrics.csv"]
+    assert [mode for mode in opens if "b" not in mode] == ["r"]
+    shutil.copytree(piped, staged)
+    for args in (["correlate"], ["regress"], ["curves", "--points", "3"]):
+        run_ok(runner, args + ["--outdir", str(staged)])
+    assert len(loads) == 4
+    names = sorted(p.name for p in piped.iterdir())
+    assert names == sorted(p.name for p in staged.iterdir())
+    analysis = [n for n in names if n == "correlations.csv" or n.startswith(("regression_", "curves_"))]
+    assert len(analysis) == 17
+    for name in analysis + ["manifest.json"]:
+        assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "args, config, exit_code",
+    [
+        (["curves", "--points", "1"], "", 1),
+        (["curves", "--levels", "x"], "", 1),
+        (["correlate", "--columns", "d_score,d_score"], "", 1),
+        (["regress", "--model", "model9"], "", 1),
+        (["train"], "bogus = 1\n", 1),
+        (["metrics"], "", 1),
+        (["pipeline", "--synth", "--input", "x"], "", 1),
+        (["pipeline", "--papers", "10"], "", 1),
+        (["pipeline", "--synth", "--dim", "1"], "", 1),
+        (["train", "--dim", "abc"], "", 2),
+    ],
+    ids=[
+        "curves_points",
+        "curves_levels",
+        "correlate_columns",
+        "regress_model",
+        "config_key",
+        "missing_artifact",
+        "pipeline_input_and_synth",
+        "pipeline_papers",
+        "pipeline_dim",
+        "usage_error",
+    ],
+)
+def test_a_refused_command_makes_no_output_directory(runner, tmp_path, args, config, exit_code):
+    """The directory is made by the first artifact written, so a command
+    refused before then leaves nothing behind."""
+    out = tmp_path / "new"
+    (tmp_path / "run.cfg").write_text(config)
+    args = [*args, "--outdir", str(out), "--config", str(tmp_path / "run.cfg")]
+    run_fail(runner, args)
+    assert runner.invoke(main, args).exit_code == exit_code
+    assert not out.exists()
 
 
 def test_pipeline_writes_the_bytes_of_a_stage_by_stage_run(runner, tmp_path):
