@@ -630,57 +630,44 @@ def _paired_rows(
         yield space + disruption
 
 
-def _drop_merged_table(outdir: str, manifest: dict) -> None:
-    """Remove metrics.csv and its `merge` entry, where they exist."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(outdir, METRICS))
-    manifest["stages"].pop("merge", None)
-    _write_json(os.path.join(outdir, MANIFEST), manifest)
-
-
 def _merge_metrics(outdir: str) -> None:
-    """Join the space and disruption tables row by row into metrics.csv.
+    """Rebuild metrics.csv from the space and disruption tables.
 
-    Runs from whichever stage finished second, when both tables exist.  If
-    the manifest records that `metrics` and `disrupt` read the same parsed
-    corpus, both tables list its papers in its order and stream through the
-    join together.  Otherwise both are still checked row by row, and
-    metrics.csv and its `merge` entry are removed, so the merged table is
-    missing rather than mixing generations.  A malformed or mismatched table
-    also removes them, and fails the stage.
+    Runs each time `metrics` or `disrupt` replaces its table.  The earlier
+    metrics.csv and its `merge` entry are removed first, so a join that fails
+    or is not made leaves no merged table.  A new one is joined only when both
+    tables exist and the manifest records that `metrics` and `disrupt` read
+    the same parsed corpus: both then list its papers in its order and stream
+    through the join together.  A malformed or mismatched table fails the
+    stage.
     """
-    space_path = os.path.join(outdir, METRICS_SPACE)
-    disruption_path = os.path.join(outdir, DISRUPTION)
-    if not (os.path.exists(space_path) and os.path.exists(disruption_path)):
-        return
+    merged_path = os.path.join(outdir, METRICS)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(merged_path)
     manifest = _read_manifest(outdir)
     stages = manifest["stages"]
+    if stages.pop("merge", None) is not None:
+        _write_json(os.path.join(outdir, MANIFEST), manifest)
+    space_path = os.path.join(outdir, METRICS_SPACE)
+    disruption_path = os.path.join(outdir, DISRUPTION)
     metrics_corpus, disrupt_corpus = (
         stages.get(stage, {}).get("inputs", {}).get(CORPUS_PARSED)
         for stage in ("metrics", "disrupt")
     )
-    one_corpus = metrics_corpus is not None and metrics_corpus == disrupt_corpus
-    merged_path = os.path.join(outdir, METRICS)
+    if not (
+        os.path.exists(space_path) and os.path.exists(disruption_path)
+        and metrics_corpus is not None and metrics_corpus == disrupt_corpus
+    ):
+        return
     # each merged column by name from a space row followed by its disruption row
     pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
     space_rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
     disruption_rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
-    try:
-        with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
-            next(space_rows)  # the headers, checked as they are read
-            next(disruption_rows)
-            if one_corpus:
-                pairs = _paired_rows(space_rows, space_path, disruption_rows, disruption_path)
-                _write_csv(merged_path, METRIC_COLUMNS, map(pick, pairs))
-            else:
-                for _ in itertools.chain(space_rows, disruption_rows):
-                    pass
-    except StageFailure:
-        _drop_merged_table(outdir, manifest)
-        raise
-    if not one_corpus:
-        _drop_merged_table(outdir, manifest)
-        return
+    with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
+        next(space_rows)  # the headers, checked as they are read
+        next(disruption_rows)
+        pairs = _paired_rows(space_rows, space_path, disruption_rows, disruption_path)
+        _write_csv(merged_path, METRIC_COLUMNS, map(pick, pairs))
     _update_manifest(
         outdir,
         "merge",
@@ -957,8 +944,8 @@ def _usage_errors():
     try:
         yield
     except click.UsageError as exc:
-        if isinstance(exc, getattr(click.exceptions, "NoArgsIsHelpError", ())):
-            raise  # a bare `knowspan` prints its help (click 8.2 and later)
+        if isinstance(exc, click.exceptions.NoArgsIsHelpError):
+            raise  # a bare `knowspan` prints its help
         _fail("bad_arguments", exc.format_message(), exit_code=exc.exit_code)
 
 

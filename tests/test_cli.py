@@ -633,6 +633,37 @@ def test_a_write_that_fails_part_way_leaves_the_earlier_artifact(
         assert len(rows) == 300
 
 
+@pytest.mark.parametrize(
+    "args, partner",
+    [
+        (["metrics", "--exclude-self"], "disruption.csv"),
+        (["disrupt", "--d-variant", "overlapping"], "metrics_space.csv"),
+    ],
+    ids=["metrics", "disrupt"],
+)
+@pytest.mark.parametrize("fault", ["full_disk", "missing_partner"])
+def test_a_stage_that_replaces_its_table_leaves_no_stale_merged_table(
+    runner, tmp_path, finished_300, monkeypatch, args, partner, fault
+):
+    """The earlier metrics.csv was joined from the table the stage replaces,
+    so a join that fails part-way, or that lacks the other table, leaves no
+    merged table for the analyses to read."""
+    shutil.copytree(finished_300, tmp_path, dirs_exist_ok=True)
+    if fault == "full_disk":
+        fill_disk(monkeypatch, tmp_path / "metrics.csv")
+        payload = run_fail(runner, [*args, "--outdir", str(tmp_path)])
+        monkeypatch.undo()
+        assert payload["error"] == "io_error"
+    else:
+        (tmp_path / partner).unlink()
+        run_ok(runner, [*args, "--outdir", str(tmp_path)])
+    assert not (tmp_path / "metrics.csv").exists()
+    assert "merge" not in read_manifest(tmp_path)["stages"]
+    assert not list(tmp_path.glob("*.partial"))
+    payload = run_fail(runner, ["correlate", "--outdir", str(tmp_path)])
+    assert payload["error"] == "missing_artifact"
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
@@ -1107,26 +1138,52 @@ MERGE_INPUT_HEADERS = {
     "disruption.csv": ",".join(DISRUPTION_COLUMNS),
     "metrics_space.csv": ",".join(SPACE_COLUMNS),
 }
-
-
-@pytest.mark.parametrize(
+MERGE_INPUTS = pytest.mark.parametrize(
     "bad_file, stage",
     [("disruption.csv", "metrics"), ("metrics_space.csv", "disrupt")],
     ids=["disruption", "metrics_space"],
 )
-@pytest.mark.parametrize("defect", ["short_row", "empty_file"])
-def test_malformed_merge_input_is_structured_error(runner, tmp_path, bad_file, stage, defect):
-    """The other stage's table is bad when this stage finishes and merges."""
+
+
+def tiny_run_with_other_table(runner, tmp_path, stage):
+    """A tiny corpus ingested and trained on, with the table of the stage
+    that is not ``stage``."""
     out = str(tmp_path)
     tiny_corpus(tmp_path / "corpus.jsonl")
     run_ok(runner, ["ingest", "--outdir", out])
     run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
-    content = MERGE_INPUT_HEADERS[bad_file] + "\nA,0.1\n" if defect == "short_row" else ""
-    (tmp_path / bad_file).write_text(content, encoding="utf-8")
-    payload = run_fail(runner, [stage, "--outdir", out])
+    run_ok(runner, ["disrupt" if stage == "metrics" else "metrics", "--outdir", out])
+
+
+def damage_merge_input(path, defect):
+    content = MERGE_INPUT_HEADERS[path.name] + "\nA,0.1\n" if defect == "short_row" else ""
+    path.write_text(content, encoding="utf-8")
+
+
+@MERGE_INPUTS
+@pytest.mark.parametrize("defect", ["short_row", "empty_file"])
+def test_malformed_merge_input_is_structured_error(runner, tmp_path, bad_file, stage, defect):
+    """Both stages read one corpus, so the merge after this stage reads the
+    other stage's table, damaged since that stage ran."""
+    tiny_run_with_other_table(runner, tmp_path, stage)
+    damage_merge_input(tmp_path / bad_file, defect)
+    payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
     assert payload["error"] == "bad_artifact"
     assert bad_file in payload["message"]
     assert not (tmp_path / "metrics.csv").exists()
+
+
+@MERGE_INPUTS
+def test_a_table_of_another_corpus_is_left_unread(runner, tmp_path, bad_file, stage):
+    """After the corpus changes, the other stage's table is never joined, so
+    the merge does not read it, damaged or not, and the stage succeeds."""
+    tiny_run_with_other_table(runner, tmp_path, stage)
+    run_ok(runner, ["ingest", "--outdir", str(tmp_path), "--min-year", "2001"])
+    damage_merge_input(tmp_path / bad_file, "empty_file")
+    run_ok(runner, [stage, "--outdir", str(tmp_path)])
+    assert not (tmp_path / "metrics.csv").exists()
+    assert "merge" not in read_manifest(tmp_path)["stages"]
+    assert (tmp_path / bad_file).read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("stale", ["metrics", "disrupt"])
