@@ -155,27 +155,27 @@ def _fail(kind: str, message: str, *, exit_code: int = 1, **fields) -> None:
     raise StageFailure(exit_code)
 
 
-def _structured_errors(fn):
-    """Convert library errors at the command boundary into JSON lines."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except StageFailure:
-            raise
-        except (CorpusError, InvalidCodeError) as exc:
-            _fail("corpus_error", str(exc))
-        except RankDeficiencyError as exc:
-            _fail("rank_deficient", str(exc))
-        except ValueError as exc:
-            _fail("stage_failed", str(exc))
-        except KeyError as exc:  # its str() is the repr of its argument
-            _fail("stage_failed", str(exc.args[0]) if exc.args else repr(exc))
-        except OSError as exc:
-            _fail("io_error", str(exc))
-
-    return wrapper
+@contextlib.contextmanager
+def _structured_errors() -> Iterator[None]:
+    """Report a failure as one JSON line: a usage error, such as an unknown
+    subcommand or option or a flag value its type refuses, as
+    ``bad_arguments`` with click's exit code, and a library error by its kind."""
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise  # a bare `knowspan` prints its help
+    except click.UsageError as exc:
+        _fail("bad_arguments", exc.format_message(), exit_code=exc.exit_code)
+    except (CorpusError, InvalidCodeError) as exc:
+        _fail("corpus_error", str(exc))
+    except RankDeficiencyError as exc:
+        _fail("rank_deficient", str(exc))
+    except ValueError as exc:
+        _fail("stage_failed", str(exc))
+    except KeyError as exc:  # its str() is the repr of its argument
+        _fail("stage_failed", str(exc.args[0]) if exc.args else repr(exc))
+    except OSError as exc:
+        _fail("io_error", str(exc))
 
 
 def _require(outdir: str, filename: str) -> str:
@@ -281,28 +281,6 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _as_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-class Options:
-    """Flag > config file > declared default, per option name.
-
-    A config-file value is converted by its option's own click type, so it
-    is checked exactly as the flag would be.
-    """
-
-    def __init__(self, ctx: click.Context, config: dict[str, str]):
-        self.ctx = ctx
-        self.config = config
-
-    def get(self, name: str):
-        from_flag = self.ctx.get_parameter_source(name) == ParameterSource.COMMANDLINE
-        if from_flag or name not in self.config:
-            return self.ctx.params[name]
-        param = next(p for p in self.ctx.command.params if p.name == name)
-        try:
-            return param.type_cast_value(self.ctx, self.config[name])
-        except click.BadParameter as exc:
-            _fail("bad_config", f"config key {name!r}: {exc.message}", key=name)
 
 
 PRESET_FIELDS = ("outcome", "predictors", "controls", "moderator")
@@ -937,27 +915,17 @@ DISRUPT_OPTIONS = (
 )
 
 
-@contextlib.contextmanager
-def _usage_errors():
-    """Report a usage error, such as an unknown subcommand or option or a flag
-    value its type refuses, as ``bad_arguments``, with click's exit code."""
-    try:
-        yield
-    except click.UsageError as exc:
-        if isinstance(exc, click.exceptions.NoArgsIsHelpError):
-            raise  # a bare `knowspan` prints its help
-        _fail("bad_arguments", exc.format_message(), exit_code=exc.exit_code)
-
-
 class _Group(click.Group):
-    """Parses the command line, its subcommand's included, under _usage_errors."""
+    """The one error boundary: parsing the command line, its subcommand's
+    included, and running the subcommand both happen under
+    _structured_errors, so every failure prints one JSON line."""
 
     def make_context(self, *args, **kwargs):
-        with _usage_errors():
+        with _structured_errors():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_errors():
+        with _structured_errors():
             return super().invoke(ctx)
 
 
@@ -973,21 +941,28 @@ def main() -> None:
 
 
 def _command(*options):
-    """Register ``body(opts, outdir)`` as a subcommand named after it.
+    """Register ``body(params, config, outdir)`` as a subcommand named after it.
 
-    The subcommand takes the given options plus --outdir and --config, and
-    reports failures as structured errors.  The body reads every setting
-    first, then hands each stage its inputs as arguments; nothing outlives
-    one invocation.  The body is returned unchanged.
+    The subcommand takes the given options plus --outdir and --config.  Before
+    the body runs, each config value for a parameter not given as a flag is
+    converted by that option's click type into ``params``, so it is checked
+    exactly as the flag would be.  Failures reach _Group, the one error
+    boundary.  The body is returned unchanged.
     """
 
     def register(body):
         @click.pass_context
-        @_structured_errors
-        def command(ctx, outdir, config_path, **_):
-            config = _read_config(config_path) if config_path else {}
+        def command(ctx, **params):
+            config = _read_config(params["config_path"]) if params["config_path"] else {}
             _check_config_keys(config)
-            body(Options(ctx, config), outdir)
+            for param in ctx.command.params:
+                name = param.name
+                if name in config and ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
+                    try:
+                        params[name] = param.type_cast_value(ctx, config[name])
+                    except click.BadParameter as exc:
+                        _fail("bad_config", f"config key {name!r}: {exc.message}", key=name)
+            body(params, config, params["outdir"])
 
         for option in reversed((OUTDIR_OPTION, CONFIG_OPTION, *options)):
             command = option(command)
@@ -1020,79 +995,75 @@ def _command(*options):
         show_default=True,
     ),
 )
-def synth(opts: Options, outdir: str) -> None:
+def synth(params: dict, config: dict[str, str], outdir: str) -> None:
     """Generate a seeded synthetic corpus as corpus.jsonl."""
-    planted_shape = opts.get("planted")
-    if planted_shape == "none":
+    if params["planted"] == "none":
         effect = None
     else:
         effect = PlantedEffect(
-            quadratic_sign=-1 if planted_shape == "inverted-u" else 1,
-            moderator_sign={"none": 0, "amplify": 1, "dampen": -1}[opts.get("planted_moderator")],
+            quadratic_sign=-1 if params["planted"] == "inverted-u" else 1,
+            moderator_sign={"none": 0, "amplify": 1, "dampen": -1}[params["planted_moderator"]],
         )
-    config = SynthConfig(
-        seed=opts.get("seed"),
-        n_papers=opts.get("papers"),
-        n_codes=opts.get("codes"),
-        n_blocks=opts.get("blocks"),
-        codes_per_paper=opts.get("codes_per_paper"),
-        n_journals=opts.get("journals"),
-        citation_density=opts.get("density"),
-        cross_block_leakage=opts.get("leakage"),
+    settings = SynthConfig(
+        seed=params["seed"],
+        n_papers=params["papers"],
+        n_codes=params["codes"],
+        n_blocks=params["blocks"],
+        codes_per_paper=params["codes_per_paper"],
+        n_journals=params["journals"],
+        citation_density=params["density"],
+        cross_block_leakage=params["leakage"],
         planted_effect=effect,
     )
-    _stage_synth(outdir, config)
+    _stage_synth(outdir, settings)
 
 
-def _parse_config(opts: Options) -> ParseConfig:
-    end_year = opts.get("end_year")
+def _parse_config(params: dict) -> ParseConfig:
     return ParseConfig(
-        min_year=opts.get("min_year"),
-        max_year=opts.get("max_year"),
-        dataset_end_year=end_year if end_year else None,
-        pad_short_codes=opts.get("pad_short_codes"),
+        min_year=params["min_year"],
+        max_year=params["max_year"],
+        dataset_end_year=params["end_year"] or None,
+        pad_short_codes=params["pad_short_codes"],
     )
 
 
 @_command(*INGEST_OPTIONS)
-def ingest(opts: Options, outdir: str) -> None:
+def ingest(params: dict, config: dict[str, str], outdir: str) -> None:
     """Validate and normalize a corpus into corpus.parsed.jsonl."""
-    _stage_ingest(outdir, opts.ctx.params["input_path"], _parse_config(opts))  # command line only
+    _stage_ingest(outdir, params["input_path"], _parse_config(params))
 
 
-def _training_config(opts: Options) -> TrainingConfig:
+def _training_config(params: dict) -> TrainingConfig:
     return TrainingConfig(
-        dim=opts.get("dim"),
-        negatives_per_positive=opts.get("negatives"),
-        epochs=opts.get("epochs"),
-        initial_learning_rate=opts.get("initial_lr"),
-        final_learning_rate=opts.get("final_lr"),
-        seed=opts.get("seed"),
+        dim=params["dim"],
+        negatives_per_positive=params["negatives"],
+        epochs=params["epochs"],
+        initial_learning_rate=params["initial_lr"],
+        final_learning_rate=params["final_lr"],
+        seed=params["seed"],
     )
 
 
 @_command(*TRAIN_OPTIONS)
-def train(opts: Options, outdir: str) -> None:
+def train(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit code vectors on co-assignment pairs; writes embedding.txt."""
-    config = _training_config(opts)
-    _stage_train(outdir, *_read_corpus(outdir), config)
+    _stage_train(outdir, *_read_corpus(outdir), _training_config(params))
 
 
 @_command(*METRICS_OPTIONS)
-def metrics(opts: Options, outdir: str) -> None:
+def metrics(params: dict, config: dict[str, str], outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
-    exclude_self, export_tree = opts.get("exclude_self"), opts.get("export_tree")
+    exclude_self, export_tree = params["exclude_self"], params["export_tree"]
     parsed_path, corpus = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
     _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
 
 
 @_command(*DISRUPT_OPTIONS)
-def disrupt(opts: Options, outdir: str) -> None:
+def disrupt(params: dict, config: dict[str, str], outdir: str) -> None:
     """Disruption counts, scores, and percentiles; writes disruption.csv."""
-    variant = opts.get("d_variant")
     parsed_path, corpus = _read_corpus(outdir)
-    _stage_disrupt(outdir, parsed_path, corpus, build_citation_graph(corpus), variant)
+    _stage_disrupt(outdir, parsed_path, corpus, build_citation_graph(corpus), params["d_variant"])
 
 
 @_command(
@@ -1103,9 +1074,9 @@ def disrupt(opts: Options, outdir: str) -> None:
         help="Comma-separated metric columns [default: all numeric metrics].",
     )
 )
-def correlate(opts: Options, outdir: str) -> None:
+def correlate(params: dict, config: dict[str, str], outdir: str) -> None:
     """Pairwise correlations; writes correlations.csv (r above, p below)."""
-    columns = _as_list(opts.get("columns"))
+    columns = _as_list(params["columns"])
     if not columns:
         _fail("bad_arguments", "--columns needs at least one column name")
     repeated = sorted({name for name in columns if columns.count(name) > 1})
@@ -1114,9 +1085,11 @@ def correlate(opts: Options, outdir: str) -> None:
     _stage_correlate(outdir, *_read_metrics(outdir), columns)
 
 
-def _selected_models(opts: Options) -> tuple[dict[str, RegressionSpec], tuple[str, ...]]:
-    models = _model_specs(opts.config)
-    requested = opts.get("model")
+def _selected_models(
+    params: dict, config: dict[str, str]
+) -> tuple[dict[str, RegressionSpec], tuple[str, ...]]:
+    models = _model_specs(config)
+    requested = params["model"]
     if requested == "all":
         return models, tuple(models)
     if requested not in models:
@@ -1128,10 +1101,10 @@ def _selected_models(opts: Options) -> tuple[dict[str, RegressionSpec], tuple[st
 
 
 @_command(MODEL_OPTION, CENTER_OPTION)
-def regress(opts: Options, outdir: str) -> None:
+def regress(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit model presets; writes regression_<model>.csv term tables."""
-    models, names = _selected_models(opts)
-    _stage_regress(outdir, *_read_metrics(outdir), models, names, opts.get("center"))
+    models, names = _selected_models(params, config)
+    _stage_regress(outdir, *_read_metrics(outdir), models, names, params["center"])
 
 
 def _finite_levels(raw: str) -> tuple[float, ...]:
@@ -1152,9 +1125,9 @@ def _finite_levels(raw: str) -> tuple[float, ...]:
     return tuple(levels)
 
 
-def _grid_points(opts: Options) -> int:
+def _grid_points(params: dict) -> int:
     """The --points value; a curve's grid needs both ends of its range."""
-    points = opts.get("points")
+    points = params["points"]
     if points < 2:
         _fail("bad_arguments", f"--points must be at least 2; got {points}")
     return points
@@ -1170,13 +1143,12 @@ def _grid_points(opts: Options) -> int:
         help="Comma-separated moderator levels [default: mean and mean±1 SD].",
     ),
 )
-def curves(opts: Options, outdir: str) -> None:
+def curves(params: dict, config: dict[str, str], outdir: str) -> None:
     """Predicted-outcome grids per predictor; writes curves_<model>.csv."""
-    points = _grid_points(opts)
-    raw_levels = opts.get("levels")
-    levels = None if raw_levels is None else _finite_levels(raw_levels)
-    models, names = _selected_models(opts)
-    _stage_curves(outdir, *_read_metrics(outdir), models, names, opts.get("center"), points, levels)
+    points = _grid_points(params)
+    levels = None if params["levels"] is None else _finite_levels(params["levels"])
+    models, names = _selected_models(params, config)
+    _stage_curves(outdir, *_read_metrics(outdir), models, names, params["center"], points, levels)
 
 
 @_command(
@@ -1191,7 +1163,7 @@ def curves(opts: Options, outdir: str) -> None:
     CENTER_OPTION,
     POINTS_OPTION,
 )
-def pipeline(opts: Options, outdir: str) -> None:
+def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
     """Run every stage in order on one corpus.
 
     With --synth, first generates a corpus with a planted inverted-U
@@ -1199,27 +1171,27 @@ def pipeline(opts: Options, outdir: str) -> None:
     default).  --seed seeds both the corpus and the training.  Every
     setting is checked before the first stage runs.
     """
-    use_synth = opts.ctx.params["use_synth"]  # from the command line only
-    if use_synth and opts.ctx.params["input_path"] is not None:
+    use_synth = params["use_synth"]
+    if use_synth and params["input_path"] is not None:
         _fail("bad_arguments", "--input and --synth are mutually exclusive")
-    if not use_synth and opts.ctx.get_parameter_source("papers") == ParameterSource.COMMANDLINE:
+    papers_flag = click.get_current_context().get_parameter_source("papers")
+    if not use_synth and papers_flag == ParameterSource.COMMANDLINE:
         _fail("bad_arguments", "--papers sizes the --synth corpus; it needs --synth")
-    parse = _parse_config(opts)
-    training = _training_config(opts)
-    exclude_self, export_tree = opts.get("exclude_self"), opts.get("export_tree")
-    variant = opts.get("d_variant")
-    models = _model_specs(opts.config)
-    center = opts.get("center")
-    points = _grid_points(opts)
+    parse = _parse_config(params)
+    training = _training_config(params)
+    models = _model_specs(config)
+    center = params["center"]
+    points = _grid_points(params)
     if use_synth:
-        seed, papers = opts.get("seed"), opts.get("papers")
+        seed, papers = params["seed"], params["papers"]
         effect = PlantedEffect(quadratic_sign=-1, moderator_sign=1)
         _stage_synth(outdir, SynthConfig(seed=seed, n_papers=papers, planted_effect=effect))
-    parsed_path, corpus = _stage_ingest(outdir, opts.ctx.params["input_path"], parse)
+    parsed_path, corpus = _stage_ingest(outdir, params["input_path"], parse)
     _stage_train(outdir, parsed_path, corpus, training)
     graph = build_citation_graph(corpus)
+    exclude_self, export_tree = params["exclude_self"], params["export_tree"]
     _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
-    _stage_disrupt(outdir, parsed_path, corpus, graph, variant)
+    _stage_disrupt(outdir, parsed_path, corpus, graph, params["d_variant"])
     metrics_path, table = _read_metrics(outdir)
     _stage_correlate(outdir, metrics_path, table, DEFAULT_CORRELATION_COLUMNS)
     _stage_regress(outdir, metrics_path, table, models, tuple(models), center)

@@ -379,7 +379,17 @@ def ols_fit(design: Design, y: np.ndarray) -> RegressionResult:
 
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
-        raise RankDeficiencyError(_collinear_terms(design.names, s, vt))
+        # A small-valued column, squared, can look collinear on the raw
+        # scale: judge rank again with each column divided by its largest
+        # magnitude, and solve there.  Then x = u s (vt * scale), whose
+        # inverse on its range is (vt / scale).T s^-1 u.T, so vt / scale
+        # takes the place of vt in the estimates and standard errors below.
+        scale = np.abs(x).max(axis=0)
+        scale[scale == 0.0] = 1.0
+        u, s, vt = np.linalg.svd(x / scale, full_matrices=False)
+        if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
+            raise RankDeficiencyError(_collinear_terms(design.names, s, vt))
+        vt = vt / scale
 
     beta = vt.T @ ((u.T @ y) / s)
     residuals = y - x @ beta

@@ -777,6 +777,26 @@ def test_pipeline_refuses_papers_without_synth(runner, tmp_path):
     assert not out.exists()
 
 
+def test_pipeline_checks_a_config_value_it_does_not_read(runner, tmp_path):
+    """Under --input, papers is never read, but a config value is still checked
+    like its flag before any work; a valid one passes, as one file serves every
+    stage."""
+    staging = tmp_path / "staging"
+    run_ok(runner, ["synth", "--outdir", str(staging), "--papers", "150"])
+    config = tmp_path / "run.cfg"
+    config.write_text("papers = many\n")
+    out = tmp_path / "run"
+    args = ["pipeline", "--outdir", str(out), "--input", str(staging / "corpus.jsonl"),
+            "--config", str(config), *FAST_TRAIN, "--points", "3"]
+    payload = run_fail(runner, args)
+    assert payload["error"] == "bad_config"
+    assert payload["key"] == "papers"
+    assert not out.exists()
+    config.write_text("papers = 60\n")
+    run_ok(runner, args)
+    assert "synth" not in read_manifest(out)["stages"]
+
+
 @pytest.mark.parametrize(
     "stage, key, value, flag",
     [

@@ -353,6 +353,37 @@ def test_duplicate_column_triggers_rank_error_naming_terms():
     assert "x" in named and "copy" in named
 
 
+def test_small_valued_squared_column_fits_and_matches_extended_precision():
+    # p spans [0, 1e-3], so p^2 and p^2:m are of order 1e-6 beside a control
+    # in the hundreds: the raw design's singular-value ratio falls below
+    # RANK_TOL, though the design has full rank at any column scale
+    rng = np.random.default_rng(19)
+    n = 300
+    p = rng.uniform(0.0, 1e-3, size=n)
+    m = rng.integers(1, 12, size=n).astype(float)
+    c = rng.uniform(100.0, 1000.0, size=n)
+    y = 2.0 + 400.0 * p - 2e5 * p * p + 0.05 * m + 0.01 * c + rng.normal(scale=0.1, size=n)
+    table = AnalysisTable({"y": y, "p": p, "m": m, "c": c})
+    spec = RegressionSpec(outcome="y", predictors=("p",), controls=("c",), moderator="m")
+    design = build_design(spec, table)
+    s = np.linalg.svd(design.matrix, compute_uv=False)
+    assert s[-1] / s[0] < 1e-10
+    result = ols_fit(design, y)
+    # the same oracle and tolerance as for a well-scaled design
+    np.testing.assert_allclose(result.coefficients, mp_ols(design.matrix, y), rtol=1e-8)
+
+
+def test_scaled_duplicate_column_triggers_rank_error_naming_both_terms():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=100)
+    table = AnalysisTable({"y": rng.normal(size=100), "x": x, "copy": 1e-6 * x})
+    spec = RegressionSpec(outcome="y", predictors=("x",), controls=("copy",))
+    with pytest.raises(RankDeficiencyError) as excinfo:
+        fit_model(spec, table)
+    named = set(excinfo.value.terms)
+    assert "x" in named and "copy" in named
+
+
 def test_standard_errors_match_textbook_formula():
     rng = np.random.default_rng(31)
     n = 300
