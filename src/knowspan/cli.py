@@ -283,7 +283,14 @@ def _as_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-PRESET_FIELDS = ("outcome", "predictors", "controls", "moderator")
+# each model-preset field, with the fewest and most columns it names; a
+# moderator of 'none' names none
+PRESET_FIELDS = {
+    "outcome": (1, 1, "exactly one column"),
+    "predictors": (1, math.inf, "at least one column"),
+    "controls": (0, math.inf, "any number of columns"),
+    "moderator": (0, 1, "one column or 'none'"),
+}
 # declared by subcommands but read from the command line only
 COMMAND_LINE_ONLY = ("outdir", "config_path", "input_path", "use_synth")
 
@@ -305,20 +312,33 @@ def _check_config_keys(config: dict[str, str]) -> None:
 
 
 def _model_specs(config: dict[str, str]) -> dict[str, RegressionSpec]:
-    """Built-in model presets, overridable per field from the config file."""
+    """Built-in model presets, overridable per field from the config file.
+
+    Each preset value is checked before any work, as an option value is: a
+    field naming too few or too many columns, or a column named twice in one
+    model, fails as ``bad_config`` naming its key."""
     specs = {}
     for name, base in DEFAULT_MODELS.items():
-        predictors = config.get(f"{name}.predictors")
-        controls = config.get(f"{name}.controls")
-        moderator = config.get(f"{name}.moderator", base.moderator)
-        if moderator in ("none", ""):
-            moderator = None
+        roles = {"outcome": (base.outcome,), "predictors": base.predictors,
+                 "controls": base.controls, "moderator": (base.moderator,)}
+        given = [field for field in PRESET_FIELDS if f"{name}.{field}" in config]
+        for field in given:
+            key, raw = f"{name}.{field}", config[f"{name}.{field}"]
+            fewest, most, takes = PRESET_FIELDS[field]
+            roles[field] = () if field == "moderator" and raw == "none" else _as_list(raw)
+            if not fewest <= len(roles[field]) <= most:
+                _fail("bad_config", f"config key {key!r} takes {takes}; got {raw!r}", key=key)
+        named = [column for columns in roles.values() for column in columns]
+        repeated = next((column for column in named if named.count(column) > 1), None)
+        if repeated is not None:  # the presets name each column once, so a value given did
+            key = next(f"{name}.{field}" for field in given if repeated in roles[field])
+            _fail("bad_config", f"config key {key!r}: {name} names {repeated!r} twice", key=key)
         specs[name] = dataclasses.replace(
             base,
-            outcome=config.get(f"{name}.outcome", base.outcome),
-            predictors=_as_list(predictors) if predictors else base.predictors,
-            controls=_as_list(controls) if controls is not None else base.controls,
-            moderator=moderator,
+            outcome=roles["outcome"][0],
+            predictors=roles["predictors"],
+            controls=roles["controls"],
+            moderator=roles["moderator"][0] if roles["moderator"] else None,
         )
     return specs
 

@@ -108,6 +108,9 @@ class Corpus:
     papers: dict[str, Paper]
     dataset_end_year: int
 
+    def __post_init__(self) -> None:  # one paper order for every stage: (year, id)
+        self.papers = dict(sorted(self.papers.items(), key=lambda item: (item[1].year, item[0])))
+
     def __len__(self) -> int:
         return len(self.papers)
 
@@ -248,7 +251,7 @@ def _record_to_paper(
 def parse_corpus(
     lines: Iterable[str], config: ParseConfig | None = None
 ) -> tuple[Corpus, ParseReport]:
-    """Parse a line-record stream into a Corpus plus a skip-count report.
+    """Parse a line-record stream into a Corpus (in (year, id) order) and a skip report.
 
     Malformed records are skipped (one reason tallied each); a duplicate
     paper id, an empty result or a dataset end year before the latest kept
@@ -321,8 +324,8 @@ def build_citation_graph(corpus: Corpus) -> CitationGraph:
     dropped_missing = 0
     dropped_order = 0
     n_edges = 0
-    # visiting citers in (year, id) order appends each citer list in that order
-    for paper in sorted(papers.values(), key=lambda p: (p.year, p.id)):
+    # visiting citers in corpus order, (year, id), appends each citer list in that order
+    for paper in papers.values():
         kept = []
         for ref in paper.references:
             target = papers.get(ref)

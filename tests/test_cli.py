@@ -8,14 +8,18 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knowspan import cli
 from knowspan.cli import DISRUPTION_COLUMNS, METRIC_COLUMNS, SPACE_COLUMNS, main
@@ -257,10 +261,11 @@ def vocabulary_gap_corpus(path):
 
 
 # sha256 of metrics_space.csv for the vocabulary-gap corpus after `ingest`,
-# `train --dim 8 --epochs 2` and `metrics` with each flag setting.
+# `train --dim 8 --epochs 2` and `metrics` with each flag setting; the
+# corpus's papers, and so its training pairs, in (year, id) order.
 VOCABULARY_GAP_SHA256 = {
-    (): "470daef28ca3302ff58004c2f0235a6785c6eaff18731199cd70386d770a68e1",
-    ("--exclude-self",): "ba656599910e2d0fde202f2883280bf6780917d721a4f06ddf617aaee6ec2658",
+    (): "5d7188758441ced10f6ae5ebe69fe9ce9e2e714186bebfde87848ed6d8256841",
+    ("--exclude-self",): "98b9bc28c100a0f8d92515f790557f5f1914016ad5a8dfc90583c05d4a83111c",
 }
 
 
@@ -279,8 +284,12 @@ def test_vocabulary_gaps_leave_blank_cells_and_defined_means(runner, tmp_path, f
         assert by_id[pid]["network_distance"] == "0.0"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["stages"]["metrics"]["n_missing_vocabulary"] == 3
-    # Z4 is the only defined member of (J9, 2005): its own mean, or nobody
-    assert by_id["Z4"]["journal_distance"] == ("" if flags else "0.0")
+    # Z4 is the only defined member of (J9, 2005): its own mean, or nobody;
+    # a vector's cosine distance to itself is 0.0 up to one rounding
+    if flags:
+        assert by_id["Z4"]["journal_distance"] == ""
+    else:
+        assert float(by_id["Z4"]["journal_distance"]) == pytest.approx(0.0, abs=1e-15)
     for pid, row in by_id.items():
         if pid not in ("X1", "X2", "X9"):
             assert row["article_distance"] != "", pid
@@ -748,22 +757,60 @@ def read_manifest(tmp_path):
     return json.loads((tmp_path / "manifest.json").read_text())
 
 
+# model-preset config values that name too few columns, or a column twice,
+# each with the key its bad_config error names
+BAD_PRESET_CONFIGS = {
+    "empty_predictors_config": ("model1.predictors =\n", "model1.predictors"),
+    "empty_outcome_config": ("model1.outcome =\n", "model1.outcome"),
+    "repeated_predictor_config": (
+        "model1.predictors = network_distance, network_distance\n", "model1.predictors"
+    ),
+    "control_is_moderator_config": ("model1.controls = team_size\n", "model1.controls"),
+}
+
+
 @pytest.mark.parametrize(
-    "args, config, error",
+    "args, config, error, key",
     [
-        (["--dim", "1"], "", "stage_failed"),
-        ([], "d_variant = sideways\n", "bad_config"),
+        (["--dim", "1"], "", "stage_failed", None),
+        ([], "d_variant = sideways\n", "bad_config", None),
+        *(([], config, "bad_config", key) for config, key in BAD_PRESET_CONFIGS.values()),
     ],
-    ids=["dim_flag", "d_variant_config"],
+    ids=["dim_flag", "d_variant_config", *BAD_PRESET_CONFIGS],
 )
-def test_pipeline_checks_every_setting_before_its_first_stage(runner, tmp_path, args, config, error):
+def test_pipeline_checks_every_setting_before_its_first_stage(
+    runner, tmp_path, args, config, error, key
+):
     out = tmp_path / "run"
     (tmp_path / "bad.ini").write_text(config)
     args = ["pipeline", "--outdir", str(out), "--synth", "--papers", "120", "--epochs", "1",
             "--points", "3", "--config", str(tmp_path / "bad.ini"), *args]
     payload = run_fail(runner, args)
     assert payload["error"] == error
+    if key is not None:
+        assert payload["key"] == key
     assert not out.exists()  # a refused command makes no output directory
+
+
+@pytest.mark.parametrize("command", ["regress", "curves"])
+@pytest.mark.parametrize("config, key", BAD_PRESET_CONFIGS.values(), ids=list(BAD_PRESET_CONFIGS))
+def test_analysis_stages_check_model_presets_before_reading_metrics(
+    runner, tmp_path, command, config, key
+):
+    """No metrics table exists, so a check made after reading it would fail
+    as missing_artifact instead."""
+    (tmp_path / "bad.ini").write_text(config)
+    args = [command, "--outdir", str(tmp_path), "--model", "model1", "--config",
+            str(tmp_path / "bad.ini")]
+    payload = run_fail(runner, args)
+    assert payload["error"] == "bad_config"
+    assert payload["key"] == key
+
+
+def test_empty_controls_and_moderator_config_values_mean_none():
+    assert cli._model_specs({"model1.controls": ""})["model1"].controls == ()
+    for value in ("", "none"):
+        assert cli._model_specs({"model1.moderator": value})["model1"].moderator is None
 
 
 def test_pipeline_refuses_papers_without_synth(runner, tmp_path):
@@ -1429,10 +1476,47 @@ def test_later_stages_keep_every_paper_ingest_kept(runner, tmp_path, route):
             ["pipeline", "--outdir", out, "--input", str(source), "--min-year", "1700",
              *FAST_TRAIN, "--points", "3"],
         )
-    ids = [rec["id"] for rec in records]
+    ids = [rec["id"] for rec in sorted(records, key=lambda rec: (rec["year"], rec["id"]))]
     for name in ("metrics_space.csv", "disruption.csv", "metrics.csv"):
         _, rows = read_csv(tmp_path / name)
         assert [row[0] for row in rows] == ids, name
+
+
+# ---------------------------------------------------------------- input order
+
+ORDER_RUN = ["--dim", "8", "--epochs", "1", "--points", "3"]
+
+
+def run_artifacts(outdir):
+    """Every file a run wrote but the manifest, which records the input's digest."""
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())
+            if path.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def ordered_run(tmp_path_factory):
+    """The lines of a fixed 150-paper synth corpus, and what a pipeline run on them writes."""
+    root = tmp_path_factory.mktemp("ordered")
+    runner = CliRunner()
+    run_ok(runner, ["synth", "--outdir", str(root), "--papers", "150"])
+    source = root / "corpus.jsonl"
+    run_ok(runner, ["pipeline", "--outdir", str(root / "run"), "--input", str(source), *ORDER_RUN])
+    return source.read_text(encoding="utf-8").splitlines(keepends=True), run_artifacts(root / "run")
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_input_line_order_changes_no_output(ordered_run, data):
+    """A metamorphic relation: a permutation of the input lines leaves every
+    artifact byte-identical, the trained embedding included."""
+    lines, expected = ordered_run
+    order = data.draw(st.permutations(range(len(lines))))
+    with tempfile.TemporaryDirectory() as root:
+        source = pathlib.Path(root) / "shuffled.jsonl"
+        source.write_text("".join(lines[i] for i in order), encoding="utf-8")
+        out = pathlib.Path(root) / "run"
+        run_ok(CliRunner(), ["pipeline", "--outdir", str(out), "--input", str(source), *ORDER_RUN])
+        assert run_artifacts(out) == expected
 
 
 # ---------------------------------------------------------------- one parse per command

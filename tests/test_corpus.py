@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -24,6 +25,7 @@ from knowspan.corpus import (
     parse_corpus,
     team_size,
 )
+from knowspan.disruption import score_corpus
 from knowspan.synthgen import SynthConfig, generate_records
 from knowspan.tree import ancestry_labels, leaf_label
 
@@ -335,6 +337,23 @@ def test_graph_transpose_identity(seed):
     for cited, citer_set in graph.cited_by.items():
         for citer in citer_set:
             assert cited in graph.cites[citer]
+
+
+def test_corpus_keeps_papers_in_year_then_id_order_whatever_order_it_is_given():
+    lines = [json.dumps(rec) for rec in generate_records(SynthConfig(seed=5, n_papers=200))]
+    ordered, _ = parse_corpus(lines)
+    ids = list(ordered.papers)
+    assert ids == sorted(ids, key=lambda pid: (ordered.papers[pid].year, pid))
+    assert len({ordered.papers[pid].year for pid in ids}) < len(ids)  # ties broken by id
+    shuffled_ids = ids[:]
+    random.Random(3).shuffle(shuffled_ids)
+    shuffled = Corpus({pid: ordered.papers[pid] for pid in shuffled_ids}, ordered.dataset_end_year)
+    assert list(shuffled.papers) == ids
+    graph = build_citation_graph(shuffled)
+    assert graph == build_citation_graph(ordered)
+    assert list(graph.cites) == list(graph.cited_by) == ids
+    scores = score_corpus(shuffled, graph)
+    assert list(scores.items()) == list(score_corpus(ordered, build_citation_graph(ordered)).items())
 
 
 # ---------------------------------------------------------------- measures
@@ -654,14 +673,15 @@ def rough_corpus_lines():
 
 
 # sha256 of (corpus.parsed.jsonl, parse_report.json) written by `ingest` of
-# rough_corpus_lines(), recorded before the parser was changed
+# rough_corpus_lines(), recorded before the parser was changed; the parsed
+# file's again when its lines took (year, id) order, as the old file sorted
 ROUGH_INGEST_DIGESTS = {
     False: (
-        "ab00ee42ed1ee998dd14a72677698e966ab4a7c39b6287bc074eac6afadae6fd",
+        "b127733f96ea8f2d497e79c0bc60bba368c958f1907be9fe46e538b37e88f993",
         "cbc7769968828559574b4cd685b41d561bd9f10bedf3ec9f55c5afafb3fed570",
     ),
     True: (
-        "da40c0ca9191090a7cc2be2f8f837dc67c4bce97b778b7dba380b80c7f72c799",
+        "53ac13d4709c5393ffdd28788d2360f768c65be6a55ed9f6c1d2e5c2641f9ae8",
         "4375c187e1a2ad141cd7e9334eb1ebdbeb8e31370c4ccb79aa197e5e901f4ac1",
     ),
 }
