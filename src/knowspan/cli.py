@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import sys
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import click
 import numpy as np
@@ -232,14 +232,13 @@ def _read_manifest(outdir: str) -> dict:
 
 
 def _update_manifest(
-    outdir: str,
-    stage: str,
-    config: dict,
-    inputs: dict[str, str],
-    outputs: dict[str, str],
-    **extra,
+    outdir: str, stage: str, config: dict, inputs: Sequence[str], outputs: Sequence[str],
+    *, paths: dict[str, str] | None = None, **extra,
 ) -> None:
-    """Replace one stage entry; digests keyed by artifact basename only."""
+    """Replace one stage entry, with the digest of each input and output
+    artifact by its name.  Each is read in ``outdir`` unless ``paths`` gives
+    its path: ingest's input may lie outside it."""
+    paths = {name: os.path.join(outdir, name) for name in (*inputs, *outputs)} | (paths or {})
     manifest = _read_manifest(outdir)
     manifest["versions"] = {
         "knowspan": __version__,
@@ -249,12 +248,12 @@ def _update_manifest(
     entry = {
         "config": config,
         "config_hash": _config_hash(config),
-        "inputs": {os.path.basename(k): _digest(v) for k, v in inputs.items()},
-        "outputs": {os.path.basename(k): _digest(v) for k, v in outputs.items()},
+        "inputs": {name: _digest(paths[name]) for name in inputs},
+        "outputs": {name: _digest(paths[name]) for name in outputs},
     }
     entry.update(extra)
     manifest.setdefault("stages", {})[stage] = entry
-    _write_json(os.path.join(outdir, MANIFEST), manifest)
+    _write_json(outdir, MANIFEST, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +360,13 @@ def _cell(value) -> str:
 
 
 @contextlib.contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A text file at ``<path>.partial``, which replaces ``path`` when the
-    block ends.  Any failure in the block removes the partial file and leaves
-    ``path`` as it was, so a later stage never reads a half-written artifact.
-    Every artifact is written through here, so the output directory is made
-    by the first write, and a command refused before it writes makes none."""
+def _replacing(outdir: str, name: str) -> Iterator[TextIO]:
+    """A text file at ``<name>.partial`` in ``outdir``, which replaces artifact
+    ``name`` when the block ends.  Any failure in the block removes the partial
+    file and leaves ``name`` as it was, so a later stage never reads a
+    half-written artifact.  Every artifact is written through here, so the
+    first write makes the output directory, and a refused command makes none."""
+    path = os.path.join(outdir, name)
     partial = path + ".partial"
     os.makedirs(os.path.dirname(path), exist_ok=True)
     try:
@@ -379,18 +379,18 @@ def _replacing(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+def _write_csv(outdir: str, name: str, header: tuple[str, ...], rows) -> None:
     """Write the header and each row as they come; a bad row of a streamed
-    table leaves ``path`` as it was."""
-    with _replacing(path) as fh:
+    table leaves the artifact as it was."""
+    with _replacing(outdir, name) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
 
 
-def _write_json(path: str, obj) -> None:
-    with _replacing(path) as fh:
+def _write_json(outdir: str, name: str, obj) -> None:
+    with _replacing(outdir, name) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -457,18 +457,19 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     )
 
 
-def _read_metrics(outdir: str) -> tuple[str, AnalysisTable]:
-    """Path and numeric columns of the merged metrics table."""
-    path = _require(outdir, METRICS)
-    return path, _load_metrics_table(path)
+def _read_metrics(outdir: str) -> AnalysisTable:
+    """Numeric columns of the merged metrics table."""
+    return _load_metrics_table(_require(outdir, METRICS))
 
 
-def _read_corpus(outdir: str) -> tuple[str, Corpus]:
-    """Path and contents of the parsed corpus.
+def _read_corpus(outdir: str) -> Corpus:
+    """Contents of the parsed corpus.
 
     The file is parsed with the year range and padding ingest recorded in
     the manifest, so later stages keep every paper ingest kept, and with the
     end year ingest used (which --end-year sets), so paper ages agree.
+    Ingest writes only records it keeps, so a record the parse skips means a
+    damaged file, which fails the stage with ``bad_artifact``.
     """
     path = _require(outdir, CORPUS_PARSED)
     ingest = _read_manifest(outdir)["stages"].get("ingest", {})
@@ -478,8 +479,12 @@ def _read_corpus(outdir: str) -> tuple[str, Corpus]:
         dataset_end_year=ingest.get("end_year"),
     )
     with open(path, encoding="utf-8") as fh:
-        corpus, _ = parse_corpus(fh, parse)
-    return path, corpus
+        corpus, report = parse_corpus(fh, parse)
+    if report.n_skipped:
+        skipped = f"{report.n_skipped} of {report.n_records} records are not ones ingest writes"
+        reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(report.skip_reasons.items()))
+        _fail("bad_artifact", f"{path}: {skipped} ({reasons})")
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +492,7 @@ def _read_corpus(outdir: str) -> tuple[str, Corpus]:
 
 
 def _stage_synth(outdir: str, config: SynthConfig) -> None:
-    out_path = os.path.join(outdir, CORPUS_RAW)
-    with _replacing(out_path) as fh:
+    with _replacing(outdir, CORPUS_RAW) as fh:
         for line in generate(config):
             fh.write(line + "\n")
     settings = dataclasses.asdict(config)
@@ -498,44 +502,42 @@ def _stage_synth(outdir: str, config: SynthConfig) -> None:
         outdir,
         "synth",
         config=settings,
-        inputs={},
-        outputs={CORPUS_RAW: out_path},
+        inputs=(),
+        outputs=(CORPUS_RAW,),
         seed=seed,
     )
 
 
-def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tuple[str, Corpus]:
+def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Corpus:
     """Parse ``input_path``, or corpus.jsonl in ``outdir`` when it is None;
-    returns the path and contents of the parsed corpus it writes."""
+    returns the contents of the parsed corpus it writes."""
     if input_path is None:
         input_path = _require(outdir, CORPUS_RAW)
     elif not os.path.exists(input_path):
         _fail("missing_input", f"input file {input_path!r} does not exist")
-    parsed_path = os.path.join(outdir, CORPUS_PARSED)
-    report_path = os.path.join(outdir, PARSE_REPORT)
     with open(input_path, encoding="utf-8") as fh:
         corpus, report = parse_corpus(fh, parse)
-    with _replacing(parsed_path) as fh:
+    with _replacing(outdir, CORPUS_PARSED) as fh:
         for paper in corpus:
             fh.write(json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":")) + "\n")
-    _write_json(report_path, report.as_dict())
+    _write_json(outdir, PARSE_REPORT, report.as_dict())
     _update_manifest(
         outdir,
         "ingest",
         config={"input": os.path.basename(input_path), **dataclasses.asdict(parse)},
-        inputs={CORPUS_RAW: input_path},
-        outputs={CORPUS_PARSED: parsed_path, PARSE_REPORT: report_path},
+        inputs=(CORPUS_RAW,),
+        outputs=(CORPUS_PARSED, PARSE_REPORT),
+        paths={CORPUS_RAW: input_path},
         n_parsed=report.n_parsed,
         n_skipped=report.n_skipped,
         end_year=corpus.dataset_end_year,
     )
-    return parsed_path, corpus
+    return corpus
 
 
-def _stage_train(outdir: str, parsed_path: str, corpus: Corpus, config: TrainingConfig) -> None:
+def _stage_train(outdir: str, corpus: Corpus, config: TrainingConfig) -> None:
     matrix = train_embeddings(build_training_pairs(corpus), config)
-    embedding_path = os.path.join(outdir, EMBEDDING)
-    with _replacing(embedding_path) as fh:
+    with _replacing(outdir, EMBEDDING) as fh:
         save_embeddings(matrix, fh)
     settings = dataclasses.asdict(config)
     seed = settings.pop("seed")  # recorded beside the config, not in it
@@ -543,8 +545,8 @@ def _stage_train(outdir: str, parsed_path: str, corpus: Corpus, config: Training
         outdir,
         "train",
         config=settings,
-        inputs={CORPUS_PARSED: parsed_path},
-        outputs={EMBEDDING: embedding_path},
+        inputs=(CORPUS_PARSED,),
+        outputs=(EMBEDDING,),
         seed=seed,
         vocabulary=len(matrix.vocabulary),
         loss_by_epoch=list(matrix.loss_by_epoch),
@@ -639,13 +641,12 @@ def _merge_metrics(outdir: str) -> None:
     through the join together.  A malformed or mismatched table fails the
     stage.
     """
-    merged_path = os.path.join(outdir, METRICS)
     with contextlib.suppress(FileNotFoundError):
-        os.remove(merged_path)
+        os.remove(os.path.join(outdir, METRICS))
     manifest = _read_manifest(outdir)
     stages = manifest["stages"]
     if stages.pop("merge", None) is not None:
-        _write_json(os.path.join(outdir, MANIFEST), manifest)
+        _write_json(outdir, MANIFEST, manifest)
     space_path = os.path.join(outdir, METRICS_SPACE)
     disruption_path = os.path.join(outdir, DISRUPTION)
     metrics_corpus, disrupt_corpus = (
@@ -665,19 +666,18 @@ def _merge_metrics(outdir: str) -> None:
         next(space_rows)  # the headers, checked as they are read
         next(disruption_rows)
         pairs = _paired_rows(space_rows, space_path, disruption_rows, disruption_path)
-        _write_csv(merged_path, METRIC_COLUMNS, map(pick, pairs))
+        _write_csv(outdir, METRICS, METRIC_COLUMNS, map(pick, pairs))
     _update_manifest(
         outdir,
         "merge",
         config={"columns": list(METRIC_COLUMNS)},
-        inputs={METRICS_SPACE: space_path, DISRUPTION: disruption_path},
-        outputs={METRICS: merged_path},
+        inputs=(METRICS_SPACE, DISRUPTION),
+        outputs=(METRICS,),
     )
 
 
 def _stage_metrics(
-    outdir: str, parsed_path: str, corpus: Corpus, graph: CitationGraph,
-    exclude_self: bool, export_tree: bool,
+    outdir: str, corpus: Corpus, graph: CitationGraph, exclude_self: bool, export_tree: bool
 ) -> None:
     embedding_path = _require(outdir, EMBEDDING)
     try:
@@ -686,19 +686,15 @@ def _stage_metrics(
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     tree = build_tree(corpus.distinct_codes())
     rows, n_missing = _space_rows(corpus, graph, emb, tree, exclude_self)
-    space_path = os.path.join(outdir, METRICS_SPACE)
-    _write_csv(space_path, SPACE_COLUMNS, rows)
-    outputs = {METRICS_SPACE: space_path}
+    _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
     if export_tree:
-        tree_path = os.path.join(outdir, TREE_EDGES)
-        _write_csv(tree_path, ("child_label", "parent_label", "level"), tree.edges())
-        outputs[TREE_EDGES] = tree_path
+        _write_csv(outdir, TREE_EDGES, ("child_label", "parent_label", "level"), tree.edges())
     _update_manifest(
         outdir,
         "metrics",
         config={"exclude_self": exclude_self, "export_tree": export_tree},
-        inputs={CORPUS_PARSED: parsed_path, EMBEDDING: embedding_path},
-        outputs=outputs,
+        inputs=(CORPUS_PARSED, EMBEDDING),
+        outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
         n_missing_vocabulary=n_missing,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
@@ -706,23 +702,20 @@ def _stage_metrics(
     _merge_metrics(outdir)
 
 
-def _stage_disrupt(
-    outdir: str, parsed_path: str, corpus: Corpus, graph: CitationGraph, variant: str
-) -> None:
+def _stage_disrupt(outdir: str, corpus: Corpus, graph: CitationGraph, variant: str) -> None:
     scored = score_corpus(corpus, graph, variant)
     rows = (
         (pid, score.d, score.percentile, counts.n_i, counts.n_j, counts.n_k)
         for pid, (counts, score) in scored.items()
     )
-    disruption_path = os.path.join(outdir, DISRUPTION)
-    _write_csv(disruption_path, DISRUPTION_COLUMNS, rows)
+    _write_csv(outdir, DISRUPTION, DISRUPTION_COLUMNS, rows)
     n_defined = sum(score.d is not None for _, score in scored.values())
     _update_manifest(
         outdir,
         "disrupt",
         config={"d_variant": variant},
-        inputs={CORPUS_PARSED: parsed_path},
-        outputs={DISRUPTION: disruption_path},
+        inputs=(CORPUS_PARSED,),
+        outputs=(DISRUPTION,),
         n_defined=n_defined,
         n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
@@ -730,25 +723,22 @@ def _stage_disrupt(
     _merge_metrics(outdir)
 
 
-def _stage_correlate(
-    outdir: str, metrics_path: str, table: AnalysisTable, columns: tuple[str, ...]
-) -> None:
+def _stage_correlate(outdir: str, table: AnalysisTable, columns: tuple[str, ...]) -> None:
     _require_columns("--columns", columns, table)
     matrix = pearson_matrix(table, columns)
-    correlations_path = os.path.join(outdir, CORRELATIONS)
     n = len(matrix.columns)
     # r above the diagonal, p below, unity on it
     rows = [
         [name] + [matrix.r[i, j] if j > i else matrix.p[i, j] if j < i else 1.0 for j in range(n)]
         for i, name in enumerate(matrix.columns)
     ]
-    _write_csv(correlations_path, ("",) + tuple(matrix.columns), rows)
+    _write_csv(outdir, CORRELATIONS, ("",) + tuple(matrix.columns), rows)
     _update_manifest(
         outdir,
         "correlate",
         config={"columns": list(columns)},
-        inputs={METRICS: metrics_path},
-        outputs={CORRELATIONS: correlations_path},
+        inputs=(METRICS,),
+        outputs=(CORRELATIONS,),
         df=matrix.df,
         n_complete=matrix.df + 2,
     )
@@ -772,19 +762,19 @@ def _fit_named_model(
 
 
 def _stage_regress(
-    outdir: str, metrics_path: str, table: AnalysisTable,
+    outdir: str, table: AnalysisTable,
     models: dict[str, RegressionSpec], names: tuple[str, ...], center: str,
 ) -> None:
-    outputs = {}
     summaries = {}
     for name in names:
         result = _fit_named_model(name, models[name], table, center)
-        out_path = os.path.join(outdir, f"regression_{name}.csv")
         rows = [(t.name, t.coefficient, t.std_error, t.t, t.p, t.stars) for t in result.terms]
         rows.append(("adjusted_r2", result.adjusted_r2, "", "", "", ""))
         rows.append(("n", result.n, "", "", "", ""))
-        _write_csv(out_path, ("term", "coefficient", "std_error", "t", "p", "stars"), rows)
-        outputs[f"regression_{name}.csv"] = out_path
+        _write_csv(
+            outdir, f"regression_{name}.csv",
+            ("term", "coefficient", "std_error", "t", "p", "stars"), rows,
+        )
         summaries[name] = {
             "n": result.n,
             "adjusted_r2": result.adjusted_r2,
@@ -794,8 +784,8 @@ def _stage_regress(
         outdir,
         "regress",
         config={"models": list(names), "center": center},
-        inputs={METRICS: metrics_path},
-        outputs=outputs,
+        inputs=(METRICS,),
+        outputs=[f"regression_{name}.csv" for name in names],
         fits=summaries,
     )
 
@@ -812,7 +802,6 @@ def _moderator_levels(spec: RegressionSpec, table: AnalysisTable) -> list[float]
 
 def _stage_curves(
     outdir: str,
-    metrics_path: str,
     table: AnalysisTable,
     models: dict[str, RegressionSpec],
     names: tuple[str, ...],
@@ -820,7 +809,6 @@ def _stage_curves(
     points: int,
     levels: tuple[float, ...] | None,
 ) -> None:
-    outputs = {}
     for name in names:
         spec = models[name]
         result = _fit_named_model(name, spec, table, center)
@@ -834,13 +822,11 @@ def _stage_curves(
             grid = np.linspace(*result.design.base_ranges[predictor], points)
             curve = predicted_curve(result, predictor, grid, moderator_levels=model_levels)
             rows.extend(map(dataclasses.astuple, curve))
-        out_path = os.path.join(outdir, f"curves_{name}.csv")
         _write_csv(
-            out_path,
+            outdir, f"curves_{name}.csv",
             ("predictor", "predictor_value", "moderator_level", "prediction", "extrapolated"),
             rows,
         )
-        outputs[f"curves_{name}.csv"] = out_path
     _update_manifest(
         outdir,
         "curves",
@@ -850,8 +836,8 @@ def _stage_curves(
             "points": points,
             "levels": list(levels) if levels else "mean±sd",
         },
-        inputs={METRICS: metrics_path},
-        outputs=outputs,
+        inputs=(METRICS,),
+        outputs=[f"curves_{name}.csv" for name in names],
     )
 
 
@@ -1067,23 +1053,23 @@ def _training_config(params: dict) -> TrainingConfig:
 @_command(*TRAIN_OPTIONS)
 def train(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit code vectors on co-assignment pairs; writes embedding.txt."""
-    _stage_train(outdir, *_read_corpus(outdir), _training_config(params))
+    settings = _training_config(params)  # checked before the corpus is read
+    _stage_train(outdir, _read_corpus(outdir), settings)
 
 
 @_command(*METRICS_OPTIONS)
 def metrics(params: dict, config: dict[str, str], outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
-    exclude_self, export_tree = params["exclude_self"], params["export_tree"]
-    parsed_path, corpus = _read_corpus(outdir)
+    corpus = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
-    _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
+    _stage_metrics(outdir, corpus, graph, params["exclude_self"], params["export_tree"])
 
 
 @_command(*DISRUPT_OPTIONS)
 def disrupt(params: dict, config: dict[str, str], outdir: str) -> None:
     """Disruption counts, scores, and percentiles; writes disruption.csv."""
-    parsed_path, corpus = _read_corpus(outdir)
-    _stage_disrupt(outdir, parsed_path, corpus, build_citation_graph(corpus), params["d_variant"])
+    corpus = _read_corpus(outdir)
+    _stage_disrupt(outdir, corpus, build_citation_graph(corpus), params["d_variant"])
 
 
 @_command(
@@ -1102,7 +1088,7 @@ def correlate(params: dict, config: dict[str, str], outdir: str) -> None:
     repeated = sorted({name for name in columns if columns.count(name) > 1})
     if repeated:
         _fail("bad_arguments", f"--columns names {', '.join(repeated)} more than once")
-    _stage_correlate(outdir, *_read_metrics(outdir), columns)
+    _stage_correlate(outdir, _read_metrics(outdir), columns)
 
 
 def _selected_models(
@@ -1124,7 +1110,7 @@ def _selected_models(
 def regress(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit model presets; writes regression_<model>.csv term tables."""
     models, names = _selected_models(params, config)
-    _stage_regress(outdir, *_read_metrics(outdir), models, names, params["center"])
+    _stage_regress(outdir, _read_metrics(outdir), models, names, params["center"])
 
 
 def _finite_levels(raw: str) -> tuple[float, ...]:
@@ -1168,7 +1154,7 @@ def curves(params: dict, config: dict[str, str], outdir: str) -> None:
     points = _grid_points(params)
     levels = None if params["levels"] is None else _finite_levels(params["levels"])
     models, names = _selected_models(params, config)
-    _stage_curves(outdir, *_read_metrics(outdir), models, names, params["center"], points, levels)
+    _stage_curves(outdir, _read_metrics(outdir), models, names, params["center"], points, levels)
 
 
 @_command(
@@ -1206,16 +1192,15 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
         seed, papers = params["seed"], params["papers"]
         effect = PlantedEffect(quadratic_sign=-1, moderator_sign=1)
         _stage_synth(outdir, SynthConfig(seed=seed, n_papers=papers, planted_effect=effect))
-    parsed_path, corpus = _stage_ingest(outdir, params["input_path"], parse)
-    _stage_train(outdir, parsed_path, corpus, training)
+    corpus = _stage_ingest(outdir, params["input_path"], parse)
+    _stage_train(outdir, corpus, training)
     graph = build_citation_graph(corpus)
-    exclude_self, export_tree = params["exclude_self"], params["export_tree"]
-    _stage_metrics(outdir, parsed_path, corpus, graph, exclude_self, export_tree)
-    _stage_disrupt(outdir, parsed_path, corpus, graph, params["d_variant"])
-    metrics_path, table = _read_metrics(outdir)
-    _stage_correlate(outdir, metrics_path, table, DEFAULT_CORRELATION_COLUMNS)
-    _stage_regress(outdir, metrics_path, table, models, tuple(models), center)
-    _stage_curves(outdir, metrics_path, table, models, tuple(models), center, points, None)
+    _stage_metrics(outdir, corpus, graph, params["exclude_self"], params["export_tree"])
+    _stage_disrupt(outdir, corpus, graph, params["d_variant"])
+    table = _read_metrics(outdir)
+    _stage_correlate(outdir, table, DEFAULT_CORRELATION_COLUMNS)
+    _stage_regress(outdir, table, models, tuple(models), center)
+    _stage_curves(outdir, table, models, tuple(models), center, points, None)
 
 
 if __name__ == "__main__":

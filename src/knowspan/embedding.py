@@ -70,6 +70,8 @@ class TrainingConfig:
             raise ValueError("epochs must be at least 1")
         if not (0.0 < self.final_learning_rate <= self.initial_learning_rate):
             raise ValueError("need 0 < final_learning_rate <= initial_learning_rate")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 # the cosine state an EmbeddingMatrix keeps for itself

@@ -70,6 +70,8 @@ class SynthConfig:
             raise ValueError("empty year range")
         if self.citation_density < 0.0:
             raise ValueError("citation_density must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def block_of_code(code: str) -> int:

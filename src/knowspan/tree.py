@@ -7,6 +7,7 @@ closed form 2 * (6 - level of the lowest common ancestor).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,15 +20,18 @@ LEAF_LEVEL = 6
 
 @dataclass(frozen=True)
 class KnowledgeTree:
-    parent: dict[str, str]  # child label -> parent label; the root has none
-    level: dict[str, int]  # label -> level, 1 at the root, 6 at leaves
-    leaves: frozenset[str]  # six-character leaf labels, see leaf_label
+    leaves: frozenset[str]  # six-character leaf labels; ancestry_labels gives their ancestors
 
     def edges(self) -> list[tuple[str, str, int]]:
-        """(child, parent, child_level) rows, deterministically ordered."""
-        rows = [(child, parent, self.level[child]) for child, parent in self.parent.items()]
-        rows.sort(key=lambda row: (row[2], row[0]))
-        return rows
+        """(child, parent, child_level) rows, by child level, then child."""
+        rows = {
+            (child, parent, level)
+            for leaf in self.leaves
+            for level, (parent, child) in enumerate(
+                itertools.pairwise((ROOT, *ancestry_labels(leaf))), start=ROOT_LEVEL + 1
+            )
+        }
+        return sorted(rows, key=lambda row: (row[2], row[0]))
 
 
 def leaf_label(code: str) -> str:
@@ -44,19 +48,10 @@ def ancestry_labels(code: str) -> tuple[str, str, str, str, str]:
 
 
 def build_tree(codes: Iterable[str]) -> KnowledgeTree:
-    codes = list(codes)
-    if not codes:
+    leaves = frozenset(map(leaf_label, codes))
+    if not leaves:
         raise ValueError("cannot build a tree from zero codes")
-    parent: dict[str, str] = {}
-    level: dict[str, int] = {ROOT: ROOT_LEVEL}
-    leaves: set[str] = set()
-    for code in codes:
-        chain = (ROOT, *ancestry_labels(code))
-        for depth, label in enumerate(chain[1:], start=2):
-            parent[label] = chain[depth - 2]
-            level[label] = depth
-        leaves.add(chain[-1])
-    return KnowledgeTree(parent=parent, level=level, leaves=frozenset(leaves))
+    return KnowledgeTree(leaves)
 
 
 def _label_lca_level(a: str, b: str) -> int:

@@ -434,6 +434,40 @@ def test_curve_grids_need_two_points(runner, tmp_path, finished_run, value, rout
     assert snapshot(out) == before
 
 
+def damage_parsed_corpus(path, damage):
+    """Delete 'year' from the first record, or cut the last one mid-line."""
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "missing_field":
+        obj = json.loads(lines[0])
+        del obj["year"]
+        lines[0] = json.dumps(obj) + "\n"
+    else:
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    "damage, reason", [("missing_field", "missing_field 1"), ("cut_line", "invalid_json 1")]
+)
+@pytest.mark.parametrize("stage", ["train", "metrics", "disrupt"])
+def test_stages_refuse_a_parsed_corpus_record_ingest_would_not_write(
+    runner, tmp_path, finished_run, stage, damage, reason
+):
+    """Ingest writes only records it keeps, so a skipped one means a damaged
+    file; the stage fails before it writes, leaving its table as it was."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    parsed = out / "corpus.parsed.jsonl"
+    n = len(parsed.read_text().splitlines())
+    damage_parsed_corpus(parsed, damage)
+    before = snapshot(out)
+    flags = FAST_TRAIN if stage == "train" else []
+    payload = run_fail(runner, [stage, "--outdir", str(out), *flags])
+    assert payload["error"] == "bad_artifact"
+    assert payload["message"] == f"{parsed}: 1 of {n} records are not ones ingest writes ({reason})"
+    assert snapshot(out) == before
+
+
 def test_tree_export_writes_edge_list(runner, tmp_path):
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "60"])
@@ -471,6 +505,44 @@ def test_manifest_records_stages_digests_and_no_paths(runner, tmp_path):
     )
     assert train_stage["seed"] == 0
     assert train_stage["config_hash"].startswith("sha256:")
+
+
+def assert_manifest_records_every_artifact(out, ingest_input):
+    """Every file in ``out`` but the manifest is exactly one stage's recorded
+    output, with its digest, and every recorded input digest is its file's;
+    ingest's corpus.jsonl is the file it read, ``ingest_input``."""
+    producers = {}
+    for stage, entry in read_manifest(out)["stages"].items():
+        for name, digest in entry["outputs"].items():
+            assert name not in producers, f"{name} is output of {producers[name]} and {stage}"
+            producers[name] = stage
+            assert digest == sha256_of(out / name), name
+        for name, digest in entry["inputs"].items():
+            path = ingest_input if (stage, name) == ("ingest", "corpus.jsonl") else out / name
+            assert digest == sha256_of(path), (stage, name)
+    assert sorted(producers) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("route", ["synth", "input", "stages"])
+def test_manifest_records_every_artifact_by_its_name(runner, tmp_path, finished_run, route):
+    out = tmp_path / "run"
+    if route == "synth":
+        out = finished_run
+        ingest_input = out / "corpus.jsonl"
+    elif route == "input":
+        ingest_input = tmp_path / "elsewhere.jsonl"
+        shutil.copy(finished_run / "corpus.jsonl", ingest_input)
+        run_ok(runner, ["pipeline", "--outdir", str(out), "--input", str(ingest_input),
+                        *FAST_TRAIN, "--points", "3"])
+    else:
+        ingest_input = out / "corpus.jsonl"
+        for args in (
+            ["synth", "--papers", "150"], ["ingest"], ["train", *FAST_TRAIN],
+            ["metrics", "--export-tree"], ["disrupt"], ["correlate"], ["regress"],
+            ["curves", "--points", "3"],
+        ):
+            run_ok(runner, args + ["--outdir", str(out)])
+    assert_manifest_records_every_artifact(out, ingest_input)
 
 
 # Digests of a small stage run (`synth --papers 400 --seed 3 --density 2`,
@@ -775,8 +847,9 @@ BAD_PRESET_CONFIGS = {
         (["--dim", "1"], "", "stage_failed", None),
         ([], "d_variant = sideways\n", "bad_config", None),
         *(([], config, "bad_config", key) for config, key in BAD_PRESET_CONFIGS.values()),
+        (["--seed", "-1"], "", "stage_failed", None),
     ],
-    ids=["dim_flag", "d_variant_config", *BAD_PRESET_CONFIGS],
+    ids=["dim_flag", "d_variant_config", *BAD_PRESET_CONFIGS, "seed_flag"],
 )
 def test_pipeline_checks_every_setting_before_its_first_stage(
     runner, tmp_path, args, config, error, key
@@ -790,6 +863,34 @@ def test_pipeline_checks_every_setting_before_its_first_stage(
     if key is not None:
         assert payload["key"] == key
     assert not out.exists()  # a refused command makes no output directory
+
+
+def test_pipeline_checks_the_seed_before_ingesting_its_input(runner, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    tiny_corpus(corpus)
+    out = tmp_path / "run"
+    payload = run_fail(runner, ["pipeline", "--outdir", str(out), "--input", str(corpus),
+                                "--seed", "-1"])
+    assert payload == {"error": "stage_failed", "message": "seed must be non-negative"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["train", "--seed", "-1"], "seed must be non-negative"),
+        (["train", "--dim", "1"], "dim must be at least 2"),
+        (["synth", "--seed", "-1"], "seed must be non-negative"),
+    ],
+    ids=["train_seed", "train_dim", "synth_seed"],
+)
+def test_stages_check_their_settings_before_reading_or_writing(runner, tmp_path, args, message):
+    """The directory is empty, so a check made after reading the corpus would
+    fail as missing_artifact instead."""
+    out = tmp_path / "empty"
+    payload = run_fail(runner, [*args, "--outdir", str(out)])
+    assert payload == {"error": "stage_failed", "message": message}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["regress", "curves"])
@@ -1406,7 +1507,7 @@ def test_metrics_normalises_each_code_at_most_once(runner, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "load_embeddings", load)
     monkeypatch.setattr(knowspan.embedding, "direction_and_norm", counted)
     run_ok(runner, ["metrics", "--outdir", out])
-    _, corpus = cli._read_corpus(out)
+    corpus = cli._read_corpus(out)
     assert 0 < len(calls) <= len(corpus.distinct_codes())
     assert len(set(calls)) == len(calls)
 
@@ -1675,7 +1776,7 @@ def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, corpus_calls):
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"])])
     cli._read_corpus(str(tmp_path))
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"]), record("B", 2001, ["11.22.Bb"])])
-    _, rewritten = cli._read_corpus(str(tmp_path))
+    rewritten = cli._read_corpus(str(tmp_path))
     assert list(rewritten.papers) == ["A", "B"] and corpus_calls["parse"] == 2
 
 

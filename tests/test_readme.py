@@ -1,4 +1,5 @@
-"""The commands the README shows parse, name existing files and select tests."""
+"""The commands the README shows parse, name existing files and select tests,
+and its library example runs as written."""
 
 import os
 import re
@@ -8,6 +9,7 @@ import sys
 
 import knowspan
 from knowspan.cli import main
+from knowspan.synthgen import SynthConfig, generate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
@@ -19,6 +21,7 @@ FENCED_BASH = [
     for line in block.splitlines()
     if line.strip() and not line.lstrip().startswith("#")
 ]
+FENCED_PYTHON = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
 INLINE = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", README, flags=re.S | re.M))
 
 
@@ -49,3 +52,14 @@ def test_pytest_selections_collect_tests():
             cwd=ROOT, capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, f"{command!r} selects no test:\n{result.stdout}"
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    """Run in a directory holding a small corpus.jsonl, as the example assumes."""
+    (example,) = FENCED_PYTHON
+    with open(tmp_path / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in generate(SynthConfig(n_papers=120)))
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert len(namespace["distances"]) == len(namespace["corpus"])

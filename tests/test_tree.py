@@ -57,25 +57,33 @@ def make_paper(code_texts, paper_id="P", year=2000):
 
 # ---------------------------------------------------------------- structure
 
+def parents_and_levels(tree):
+    """Each non-root node's parent and level, read from the exported edges."""
+    return {child: (parent, level) for child, parent, level in tree.edges()}
+
+
 def test_single_code_chain():
     tree = build_tree(codes("03.67.Ah"))
-    assert tree.level[ROOT] == 1
-    assert tree.parent["0"] == ROOT
-    assert tree.parent["03"] == "0"
-    assert tree.parent["036"] == "03"
-    assert tree.parent["0367"] == "036"
-    assert tree.parent["0367Ah"] == "0367"
-    assert tree.level["0367Ah"] == LEAF_LEVEL
+    # the root is on level 1, so its child is on level 2
+    assert parents_and_levels(tree) == {
+        "0": (ROOT, 2),
+        "03": ("0", 3),
+        "036": ("03", 4),
+        "0367": ("036", 5),
+        "0367Ah": ("0367", LEAF_LEVEL),
+    }
     assert tree.leaves == {"0367Ah"}
 
 
 def test_shared_prefixes_share_nodes():
     tree = build_tree(codes("03.67.Ah", "03.75.Fi"))
+    nodes = parents_and_levels(tree)
     # both leaves hang under the shared "03" node
-    assert tree.parent["0367"] == "036"
-    assert tree.parent["0375"] == "037"
-    assert tree.parent["036"] == "03"
-    assert tree.parent["037"] == "03"
+    assert nodes["0367"] == ("036", 5)
+    assert nodes["0375"] == ("037", 5)
+    assert nodes["036"] == ("03", 4)
+    assert nodes["037"] == ("03", 4)
+    assert len(tree.edges()) == len(nodes)  # each node has one parent
 
 
 def test_empty_tree_is_error():
