@@ -261,8 +261,10 @@ def _update_manifest(
 
 
 def _read_config(path: str) -> dict[str, str]:
-    """Plain ``key = value`` lines; '#' starts a comment; blanks ignored."""
+    """Plain ``key = value`` lines; '#' starts a comment; blanks ignored.  A
+    key given twice fails, since one of its values would be ignored."""
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -273,8 +275,15 @@ def _read_config(path: str) -> dict[str, str]:
                     "bad_config",
                     f"{path}:{lineno}: expected 'key = value', got {line!r}",
                 )
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in linenos:
+                _fail(
+                    "bad_config",
+                    f"{path}:{lineno}: config key {key!r} is already set on line {linenos[key]}",
+                    key=key,
+                )
+            linenos[key] = lineno
+            values[key] = value
     return values
 
 
@@ -765,27 +774,28 @@ def _stage_regress(
     outdir: str, table: AnalysisTable,
     models: dict[str, RegressionSpec], names: tuple[str, ...], center: str,
 ) -> None:
-    summaries = {}
+    # every model is fitted before any table is written, so a model that
+    # fails leaves the tables of the others as they were
+    tables, summaries = {}, {}
     for name in names:
         result = _fit_named_model(name, models[name], table, center)
         rows = [(t.name, t.coefficient, t.std_error, t.t, t.p, t.stars) for t in result.terms]
         rows.append(("adjusted_r2", result.adjusted_r2, "", "", "", ""))
         rows.append(("n", result.n, "", "", "", ""))
-        _write_csv(
-            outdir, f"regression_{name}.csv",
-            ("term", "coefficient", "std_error", "t", "p", "stars"), rows,
-        )
+        tables[f"regression_{name}.csv"] = rows
         summaries[name] = {
             "n": result.n,
             "adjusted_r2": result.adjusted_r2,
             "terms": len(result.terms),
         }
+    for artifact, rows in tables.items():
+        _write_csv(outdir, artifact, ("term", "coefficient", "std_error", "t", "p", "stars"), rows)
     _update_manifest(
         outdir,
         "regress",
         config={"models": list(names), "center": center},
         inputs=(METRICS,),
-        outputs=[f"regression_{name}.csv" for name in names],
+        outputs=list(tables),
         fits=summaries,
     )
 
@@ -809,6 +819,7 @@ def _stage_curves(
     points: int,
     levels: tuple[float, ...] | None,
 ) -> None:
+    tables = {}  # as in regress: every model is fitted before any table is written
     for name in names:
         spec = models[name]
         result = _fit_named_model(name, spec, table, center)
@@ -822,8 +833,10 @@ def _stage_curves(
             grid = np.linspace(*result.design.base_ranges[predictor], points)
             curve = predicted_curve(result, predictor, grid, moderator_levels=model_levels)
             rows.extend(map(dataclasses.astuple, curve))
+        tables[f"curves_{name}.csv"] = rows
+    for artifact, rows in tables.items():
         _write_csv(
-            outdir, f"curves_{name}.csv",
+            outdir, artifact,
             ("predictor", "predictor_value", "moderator_level", "prediction", "extrapolated"),
             rows,
         )
@@ -837,7 +850,7 @@ def _stage_curves(
             "levels": list(levels) if levels else "mean±sd",
         },
         inputs=(METRICS,),
-        outputs=[f"curves_{name}.csv" for name in names],
+        outputs=list(tables),
     )
 
 

@@ -783,6 +783,29 @@ def test_malformed_config_line_is_structured_error(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "stage, key, first, second",
+    [("train", "dim", "8", "9"), ("regress", "model1.moderator", "none", "team_size")],
+    ids=["option", "model_preset"],
+)
+def test_config_key_given_twice_is_structured_error(runner, tmp_path, stage, key, first, second):
+    """Reading either value would ignore the other without a word; the file
+    is refused before the stage reads or writes anything."""
+    out = tmp_path / "run"
+    run_ok(runner, ["synth", "--outdir", str(out), "--papers", "60"])
+    run_ok(runner, ["ingest", "--outdir", str(out)])
+    config = tmp_path / "run.cfg"
+    config.write_text(f"epochs = 1\n{key} = {first}\n# a later edit\n{key} = {second}\n")
+    before = snapshot(out)
+    result = runner.invoke(main, [stage, "--outdir", str(out), "--config", str(config)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "bad_config"
+    assert payload["key"] == key
+    assert payload["message"] == f"{config}:4: config key {key!r} is already set on line 2"
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize(
     "key",
     [
         "paper",  # a typo of papers
@@ -1225,6 +1248,27 @@ def test_model_naming_an_absent_column_is_structured_error(runner, tmp_path, fin
     assert payload["message"] == f"model5 references columns absent from the metrics table: {value}"
 
 
+@pytest.mark.parametrize(
+    "stage, flags",
+    [("regress", ["--center", "mean"]), ("curves", ["--points", "5"])],
+    ids=["regress", "curves"],
+)
+def test_a_failing_model_leaves_the_tables_of_the_models_before_it(
+    runner, tmp_path, finished_run, stage, flags
+):
+    """Every model is fitted before any table is written, so the flags that
+    would rewrite model1's and model2's tables change no file."""
+    shutil.copytree(finished_run, tmp_path / "run")
+    config = tmp_path / "models.cfg"
+    config.write_text("model3.predictors = bogus\n")
+    before = snapshot(tmp_path / "run")
+    args = [stage, "--outdir", str(tmp_path / "run"), "--model", "all", "--config", str(config), *flags]
+    payload = run_fail(runner, args)
+    assert payload["error"] == "unknown_column"
+    assert payload["message"] == "model3 references columns absent from the metrics table: bogus"
+    assert snapshot(tmp_path / "run") == before
+
+
 def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, tmp_path, finished_run):
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     (tmp_path / "correlations.csv").unlink()
@@ -1428,6 +1472,14 @@ def probe_in_subprocess(code):
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     probe = "import sys, knowspan.cli; print('scipy.stats' in sys.modules)"
+    assert probe_in_subprocess(probe) == "False"
+
+
+@pytest.mark.parametrize("module", ["corpus", "tree"])
+def test_importing_a_standard_library_module_leaves_numpy_unloaded(module):
+    """The package itself imports none of its modules, so importing one
+    loads only what that module uses."""
+    probe = f"import sys, knowspan.{module}; print('numpy' in sys.modules)"
     assert probe_in_subprocess(probe) == "False"
 
 
