@@ -55,6 +55,7 @@ from .geometry import article_distance, journal_cells, journal_reference, paper_
 from .stats import (
     AnalysisTable,
     RankDeficiencyError,
+    RegressionResult,
     RegressionSpec,
     fit_model,
     pearson_matrix,
@@ -137,6 +138,7 @@ RECORDED_TYPES = (
     ("ingest.config.min_year", int), ("ingest.config.max_year", int),
     ("ingest.config.pad_short_codes", bool),
     ("metrics", dict), ("metrics.inputs", dict), ("disrupt", dict), ("disrupt.inputs", dict),
+    ("merge", dict), ("merge.outputs", dict),
 )
 
 
@@ -467,8 +469,16 @@ def _load_metrics_table(path: str) -> AnalysisTable:
 
 
 def _read_metrics(outdir: str) -> AnalysisTable:
-    """Numeric columns of the merged metrics table."""
-    return _load_metrics_table(_require(outdir, METRICS))
+    """Numeric columns of the merged metrics table.  A table whose bytes are
+    not those the merge recorded fails with ``stale_artifact``; one with no
+    merge record, such as a hand-made table, is read as it is."""
+    path = _require(outdir, METRICS)
+    table = _load_metrics_table(path)
+    recorded = _read_manifest(outdir)["stages"].get("merge", {}).get("outputs", {}).get(METRICS)
+    if recorded is not None and recorded != _digest(path):
+        message = f"{path} is not the table the merge wrote; rerun 'metrics' or 'disrupt'"
+        _fail("stale_artifact", message, path=METRICS, producer=",".join(PRODUCERS[METRICS]))
+    return table
 
 
 def _read_corpus(outdir: str) -> Corpus:
@@ -732,6 +742,16 @@ def _stage_disrupt(outdir: str, corpus: Corpus, graph: CitationGraph, variant: s
     _merge_metrics(outdir)
 
 
+def _write_analysis(
+    outdir: str, stage: str, header: tuple[str, ...], tables: dict, config: dict, **extra
+) -> None:
+    """Write the rows of each artifact, all computed first so that a failed
+    fit leaves every table as it was, and record them as read from metrics.csv."""
+    for artifact, rows in tables.items():
+        _write_csv(outdir, artifact, header, rows)
+    _update_manifest(outdir, stage, config=config, inputs=(METRICS,), outputs=list(tables), **extra)
+
+
 def _stage_correlate(outdir: str, table: AnalysisTable, columns: tuple[str, ...]) -> None:
     _require_columns("--columns", columns, table)
     matrix = pearson_matrix(table, columns)
@@ -741,15 +761,9 @@ def _stage_correlate(outdir: str, table: AnalysisTable, columns: tuple[str, ...]
         [name] + [matrix.r[i, j] if j > i else matrix.p[i, j] if j < i else 1.0 for j in range(n)]
         for i, name in enumerate(matrix.columns)
     ]
-    _write_csv(outdir, CORRELATIONS, ("",) + tuple(matrix.columns), rows)
-    _update_manifest(
-        outdir,
-        "correlate",
-        config={"columns": list(columns)},
-        inputs=(METRICS,),
-        outputs=(CORRELATIONS,),
-        df=matrix.df,
-        n_complete=matrix.df + 2,
+    _write_analysis(
+        outdir, "correlate", ("",) + tuple(matrix.columns), {CORRELATIONS: rows},
+        config={"columns": list(columns)}, df=matrix.df, n_complete=matrix.df + 2,
     )
 
 
@@ -763,22 +777,22 @@ def _require_columns(owner: str, names: tuple[str, ...], table: AnalysisTable) -
         )
 
 
-def _fit_named_model(
-    name: str, spec: RegressionSpec, table: AnalysisTable, center: str
-):
-    _require_columns(name, (spec.outcome, *spec.base_columns()), table)
-    return fit_model(dataclasses.replace(spec, centering=center), table)
+def _fits(
+    table: AnalysisTable, models: dict[str, RegressionSpec], names: tuple[str, ...], center: str
+) -> Iterator[tuple[str, RegressionSpec, RegressionResult]]:
+    """Each named model, its spec with --center applied, and its fit, in turn."""
+    for name in names:
+        spec = dataclasses.replace(models[name], centering=center)
+        _require_columns(name, (spec.outcome, *spec.base_columns()), table)
+        yield name, spec, fit_model(spec, table)
 
 
 def _stage_regress(
     outdir: str, table: AnalysisTable,
     models: dict[str, RegressionSpec], names: tuple[str, ...], center: str,
 ) -> None:
-    # every model is fitted before any table is written, so a model that
-    # fails leaves the tables of the others as they were
     tables, summaries = {}, {}
-    for name in names:
-        result = _fit_named_model(name, models[name], table, center)
+    for name, _, result in _fits(table, models, names, center):
         rows = [(t.name, t.coefficient, t.std_error, t.t, t.p, t.stars) for t in result.terms]
         rows.append(("adjusted_r2", result.adjusted_r2, "", "", "", ""))
         rows.append(("n", result.n, "", "", "", ""))
@@ -788,26 +802,10 @@ def _stage_regress(
             "adjusted_r2": result.adjusted_r2,
             "terms": len(result.terms),
         }
-    for artifact, rows in tables.items():
-        _write_csv(outdir, artifact, ("term", "coefficient", "std_error", "t", "p", "stars"), rows)
-    _update_manifest(
-        outdir,
-        "regress",
-        config={"models": list(names), "center": center},
-        inputs=(METRICS,),
-        outputs=list(tables),
-        fits=summaries,
+    _write_analysis(
+        outdir, "regress", ("term", "coefficient", "std_error", "t", "p", "stars"), tables,
+        config={"models": list(names), "center": center}, fits=summaries,
     )
-
-
-def _moderator_levels(spec: RegressionSpec, table: AnalysisTable) -> list[float]:
-    """Mean and mean ± 1 SD of the moderator over the rows the model is
-    fitted on: listwise over the outcome and every base column."""
-    sample = table.listwise((spec.outcome, *spec.base_columns()))
-    assert spec.moderator is not None
-    values = sample.column(spec.moderator)
-    mean, sd = float(values.mean()), float(values.std(ddof=1))
-    return [mean - sd, mean, mean + sd]
 
 
 def _stage_curves(
@@ -819,38 +817,28 @@ def _stage_curves(
     points: int,
     levels: tuple[float, ...] | None,
 ) -> None:
-    tables = {}  # as in regress: every model is fitted before any table is written
-    for name in names:
-        spec = models[name]
-        result = _fit_named_model(name, spec, table, center)
-        model_levels: list[float] | None
-        if spec.moderator is None:
-            model_levels = None
-        else:
-            model_levels = list(levels) if levels else _moderator_levels(spec, table)
+    tables = {}
+    for name, spec, result in _fits(table, models, names, center):
+        design = result.design
+        model_levels: list[float] | None = None  # an unmoderated model: one sweep, no level
+        if spec.moderator is not None:  # by default its mean and mean ± 1 SD in the fit
+            mean, sd = design.base_means[spec.moderator], design.base_sds[spec.moderator]
+            model_levels = list(levels) if levels else [mean - sd, mean, mean + sd]
         rows = []
         for predictor in spec.predictors:
-            grid = np.linspace(*result.design.base_ranges[predictor], points)
+            grid = np.linspace(*design.base_ranges[predictor], points)
             curve = predicted_curve(result, predictor, grid, moderator_levels=model_levels)
             rows.extend(map(dataclasses.astuple, curve))
         tables[f"curves_{name}.csv"] = rows
-    for artifact, rows in tables.items():
-        _write_csv(
-            outdir, artifact,
-            ("predictor", "predictor_value", "moderator_level", "prediction", "extrapolated"),
-            rows,
-        )
-    _update_manifest(
-        outdir,
-        "curves",
+    _write_analysis(
+        outdir, "curves",
+        ("predictor", "predictor_value", "moderator_level", "prediction", "extrapolated"), tables,
         config={
             "models": list(names),
             "center": center,
             "points": points,
             "levels": list(levels) if levels else "mean±sd",
         },
-        inputs=(METRICS,),
-        outputs=list(tables),
     )
 
 

@@ -245,6 +245,7 @@ class Design:
     names: tuple[str, ...]
     spec: RegressionSpec
     base_means: dict[str, float]
+    base_sds: dict[str, float]  # sample standard deviations, ddof=1
     base_ranges: dict[str, tuple[float, float]]
     column_means: np.ndarray
 
@@ -265,6 +266,8 @@ def build_design(spec: RegressionSpec, table: AnalysisTable) -> Design:
 
     raw = {name: table.column(name) for name in spec.base_columns()}
     base_means = {name: float(values.mean()) for name, values in raw.items()}
+    # NaN for a single row, which the fit refuses, without numpy's warning
+    base_sds = {name: float(v.std(ddof=1)) if table.n > 1 else math.nan for name, v in raw.items()}
     base_ranges = {
         name: (float(values.min()), float(values.max())) for name, values in raw.items()
     }
@@ -299,6 +302,7 @@ def build_design(spec: RegressionSpec, table: AnalysisTable) -> Design:
         names=tuple(names),
         spec=spec,
         base_means=base_means,
+        base_sds=base_sds,
         base_ranges=base_ranges,
         column_means=matrix.mean(axis=0),
     )

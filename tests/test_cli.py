@@ -139,6 +139,18 @@ def test_ingest_without_corpus_names_synth(runner, tmp_path):
     assert payload["producer"] == "synth"
 
 
+def test_ingest_of_a_missing_input_is_structured_error(runner, tmp_path):
+    """Refused before any artifact is written, so no directory is made."""
+    out = tmp_path / "new"
+    missing = tmp_path / "absent.jsonl"
+    args = ["ingest", "--input", str(missing), "--outdir", str(out)]
+    payload = run_fail(runner, args)
+    assert payload["error"] == "missing_input"
+    assert str(missing) in payload["message"]
+    assert runner.invoke(main, args).exit_code == 1
+    assert not out.exists()
+
+
 def test_correlate_without_merged_table_names_both_producers(runner, tmp_path):
     payload = run_fail(runner, ["correlate", "--outdir", str(tmp_path)])
     assert payload["path"] == "metrics.csv"
@@ -432,6 +444,21 @@ def test_curve_grids_need_two_points(runner, tmp_path, finished_run, value, rout
     assert payload["error"] == "bad_arguments"
     assert "--points" in payload["message"]
     assert snapshot(out) == before
+
+
+def test_curves_of_an_unmoderated_model_sweep_once_at_no_level(runner, tmp_path, finished_run):
+    """Moderator levels, given or by default, apply to moderated models only."""
+    shutil.copytree(finished_run, tmp_path / "run")
+    out = str(tmp_path / "run")
+    config = tmp_path / "models.cfg"
+    config.write_text("model1.moderator = none\n")
+    args = ["curves", "--outdir", out, "--model", "model1", "--points", "3", "--config", str(config)]
+    run_ok(runner, args)
+    _, rows = read_csv(tmp_path / "run" / "curves_model1.csv")
+    assert [(row[0], row[2]) for row in rows] == [("network_distance", "")] * 3
+    written = (tmp_path / "run" / "curves_model1.csv").read_bytes()
+    run_ok(runner, [*args, "--levels", "1,2"])
+    assert (tmp_path / "run" / "curves_model1.csv").read_bytes() == written
 
 
 def damage_parsed_corpus(path, damage):
@@ -1040,6 +1067,34 @@ def test_malformed_metrics_table_is_structured_error(runner, tmp_path, stage, co
         assert repr(column) in payload["message"]
 
 
+def duplicate_last_row(path):
+    with open(path, encoding="utf-8") as fh:
+        last = fh.readlines()[-1]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(last)
+
+
+def edit_one_cell(path):
+    header, rows = read_csv(path)
+    rows[0][header.index("n_pages")] = repr(float(rows[0][header.index("n_pages")]) + 1)
+    path.write_text(metrics_text(rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize("stage", ["correlate", "regress", "curves"])
+@pytest.mark.parametrize("edit", [duplicate_last_row, edit_one_cell], ids=["duplicated_row", "edited_cell"])
+def test_a_metrics_table_changed_after_the_merge_is_stale(runner, tmp_path, finished_run, stage, edit):
+    """Every cell still parses, but the table is not the one the merge
+    recorded: analysing it would count a paper twice or fit a changed value."""
+    shutil.copytree(finished_run, tmp_path / "run")
+    edit(tmp_path / "run" / "metrics.csv")
+    before = snapshot(tmp_path / "run")
+    payload = run_fail(runner, [stage, "--outdir", str(tmp_path / "run")])
+    assert payload["error"] == "stale_artifact"
+    assert payload["path"] == "metrics.csv"
+    assert payload["producer"] == "metrics,disrupt"
+    assert snapshot(tmp_path / "run") == before
+
+
 def row_based_load_metrics_table(path):
     """The metrics-table loader that held every row as strings before it
     parsed any column; the column-wise loader must match it exactly."""
@@ -1203,6 +1258,25 @@ def test_mistyped_manifest_entry_is_structured_error(runner, tmp_path, finished_
     assert snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize(
+    "keys, value", [(("merge",), []), (("merge", "outputs"), "metrics.csv")], ids=["merge", "merge.outputs"]
+)
+def test_mistyped_merge_entry_is_structured_error(runner, tmp_path, finished_run, keys, value):
+    """`regress` reads the merge entry back to check the table it fits."""
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    manifest = read_manifest(tmp_path)
+    entry = manifest["stages"]
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    before = snapshot(tmp_path)
+    payload = run_fail(runner, ["regress", "--outdir", str(tmp_path), "--model", "model1"])
+    assert payload["error"] == "bad_artifact"
+    assert "stages." + ".".join(keys) in payload["message"]
+    assert snapshot(tmp_path) == before
+
+
 def damage_embedding(text, defect):
     header, first, second, *rest = text.splitlines(keepends=True)
     if defect == "truncated":
@@ -1267,6 +1341,20 @@ def test_a_failing_model_leaves_the_tables_of_the_models_before_it(
     assert payload["error"] == "unknown_column"
     assert payload["message"] == "model3 references columns absent from the metrics table: bogus"
     assert snapshot(tmp_path / "run") == before
+
+
+def test_a_rank_deficient_model_is_structured_error(runner, tmp_path):
+    """A hand-made table has no merge record and is read as it is; two
+    equal controls make model1's design rank deficient, and no table is
+    written."""
+    rows = random_metrics_rows(60, 0.0, seed=3)
+    for row in rows:
+        row[METRIC_COLUMNS.index("title_length")] = row[METRIC_COLUMNS.index("n_pages")]
+    (tmp_path / "metrics.csv").write_text(metrics_text(rows), encoding="utf-8")
+    payload = run_fail(runner, ["regress", "--outdir", str(tmp_path), "--model", "model1"])
+    assert payload["error"] == "rank_deficient"
+    assert "n_pages" in payload["message"] and "title_length" in payload["message"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv"]
 
 
 def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, tmp_path, finished_run):

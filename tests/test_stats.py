@@ -1,5 +1,8 @@
 """Correlation, design assembly, OLS, and predicted curves against oracles."""
 
+import math
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -266,6 +269,24 @@ def test_mean_centering_applies_before_squares():
     by_name = dict(zip(design.names, design.matrix.T))
     np.testing.assert_allclose(by_name["x"], [-2.0, -1.0, 0.0, 3.0])
     np.testing.assert_allclose(by_name["x^2"], [4.0, 1.0, 0.0, 9.0])
+
+
+def test_design_keeps_the_sample_sd_of_each_raw_base_column():
+    """Moderator levels are read off these: mean ± 1 SD over the rows fitted."""
+    table = AnalysisTable({"y": [0.0, 1.0, 2.0, 5.0], "x": [1.0, 2.0, 3.0, 6.0], "z": [2.0, 2.0, 4.0, 4.0]})
+    spec = RegressionSpec(outcome="y", predictors=("x",), moderator="z", centering="mean")
+    design = build_design(spec, table)
+    assert design.base_sds == pytest.approx({"x": math.sqrt(14 / 3), "z": math.sqrt(4 / 3)}, rel=1e-15)
+
+
+def test_a_one_row_design_has_undefined_sds_and_raises_no_warning():
+    """A fit refuses so few rows; the design must not print numpy's warning
+    on the way, since a failed stage writes one line to stderr."""
+    table = AnalysisTable({"y": [1.0], "x": [2.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        design = build_design(RegressionSpec(outcome="y", predictors=("x",)), table)
+    assert math.isnan(design.base_sds["x"])
 
 
 def test_unknown_design_column_is_error():
