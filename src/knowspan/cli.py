@@ -511,6 +511,7 @@ def _read_corpus(outdir: str) -> Corpus:
 
 
 def _stage_synth(outdir: str, config: SynthConfig) -> None:
+    _read_manifest(outdir)  # a damaged manifest fails the stage before it writes
     with _replacing(outdir, CORPUS_RAW) as fh:
         for line in generate(config):
             fh.write(line + "\n")
@@ -530,6 +531,7 @@ def _stage_synth(outdir: str, config: SynthConfig) -> None:
 def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Corpus:
     """Parse ``input_path``, or corpus.jsonl in ``outdir`` when it is None;
     returns the contents of the parsed corpus it writes."""
+    _read_manifest(outdir)  # a damaged manifest fails the stage before it writes
     if input_path is None:
         input_path = _require(outdir, CORPUS_RAW)
     elif not os.path.exists(input_path):
@@ -577,51 +579,38 @@ def _space_rows(
     graph: CitationGraph,
     emb: EmbeddingMatrix,
     tree: KnowledgeTree,
+    vectors: dict[str, np.ndarray | None],
     exclude_self: bool,
-) -> tuple[Iterator[tuple], int]:
-    """Per-paper metric rows, computed one at a time as they are read, and
-    the number of papers with a code missing from the trained vocabulary.
-    Embedding-derived cells are empty for such a paper, and the journal
-    distance also when its journal-year cell has no usable reference point."""
-    matrix = np.zeros((len(corpus.papers), emb.dim))  # one row per paper, in corpus order
-    vectors: dict[str, np.ndarray | None] = {}
-    for row, (pid, paper) in zip(matrix, corpus.papers.items()):
-        if all(code in emb for code in paper.pacs_codes):
-            row[:] = paper_vector(paper, emb)
-            vectors[pid] = row
-        else:
-            vectors[pid] = None
+) -> Iterator[tuple]:
+    """Per-paper metric rows, computed one at a time as they are read.  A
+    paper whose entry in ``vectors`` is None, for a code missing from the
+    trained vocabulary, gets empty embedding-derived cells; so does a journal
+    distance whose journal-year cell has no usable reference point."""
     cells = journal_cells(corpus, vectors)
-
-    def rows() -> Iterator[tuple]:
-        for pid, paper in corpus.papers.items():
-            vec = vectors[pid]
-            journal_dist = None
-            article_dist = None
-            article_dist_log = None
-            if vec is not None:
-                article_dist = article_distance(paper, emb)
-                article_dist_log = float(np.log1p(article_dist))
-                reference = journal_reference(
-                    cells[(paper.journal, paper.year)], vec, exclude_self
-                )
-                if reference is not None:
-                    journal_dist = cosine_distance(vec, reference)
-            yield (
-                pid,
-                journal_dist,
-                article_dist,
-                article_dist_log,
-                network_distance(paper, tree),
-                team_size(paper),
-                citation_count(paper, graph),
-                log_citation_count(paper, graph),
-                corpus.paper_age(paper),
-                paper.n_pages,
-                paper.title_length,
-            )
-
-    return rows(), sum(vec is None for vec in vectors.values())
+    for pid, paper in corpus.papers.items():
+        vec = vectors[pid]
+        journal_dist = None
+        article_dist = None
+        article_dist_log = None
+        if vec is not None:
+            article_dist = article_distance(paper, emb)
+            article_dist_log = float(np.log1p(article_dist))
+            reference = journal_reference(cells[(paper.journal, paper.year)], vec, exclude_self)
+            if reference is not None:
+                journal_dist = cosine_distance(vec, reference)
+        yield (
+            pid,
+            journal_dist,
+            article_dist,
+            article_dist_log,
+            network_distance(paper, tree),
+            team_size(paper),
+            citation_count(paper, graph),
+            log_citation_count(paper, graph),
+            corpus.paper_age(paper),
+            paper.n_pages,
+            paper.title_length,
+        )
 
 
 def _paired_rows(
@@ -704,7 +693,11 @@ def _stage_metrics(
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     tree = build_tree(corpus.distinct_codes())
-    rows, n_missing = _space_rows(corpus, graph, emb, tree, exclude_self)
+    vectors = {
+        pid: paper_vector(paper, emb) if all(code in emb for code in paper.pacs_codes) else None
+        for pid, paper in corpus.papers.items()
+    }
+    rows = _space_rows(corpus, graph, emb, tree, vectors, exclude_self)
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
     if export_tree:
         _write_csv(outdir, TREE_EDGES, ("child_label", "parent_label", "level"), tree.edges())
@@ -715,7 +708,7 @@ def _stage_metrics(
         inputs=(CORPUS_PARSED, EMBEDDING),
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
-        n_missing_vocabulary=n_missing,
+        n_missing_vocabulary=sum(vec is None for vec in vectors.values()),
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
     )
     _merge_metrics(outdir)

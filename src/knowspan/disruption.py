@@ -97,14 +97,10 @@ def score_corpus(
         pid: disruption_counts(paper, graph, variant)
         for pid, paper in corpus.papers.items()
     }
-    defined = [(pid, d_score(c)) for pid, c in counts.items() if c.total > 0]
-    percentiles = percentile_ranks([d for _, d in defined]) if defined else []
-    pct_by_id = {pid: pct for (pid, _), pct in zip(defined, percentiles)}
-    d_by_id = dict(defined)
+    d_by_id = {pid: d_score(c) for pid, c in counts.items() if c.total > 0}
+    percentiles = percentile_ranks(list(d_by_id.values())) if d_by_id else []
+    pct_by_id = dict(zip(d_by_id, percentiles))
     return {
-        pid: (
-            counts[pid],
-            DisruptionScore(d=d_by_id.get(pid), percentile=pct_by_id.get(pid)),
-        )
-        for pid in corpus.papers
+        pid: (c, DisruptionScore(d=d_by_id.get(pid), percentile=pct_by_id.get(pid)))
+        for pid, c in counts.items()
     }

@@ -11,7 +11,7 @@ that names the collinear terms instead of a silently unstable solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -250,6 +250,27 @@ class Design:
     column_means: np.ndarray
 
 
+def _design_terms(spec: RegressionSpec, values: dict, means: dict[str, float]) -> dict:
+    """The named design terms of ``spec``'s predictors and moderator, in
+    design order: each predictor's linear and squared term, the moderator,
+    then each predictor's products with it.  ``values`` holds the raw values
+    of those columns, arrays or numbers; with centering="mean" each is taken
+    less its mean in ``means`` first."""
+
+    def effect(name: str):
+        return values[name] - means[name] if spec.centering == "mean" else values[name]
+
+    xs = {pred: effect(pred) for pred in spec.predictors}
+    terms = {}
+    for pred, x in xs.items():
+        terms[pred], terms[f"{pred}^2"] = x, x * x
+    if (moderator := spec.moderator) is not None:
+        z = terms[moderator] = effect(moderator)
+        for pred, x in xs.items():
+            terms[f"{pred}:{moderator}"], terms[f"{pred}^2:{moderator}"] = x * z, x * x * z
+    return terms
+
+
 def build_design(spec: RegressionSpec, table: AnalysisTable) -> Design:
     """Assemble the design matrix for ``spec`` from a complete table.
 
@@ -272,34 +293,13 @@ def build_design(spec: RegressionSpec, table: AnalysisTable) -> Design:
         name: (float(values.min()), float(values.max())) for name, values in raw.items()
     }
 
-    def effect(name: str) -> np.ndarray:
-        if spec.centering == "mean":
-            return raw[name] - base_means[name]
-        return raw[name]
-
-    n = table.n
-    cols: list[np.ndarray] = [np.ones(n)]
-    names: list[str] = ["const"]
-    for name in spec.controls:
-        cols.append(raw[name])
-        names.append(name)
-    for pred in spec.predictors:
-        x = effect(pred)
-        cols.extend([x, x * x])
-        names.extend([pred, f"{pred}^2"])
-    if spec.moderator is not None:
-        z = effect(spec.moderator)
-        cols.append(z)
-        names.append(spec.moderator)
-        for pred in spec.predictors:
-            x = effect(pred)
-            cols.extend([x * z, x * x * z])
-            names.extend([f"{pred}:{spec.moderator}", f"{pred}^2:{spec.moderator}"])
-
+    terms = _design_terms(spec, raw, base_means)
+    names = ("const", *spec.controls, *terms)
+    cols = [np.ones(table.n), *(raw[name] for name in spec.controls), *terms.values()]
     matrix = np.column_stack(cols)
     return Design(
         matrix=matrix,
-        names=tuple(names),
+        names=names,
         spec=spec,
         base_means=base_means,
         base_sds=base_sds,
@@ -430,8 +430,14 @@ def ols_fit(design: Design, y: np.ndarray) -> RegressionResult:
 
 
 def fit_model(spec: RegressionSpec, table: AnalysisTable) -> RegressionResult:
-    """Listwise-delete, build the design, and fit in one call."""
+    """Listwise-delete, build the design, and fit in one call.  A table with
+    no complete row is refused as ``ols_fit`` refuses too few rows, before
+    any moment of an empty column is taken."""
     complete = table.listwise((spec.outcome, *spec.base_columns()))
+    if complete.n == 0:
+        zeros = dict.fromkeys(spec.base_columns(), 0.0)
+        n_cols = 1 + len(spec.controls) + len(_design_terms(spec, zeros, zeros))
+        raise ValueError(f"need more rows (0) than design columns ({n_cols})")
     design = build_design(spec, complete)
     return ols_fit(design, complete.column(spec.outcome))
 
@@ -478,27 +484,19 @@ def predicted_curve(
             raise ValueError("moderator levels are required for a moderated model")
         levels = list(moderator_levels)
 
-    names = result.design.names
-    position = {name: i for i, name in enumerate(names)}
-    centering = spec.centering == "mean"
-    means = result.design.base_means
+    position = {name: i for i, name in enumerate(result.design.names)}
+    swept = replace(spec, predictors=(predictor,))
     low, high = result.design.base_ranges[predictor]
 
     points: list[CurvePoint] = []
     for value in grid:
         value = float(value)
-        x = value - means[predictor] if centering else value
         extrapolated = not (low <= value <= high)
         for level in levels:
             row = result.design.column_means.copy()
-            row[position[predictor]] = x
-            row[position[f"{predictor}^2"]] = x * x
-            if level is not None:
-                assert spec.moderator is not None
-                z = level - means[spec.moderator] if centering else level
-                row[position[spec.moderator]] = z
-                row[position[f"{predictor}:{spec.moderator}"]] = x * z
-                row[position[f"{predictor}^2:{spec.moderator}"]] = x * x * z
+            raw = {predictor: value} if level is None else {predictor: value, spec.moderator: level}
+            for name, term in _design_terms(swept, raw, result.design.base_means).items():
+                row[position[name]] = term
             points.append(
                 CurvePoint(
                     predictor=predictor,

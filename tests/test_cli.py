@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -931,8 +932,10 @@ def test_pipeline_checks_the_seed_before_ingesting_its_input(runner, tmp_path):
         (["train", "--seed", "-1"], "seed must be non-negative"),
         (["train", "--dim", "1"], "dim must be at least 2"),
         (["synth", "--seed", "-1"], "seed must be non-negative"),
+        (["train", "--negatives", "0"], "negatives_per_positive must be at least 1"),
+        (["ingest", "--min-year", "2001", "--max-year", "2000"], "min_year exceeds max_year"),
     ],
-    ids=["train_seed", "train_dim", "synth_seed"],
+    ids=["train_seed", "train_dim", "synth_seed", "train_negatives", "ingest_years"],
 )
 def test_stages_check_their_settings_before_reading_or_writing(runner, tmp_path, args, message):
     """The directory is empty, so a check made after reading the corpus would
@@ -1225,6 +1228,23 @@ def test_malformed_manifest_is_structured_error(runner, tmp_path, finished_run, 
     assert "manifest.json" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["synth", "--papers", "50"], ["ingest"], ["pipeline", "--synth", "--papers", "50"]],
+    ids=["synth", "ingest", "pipeline"],
+)
+def test_a_damaged_manifest_fails_a_stage_before_it_writes(runner, tmp_path, finished_run, args):
+    """synth and ingest read the manifest before their first write, so a
+    manifest they could not update leaves every file as it was."""
+    shutil.copy(finished_run / "corpus.jsonl", tmp_path)
+    (tmp_path / "manifest.json").write_text('{"stages": {', encoding="utf-8")
+    before = snapshot(tmp_path)
+    payload = run_fail(runner, [*args, "--outdir", str(tmp_path)])
+    assert payload["error"] == "bad_artifact"
+    assert "manifest.json" in payload["message"]
+    assert snapshot(tmp_path) == before
+
+
 MISTYPED_ENTRIES = [
     (("ingest",), []),
     (("ingest", "config"), "min_year=1800"),
@@ -1293,13 +1313,16 @@ def damage_embedding(text, defect):
     if defect in ("nan", "inf"):  # one coordinate of the first row
         code, _, *values = first.split()
         return header + " ".join([code, defect, *values]) + "\n" + second + "".join(rest)
+    if defect == "short_row":  # the first row one value short
+        return header + first.rsplit(" ", 1)[0] + "\n" + second + "".join(rest)
     # the second row takes the first row's code; the row count still matches
     repeated = first.split()[0] + second[second.index(" "):]
     return header + first + repeated + "".join(rest)
 
 
 @pytest.mark.parametrize(
-    "defect", ["truncated", "empty", "bad_code", "repeated_code", "nan", "inf", "no_rows", "zero_dim"]
+    "defect",
+    ["truncated", "empty", "bad_code", "repeated_code", "nan", "inf", "no_rows", "zero_dim", "short_row"],
 )
 def test_malformed_embedding_is_structured_error(runner, tmp_path, finished_run, defect):
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
@@ -1354,6 +1377,27 @@ def test_a_rank_deficient_model_is_structured_error(runner, tmp_path):
     payload = run_fail(runner, ["regress", "--outdir", str(tmp_path), "--model", "model1"])
     assert payload["error"] == "rank_deficient"
     assert "n_pages" in payload["message"] and "title_length" in payload["message"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv"]
+
+
+@pytest.mark.parametrize("command", ["regress", "curves"])
+@pytest.mark.parametrize(
+    "cell, message",
+    [("", "need more rows (0) than design columns (9)"), ("1.5", "outcome has zero variance")],
+    ids=["no_complete_row", "constant_outcome"],
+)
+def test_a_model_its_rows_cannot_fit_is_structured_error(runner, tmp_path, command, cell, message):
+    """Every log_citations cell of a hand-made table is blank or equal, so
+    model1 has no row to fit or no variance to explain: one plain line, no
+    numpy warning, and no table written."""
+    rows = random_metrics_rows(40, 0.0, seed=5)
+    for row in rows:
+        row[METRIC_COLUMNS.index("log_citations")] = cell
+    (tmp_path / "metrics.csv").write_text(metrics_text(rows), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_fail(runner, [command, "--outdir", str(tmp_path), "--model", "model1"])
+    assert payload == {"error": "stage_failed", "message": message}
     assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv"]
 
 

@@ -32,6 +32,9 @@ from knowspan.tree import ancestry_labels, leaf_label
 LN_10 = 2.302585092994046  # ln(10) frozen from a 40-digit evaluation
 
 
+ABSENT = object()  # an override that leaves its field out of the record
+
+
 def record(**overrides):
     base = {
         "id": "P1",
@@ -44,7 +47,7 @@ def record(**overrides):
         "references": [],
     }
     base.update(overrides)
-    return json.dumps(base)
+    return json.dumps({key: value for key, value in base.items() if value is not ABSENT})
 
 
 def parse_lines(*lines, config=None):
@@ -157,10 +160,18 @@ def test_year_out_of_range_skipped():
         ({"journal": ""}, "invalid_journal"),
         ({"pacs_codes": []}, "no_codes"),
         ({"year": "2000"}, "invalid_year"),
+        ({"id": ""}, "invalid_id"),
+        ({"pacs_codes": "03.67.Ah"}, "invalid_code"),
+        ({"author_count": ABSENT, "authors": "A. Author"}, "invalid_authors"),
+        ({"title_length": ABSENT, "title": 8}, "invalid_title"),
+        ({"title_length": -1}, "invalid_title_length"),
+        ({"references": "P1"}, "invalid_references"),
+        ({"author_count": ABSENT}, "missing_field"),
+        ({"title_length": ABSENT}, "missing_field"),
     ],
 )
 def test_skip_reasons(overrides, reason):
-    corpus, report = parse_lines(record(), record(id="P2", **overrides))
+    corpus, report = parse_lines(record(), record(**{"id": "P2", **overrides}))
     assert "P2" not in corpus
     assert report.skip_reasons[reason] == 1
 
