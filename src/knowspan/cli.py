@@ -136,7 +136,7 @@ PRODUCERS = {
 RECORDED_TYPES = (
     ("ingest", dict), ("ingest.config", dict), ("ingest.end_year", int),
     ("ingest.config.min_year", int), ("ingest.config.max_year", int),
-    ("ingest.config.pad_short_codes", bool),
+    ("ingest.config.pad_short_codes", bool), ("ingest.outputs", dict),
     ("metrics", dict), ("metrics.inputs", dict), ("disrupt", dict), ("disrupt.inputs", dict),
     ("merge", dict), ("merge.outputs", dict),
 )
@@ -468,16 +468,25 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     )
 
 
+def _check_recorded(manifest: dict, stage: str, path: str) -> None:
+    """Fail with ``stale_artifact`` when the artifact at ``path`` is not the
+    file ``stage`` recorded among its outputs.  One with no such record, such
+    as a hand-made file, is read as it is."""
+    name = os.path.basename(path)
+    recorded = manifest["stages"].get(stage, {}).get("outputs", {}).get(name)
+    if recorded is not None and recorded != _digest(path):
+        producers = PRODUCERS[name]
+        rerun = " or ".join(f"'{p}'" for p in producers)
+        message = f"{path} is not the file the {stage} stage wrote; rerun {rerun}"
+        _fail("stale_artifact", message, path=name, producer=",".join(producers))
+
+
 def _read_metrics(outdir: str) -> AnalysisTable:
-    """Numeric columns of the merged metrics table.  A table whose bytes are
-    not those the merge recorded fails with ``stale_artifact``; one with no
-    merge record, such as a hand-made table, is read as it is."""
+    """Numeric columns of the merged metrics table, which must be the one the
+    merge recorded."""
     path = _require(outdir, METRICS)
     table = _load_metrics_table(path)
-    recorded = _read_manifest(outdir)["stages"].get("merge", {}).get("outputs", {}).get(METRICS)
-    if recorded is not None and recorded != _digest(path):
-        message = f"{path} is not the table the merge wrote; rerun 'metrics' or 'disrupt'"
-        _fail("stale_artifact", message, path=METRICS, producer=",".join(PRODUCERS[METRICS]))
+    _check_recorded(_read_manifest(outdir), "merge", path)
     return table
 
 
@@ -488,10 +497,13 @@ def _read_corpus(outdir: str) -> Corpus:
     the manifest, so later stages keep every paper ingest kept, and with the
     end year ingest used (which --end-year sets), so paper ages agree.
     Ingest writes only records it keeps, so a record the parse skips means a
-    damaged file, which fails the stage with ``bad_artifact``.
+    damaged file, which fails the stage with ``bad_artifact``.  A file that
+    parses cleanly must still be the one ingest recorded: one cut at a line
+    boundary would otherwise be read as a smaller corpus.
     """
     path = _require(outdir, CORPUS_PARSED)
-    ingest = _read_manifest(outdir)["stages"].get("ingest", {})
+    manifest = _read_manifest(outdir)
+    ingest = manifest["stages"].get("ingest", {})
     recorded = ingest.get("config", {})
     parse = ParseConfig(
         **{k: recorded[k] for k in ("min_year", "max_year", "pad_short_codes") if k in recorded},
@@ -503,6 +515,7 @@ def _read_corpus(outdir: str) -> Corpus:
         skipped = f"{report.n_skipped} of {report.n_records} records are not ones ingest writes"
         reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(report.skip_reasons.items()))
         _fail("bad_artifact", f"{path}: {skipped} ({reasons})")
+    _check_recorded(manifest, "ingest", path)
     return corpus
 
 
@@ -541,7 +554,8 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Co
     with _replacing(outdir, CORPUS_PARSED) as fh:
         for paper in corpus:
             fh.write(json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":")) + "\n")
-    _write_json(outdir, PARSE_REPORT, report.as_dict())
+    # vars, not asdict, which would rebuild the skip_reasons Counter from its pairs
+    _write_json(outdir, PARSE_REPORT, vars(report))
     _update_manifest(
         outdir,
         "ingest",
@@ -786,7 +800,7 @@ def _stage_regress(
 ) -> None:
     tables, summaries = {}, {}
     for name, _, result in _fits(table, models, names, center):
-        rows = [(t.name, t.coefficient, t.std_error, t.t, t.p, t.stars) for t in result.terms]
+        rows = list(map(dataclasses.astuple, result.terms))
         rows.append(("adjusted_r2", result.adjusted_r2, "", "", "", ""))
         rows.append(("n", result.n, "", "", "", ""))
         tables[f"regression_{name}.csv"] = rows

@@ -56,17 +56,10 @@ class Paper:
     references: tuple[str, ...]
 
     def to_record(self) -> dict:
-        """Serialize back to the line-record form accepted by parse_corpus."""
-        return {
-            "id": self.id,
-            "year": self.year,
-            "journal": self.journal,
-            "pacs_codes": list(self.pacs_codes),
-            "author_count": self.author_count,
-            "n_pages": self.n_pages,
-            "title_length": self.title_length,
-            "references": list(self.references),
-        }
+        """Serialize back to the line-record form accepted by parse_corpus:
+        every field by its name (``slots=True`` makes ``__slots__`` the field
+        names, in order), a tuple as a JSON array."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 @dataclass
@@ -90,17 +83,6 @@ class ParseReport:
     duplicate_codes_removed: int = 0
     self_references_removed: int = 0
     padded_codes: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_parsed": self.n_parsed,
-            "n_skipped": self.n_skipped,
-            "skip_reasons": dict(sorted(self.skip_reasons.items())),
-            "duplicate_codes_removed": self.duplicate_codes_removed,
-            "self_references_removed": self.self_references_removed,
-            "padded_codes": self.padded_codes,
-        }
 
 
 @dataclass

@@ -496,6 +496,47 @@ def test_stages_refuse_a_parsed_corpus_record_ingest_would_not_write(
     assert snapshot(out) == before
 
 
+def drop_last_line(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]))
+
+
+@pytest.mark.parametrize(
+    "artifact, stage, error",
+    [
+        ("corpus.parsed.jsonl", "train", "stale_artifact"),
+        ("corpus.parsed.jsonl", "metrics", "stale_artifact"),
+        ("corpus.parsed.jsonl", "disrupt", "stale_artifact"),
+        ("embedding.txt", "metrics", "bad_artifact"),
+        ("metrics_space.csv", "disrupt", "bad_artifact"),
+        ("disruption.csv", "metrics", "bad_artifact"),
+        ("metrics.csv", "correlate", "stale_artifact"),
+    ],
+    ids=["parsed-train", "parsed-metrics", "parsed-disrupt", "embedding", "metrics_space",
+         "disruption", "metrics"],
+)
+def test_an_artifact_cut_after_its_last_full_line_is_refused(
+    runner, tmp_path, finished_run, artifact, stage, error
+):
+    """Every line left still parses, so the file reads as one of fewer
+    papers; the next stage that reads it fails with one JSON line instead.
+    A parsed corpus is refused before the stage writes anything."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    drop_last_line(out / artifact)
+    before = snapshot(out)
+    flags = FAST_TRAIN if stage == "train" else []
+    result = runner.invoke(main, [stage, "--outdir", str(out), *flags])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no other exception escaped
+    [line] = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == error
+    if artifact == "corpus.parsed.jsonl":
+        assert (payload["path"], payload["producer"]) == (artifact, "ingest")
+        assert snapshot(out) == before
+
+
 def test_tree_export_writes_edge_list(runner, tmp_path):
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "60"])
@@ -1247,6 +1288,7 @@ def test_a_damaged_manifest_fails_a_stage_before_it_writes(runner, tmp_path, fin
 
 MISTYPED_ENTRIES = [
     (("ingest",), []),
+    (("ingest", "outputs"), "corpus.parsed.jsonl"),
     (("ingest", "config"), "min_year=1800"),
     (("ingest", "config", "min_year"), "1800"),
     (("ingest", "config", "max_year"), 2100.0),
@@ -1399,6 +1441,25 @@ def test_a_model_its_rows_cannot_fit_is_structured_error(runner, tmp_path, comma
         payload = run_fail(runner, [command, "--outdir", str(tmp_path), "--model", "model1"])
     assert payload == {"error": "stage_failed", "message": message}
     assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv"]
+
+
+def test_correlate_needs_three_complete_rows(runner, tmp_path):
+    (tmp_path / "metrics.csv").write_text(metrics_text(random_metrics_rows(2, 0.0)), encoding="utf-8")
+    payload = run_fail(runner, ["correlate", "--outdir", str(tmp_path)])
+    assert payload == {"error": "stage_failed", "message": "need at least 3 complete rows, have 2"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv"]
+
+
+def test_a_key_error_without_an_argument_is_stage_failed(runner, tmp_path, finished_run, monkeypatch):
+    """A KeyError's message is its argument; one with none is named by its repr."""
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+
+    def no_graph(corpus):
+        raise KeyError()
+
+    monkeypatch.setattr(cli, "build_citation_graph", no_graph)
+    payload = run_fail(runner, ["disrupt", "--outdir", str(tmp_path)])
+    assert payload == {"error": "stage_failed", "message": "KeyError()"}
 
 
 def test_unknown_correlation_column_is_reported_without_extra_quotes(runner, tmp_path, finished_run):

@@ -1,5 +1,6 @@
 """Corpus parsing, validation accounting, and citation-graph construction."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -253,6 +254,37 @@ def test_parse_serialize_parse_round_trips(raw):
     assert again.papers[paper.id] == paper
 
 
+@st.composite
+def generated_papers(draw):
+    paper_id = draw(st.text(min_size=1, max_size=8))
+    code = st.text(alphabet="0123456789ABab_", min_size=6, max_size=6)
+    codes = draw(st.lists(code, min_size=1, max_size=5, unique=True))
+    reference = st.text(max_size=8).filter(lambda ref: ref != paper_id)
+    references = st.lists(reference, max_size=6, unique=True)
+    return Paper(
+        id=paper_id,
+        year=draw(st.integers(1800, 2100)),
+        journal=draw(st.text(min_size=1, max_size=6)),
+        pacs_codes=tuple(f"{c[:2]}.{c[2:4]}.{c[4:]}" for c in codes),
+        author_count=draw(st.integers(1, 10**6)),
+        n_pages=draw(st.integers(0, 10**6)),
+        title_length=draw(st.integers(0, 10**6)),
+        references=tuple(draw(references)),
+    )
+
+
+@settings(max_examples=100)
+@given(generated_papers())
+def test_a_papers_record_names_every_field_and_parses_back_to_it(paper):
+    """to_record writes each field by its name, so a parser that drops a
+    field fails here."""
+    rec = paper.to_record()
+    assert rec.keys() == {f.name for f in dataclasses.fields(Paper)}
+    corpus, report = parse_corpus([json.dumps(rec)])
+    assert report.n_skipped == 0
+    assert corpus.papers[paper.id] == paper
+
+
 # ---------------------------------------------------------------- graph
 
 def cite_chain():
@@ -372,6 +404,12 @@ def test_corpus_keeps_papers_in_year_then_id_order_whatever_order_it_is_given():
 def test_team_size_reads_author_count():
     corpus, _ = parse_lines(record(author_count=7))
     assert team_size(corpus.papers["P1"]) == 7
+
+
+def test_team_size_of_a_paper_with_no_authors_is_error():
+    paper = Paper("P1", 2000, "J", ("03.67.Ah",), 0, 10, 8, ())
+    with pytest.raises(ValueError, match="author_count < 1"):
+        team_size(paper)
 
 
 def test_citation_counts_and_log_transform():
@@ -561,7 +599,7 @@ def parse_outcome(parse, lines, config):
         papers,
         list(cells.items()),
         corpus.dataset_end_year,
-        report.as_dict(),
+        vars(report),
     )
 
 

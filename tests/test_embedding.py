@@ -248,6 +248,11 @@ def test_empty_pair_stream_is_error():
         train_embeddings([], TrainingConfig(dim=4))
 
 
+def test_a_one_code_vocabulary_is_error():
+    with pytest.raises(ValueError, match="at least two codes"):
+        train_embeddings([("a", "a")])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(dim=1)
@@ -460,6 +465,14 @@ def test_save_load_round_trip_is_exact(tmp_path):
     with open(second, "w", encoding="utf-8", newline="\n") as fh:
         save_embeddings(loaded, fh)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "embedding.txt"
+    path.write_text("dim=2 vocab=2\n\n01.01.Aa 1.0 0.5\n  \n02.02.Bb -0.5 1.0\n\n", encoding="utf-8")
+    loaded = load_embeddings(str(path))
+    assert loaded.vocabulary == (code("01.01.Aa"), code("02.02.Bb"))
+    assert loaded.vectors[code("02.02.Bb")].tolist() == [-0.5, 1.0]
 
 
 def test_a_code_is_its_canonical_text_from_parse_to_saved_embedding(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from knowspan.corpus import Paper, parse_code, parse_corpus
 from knowspan.embedding import EmbeddingMatrix, MissingCodeError, cosine_distance
 from knowspan.geometry import article_distance, journal_cells, journal_reference, paper_vector
+from knowspan.tree import build_tree, network_distance
 
 mp.mp.dps = 40
 
@@ -85,6 +86,21 @@ def test_paper_vector_missing_code_names_it():
     corpus = build_corpus([("P", 2000, "J", [CODE_POOL[0], CODE_POOL[5]])])
     with pytest.raises(MissingCodeError, match="55.50.Af"):
         paper_vector(corpus.papers["P"], emb)
+
+
+@pytest.mark.parametrize(
+    "distance",
+    [
+        lambda paper: paper_vector(paper, build_embedding(CODE_POOL)),
+        lambda paper: article_distance(paper, build_embedding(CODE_POOL)),
+        lambda paper: network_distance(paper, build_tree([parse_code(CODE_POOL[0])[0]])),
+    ],
+    ids=["paper_vector", "article_distance", "network_distance"],
+)
+def test_a_paper_with_no_codes_is_error(distance):
+    paper = Paper("P", 2000, "J", (), 1, 4, 5, ())
+    with pytest.raises(ValueError, match="'P' has no codes"):
+        distance(paper)
 
 
 # ---------------------------------------------------------------- journal vector

@@ -498,6 +498,28 @@ def test_centered_fit_predicts_same_curve_as_raw_fit():
             assert a.prediction == pytest.approx(b.prediction, rel=1e-8)
 
 
+def fit_an_outcome_one_row_short():
+    design = build_design(RegressionSpec(outcome="y", predictors=("p1",)), full_table(n=20))
+    ols_fit(design, np.zeros(19))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: AnalysisTable({"a": [1.0, 2.0], "b": [1.0]}), ValueError, "equally long"),
+        (lambda: RegressionSpec(outcome="y", predictors=("x",), centering="median"),
+         ValueError, "centering"),
+        (lambda: RegressionSpec(outcome="y", predictors=()), ValueError, "at least one predictor"),
+        (fit_an_outcome_one_row_short, ValueError, "outcome length"),
+        (lambda: quadratic_fit()[0].term("w"), KeyError, "no term named 'w'"),
+    ],
+    ids=["unequal_columns", "bad_centering", "no_predictors", "short_outcome", "unknown_term"],
+)
+def test_malformed_arguments_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_extrapolation_flagged_outside_observed_range():
     result, _ = quadratic_fit()
     points = predicted_curve(result, "x", [-1.0, 2.0, 9.0], moderator_levels=[5.0])
