@@ -15,6 +15,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -235,12 +236,14 @@ def _read_manifest(outdir: str) -> dict:
 
 def _update_manifest(
     outdir: str, stage: str, config: dict, inputs: Sequence[str], outputs: Sequence[str],
-    *, paths: dict[str, str] | None = None, **extra,
+    *, paths: dict[str, str] | None = None, digests: dict[str, str] | None = None, **extra,
 ) -> None:
     """Replace one stage entry, with the digest of each input and output
     artifact by its name.  Each is read in ``outdir`` unless ``paths`` gives
-    its path: ingest's input may lie outside it."""
+    its path: ingest's input may lie outside it.  An input in ``digests``,
+    hashed already as the stage read it, is recorded with that digest."""
     paths = {name: os.path.join(outdir, name) for name in (*inputs, *outputs)} | (paths or {})
+    digests = digests or {}
     manifest = _read_manifest(outdir)
     manifest["versions"] = {
         "knowspan": __version__,
@@ -250,7 +253,7 @@ def _update_manifest(
     entry = {
         "config": config,
         "config_hash": _config_hash(config),
-        "inputs": {name: _digest(paths[name]) for name in inputs},
+        "inputs": {name: digests.get(name) or _digest(paths[name]) for name in inputs},
         "outputs": {name: _digest(paths[name]) for name in outputs},
     }
     entry.update(extra)
@@ -468,17 +471,19 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     )
 
 
-def _check_recorded(manifest: dict, stage: str, path: str) -> None:
-    """Fail with ``stale_artifact`` when the artifact at ``path`` is not the
-    file ``stage`` recorded among its outputs.  One with no such record, such
-    as a hand-made file, is read as it is."""
+def _check_recorded(manifest: dict, stage: str, path: str) -> str:
+    """The digest of the artifact at ``path``.  Fail with ``stale_artifact``
+    when it is not the file ``stage`` recorded among its outputs.  One with no
+    such record, such as a hand-made file, is read as it is."""
     name = os.path.basename(path)
+    digest = _digest(path)
     recorded = manifest["stages"].get(stage, {}).get("outputs", {}).get(name)
-    if recorded is not None and recorded != _digest(path):
+    if recorded is not None and recorded != digest:
         producers = PRODUCERS[name]
         rerun = " or ".join(f"'{p}'" for p in producers)
         message = f"{path} is not the file the {stage} stage wrote; rerun {rerun}"
         _fail("stale_artifact", message, path=name, producer=",".join(producers))
+    return digest
 
 
 def _read_metrics(outdir: str) -> AnalysisTable:
@@ -490,8 +495,8 @@ def _read_metrics(outdir: str) -> AnalysisTable:
     return table
 
 
-def _read_corpus(outdir: str) -> Corpus:
-    """Contents of the parsed corpus.
+def _read_corpus(outdir: str) -> tuple[Corpus, str]:
+    """Contents of the parsed corpus, and the digest of its file.
 
     The file is parsed with the year range and padding ingest recorded in
     the manifest, so later stages keep every paper ingest kept, and with the
@@ -515,8 +520,7 @@ def _read_corpus(outdir: str) -> Corpus:
         skipped = f"{report.n_skipped} of {report.n_records} records are not ones ingest writes"
         reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(report.skip_reasons.items()))
         _fail("bad_artifact", f"{path}: {skipped} ({reasons})")
-    _check_recorded(manifest, "ingest", path)
-    return corpus
+    return corpus, _check_recorded(manifest, "ingest", path)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +574,9 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Co
     return corpus
 
 
-def _stage_train(outdir: str, corpus: Corpus, config: TrainingConfig) -> None:
+def _stage_train(
+    outdir: str, corpus: Corpus, config: TrainingConfig, digests: dict[str, str] | None = None
+) -> None:
     matrix = train_embeddings(build_training_pairs(corpus), config)
     with _replacing(outdir, EMBEDDING) as fh:
         save_embeddings(matrix, fh)
@@ -582,6 +588,7 @@ def _stage_train(outdir: str, corpus: Corpus, config: TrainingConfig) -> None:
         config=settings,
         inputs=(CORPUS_PARSED,),
         outputs=(EMBEDDING,),
+        digests=digests,
         seed=seed,
         vocabulary=len(matrix.vocabulary),
         loss_by_epoch=list(matrix.loss_by_epoch),
@@ -699,13 +706,16 @@ def _merge_metrics(outdir: str) -> None:
 
 
 def _stage_metrics(
-    outdir: str, corpus: Corpus, graph: CitationGraph, exclude_self: bool, export_tree: bool
+    outdir: str, corpus: Corpus, graph: CitationGraph, exclude_self: bool, export_tree: bool,
+    digests: dict[str, str] | None = None,
 ) -> None:
     embedding_path = _require(outdir, EMBEDDING)
     try:
         emb = load_embeddings(embedding_path)
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
+    embedding_digest = _check_recorded(_read_manifest(outdir), "train", embedding_path)
+    digests = {**(digests or {}), EMBEDDING: embedding_digest}
     tree = build_tree(corpus.distinct_codes())
     vectors = {
         pid: paper_vector(paper, emb) if all(code in emb for code in paper.pacs_codes) else None
@@ -721,6 +731,7 @@ def _stage_metrics(
         config={"exclude_self": exclude_self, "export_tree": export_tree},
         inputs=(CORPUS_PARSED, EMBEDDING),
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
+        digests=digests,
         n_papers=len(corpus.papers),
         n_missing_vocabulary=sum(vec is None for vec in vectors.values()),
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
@@ -728,7 +739,10 @@ def _stage_metrics(
     _merge_metrics(outdir)
 
 
-def _stage_disrupt(outdir: str, corpus: Corpus, graph: CitationGraph, variant: str) -> None:
+def _stage_disrupt(
+    outdir: str, corpus: Corpus, graph: CitationGraph, variant: str,
+    digests: dict[str, str] | None = None,
+) -> None:
     scored = score_corpus(corpus, graph, variant)
     rows = (
         (pid, score.d, score.percentile, counts.n_i, counts.n_j, counts.n_k)
@@ -742,6 +756,7 @@ def _stage_disrupt(outdir: str, corpus: Corpus, graph: CitationGraph, variant: s
         config={"d_variant": variant},
         inputs=(CORPUS_PARSED,),
         outputs=(DISRUPTION,),
+        digests=digests,
         n_defined=n_defined,
         n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
@@ -1062,22 +1077,27 @@ def _training_config(params: dict) -> TrainingConfig:
 def train(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit code vectors on co-assignment pairs; writes embedding.txt."""
     settings = _training_config(params)  # checked before the corpus is read
-    _stage_train(outdir, _read_corpus(outdir), settings)
+    corpus, digest = _read_corpus(outdir)
+    _stage_train(outdir, corpus, settings, {CORPUS_PARSED: digest})
 
 
 @_command(*METRICS_OPTIONS)
 def metrics(params: dict, config: dict[str, str], outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
-    corpus = _read_corpus(outdir)
+    corpus, digest = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
-    _stage_metrics(outdir, corpus, graph, params["exclude_self"], params["export_tree"])
+    _stage_metrics(
+        outdir, corpus, graph, params["exclude_self"], params["export_tree"],
+        {CORPUS_PARSED: digest},
+    )
 
 
 @_command(*DISRUPT_OPTIONS)
 def disrupt(params: dict, config: dict[str, str], outdir: str) -> None:
     """Disruption counts, scores, and percentiles; writes disruption.csv."""
-    corpus = _read_corpus(outdir)
-    _stage_disrupt(outdir, corpus, build_citation_graph(corpus), params["d_variant"])
+    corpus, digest = _read_corpus(outdir)
+    graph = build_citation_graph(corpus)
+    _stage_disrupt(outdir, corpus, graph, params["d_variant"], {CORPUS_PARSED: digest})
 
 
 @_command(
@@ -1205,6 +1225,9 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
     graph = build_citation_graph(corpus)
     _stage_metrics(outdir, corpus, graph, params["exclude_self"], params["export_tree"])
     _stage_disrupt(outdir, corpus, graph, params["d_variant"])
+    del corpus, graph
+    # a full collection empties the free lists, whose idle objects pin arenas the corpus left
+    gc.collect()
     table = _read_metrics(outdir)
     _stage_correlate(outdir, table, DEFAULT_CORRELATION_COLUMNS)
     _stage_regress(outdir, table, models, tuple(models), center)

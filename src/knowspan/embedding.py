@@ -14,9 +14,11 @@ with one seed produce bit-identical matrices.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -271,16 +273,22 @@ def train_embeddings(
     ``_CHUNK_PAIRS`` pairs, with results identical to doing it per pair.
     """
     config = config or TrainingConfig()
-    slots = [code for pair in pairs for code in pair]  # center, context, center, ...
+    # each slot as its code's first-seen id, 4 B a slot: center, context, center, ...
+    first_seen: defaultdict[str, int] = defaultdict(lambda: len(first_seen))
+    slots = array("i", map(first_seen.__getitem__, chain.from_iterable(pairs)))
     if not slots:
         raise ValueError("no training pairs: no paper carries two or more codes")
-    counts = Counter(slots)
-    if len(counts) < 2:
+    if len(first_seen) < 2:
         raise ValueError("vocabulary must contain at least two codes")
+    first_ids = np.frombuffer(slots, dtype=np.intc)
+    frequencies = dict(zip(first_seen, np.bincount(first_ids).tolist()))
 
-    vocab = tuple(sorted(counts, key=lambda code: (-counts[code], code)))
-    index = {code: i for i, code in enumerate(vocab)}
+    vocab = tuple(sorted(frequencies, key=lambda code: (-frequencies[code], code)))
     n_vocab = len(vocab)
+    rank = np.empty(n_vocab, dtype=np.int32)  # each first-seen id's vocabulary index
+    rank[[first_seen[code] for code in vocab]] = np.arange(n_vocab)
+    ids = rank[first_ids]
+    del slots, first_ids  # training holds the vocabulary ids alone
     dim = config.dim
 
     rng = np.random.default_rng(config.seed)
@@ -288,11 +296,10 @@ def train_embeddings(
     w_in = rng.uniform(-bound, bound, size=(n_vocab, dim))
     w_out = rng.uniform(-bound, bound, size=(n_vocab, dim))
 
-    noise = np.array([counts[code] for code in vocab], dtype=np.float64) ** NOISE_EXPONENT
+    noise = np.array([frequencies[code] for code in vocab], dtype=np.float64) ** NOISE_EXPONENT
     noise_cdf = np.cumsum(noise)
     noise_cdf /= noise_cdf[-1]
 
-    ids = np.fromiter(map(index.__getitem__, slots), dtype=np.int64, count=len(slots))
     centers, contexts = ids[0::2], ids[1::2]
     pair_count = len(centers)
 
@@ -336,7 +343,7 @@ def train_embeddings(
         dim=dim,
         vocabulary=vocab,
         vectors=vectors,
-        frequencies=dict(counts),
+        frequencies=frequencies,
         loss_by_epoch=tuple(losses),
     )
 

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -535,6 +536,23 @@ def test_an_artifact_cut_after_its_last_full_line_is_refused(
     if artifact == "corpus.parsed.jsonl":
         assert (payload["path"], payload["producer"]) == (artifact, "ingest")
         assert snapshot(out) == before
+
+
+def test_an_embedding_edited_after_training_is_stale(runner, tmp_path, finished_run):
+    """Every row still loads, but metrics would measure distances with a
+    vector train did not write: it fails before it writes anything."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "embedding.txt"
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    code, value, *values = first.split()
+    edited = " ".join([code, repr(float(value) + 0.5), *values]) + "\n"
+    path.write_text(header + edited + "".join(rest), encoding="utf-8")
+    before = snapshot(out)
+    payload = run_fail(runner, ["metrics", "--outdir", str(out)])
+    assert payload["error"] == "stale_artifact"
+    assert (payload["path"], payload["producer"]) == ("embedding.txt", "train")
+    assert snapshot(out) == before
 
 
 def test_tree_export_writes_edge_list(runner, tmp_path):
@@ -1752,7 +1770,7 @@ def test_metrics_normalises_each_code_at_most_once(runner, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "load_embeddings", load)
     monkeypatch.setattr(knowspan.embedding, "direction_and_norm", counted)
     run_ok(runner, ["metrics", "--outdir", out])
-    corpus = cli._read_corpus(out)
+    corpus, _ = cli._read_corpus(out)
     assert 0 < len(calls) <= len(corpus.distinct_codes())
     assert len(set(calls)) == len(calls)
 
@@ -1925,6 +1943,54 @@ def test_pipeline_reads_the_metrics_table_once(runner, tmp_path, monkeypatch):
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("stage", ["train", "metrics", "disrupt"])
+def test_a_stage_run_alone_hashes_each_input_once(
+    runner, tmp_path, finished_run, monkeypatch, stage
+):
+    """The digest that checks an input against its producer's record is the
+    one the stage's manifest entry records for it."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    hashed, real_open = [], builtins.open
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and "b" in mode:
+            hashed.append(os.path.basename(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    run_ok(runner, [stage, "--outdir", str(out), *(FAST_TRAIN if stage == "train" else [])])
+    inputs = json.loads((out / "manifest.json").read_text())["stages"][stage]["inputs"]
+    for name, digest in inputs.items():
+        assert hashed.count(name) == 1, name
+        assert digest == sha256_of(out / name)
+
+
+def test_pipeline_releases_its_corpus_and_graph_before_the_analysis_stages(
+    runner, tmp_path, monkeypatch
+):
+    """The analysis stages read metrics.csv alone, so the corpus and its
+    citation graph are dead before the first of them starts and add nothing
+    to the process's peak memory."""
+    refs, alive = [], []
+    build, correlate = cli.build_citation_graph, cli._stage_correlate
+
+    def tracked_build(corpus):
+        graph = build(corpus)
+        refs.extend((weakref.ref(corpus), weakref.ref(graph)))
+        return graph
+
+    def checked_correlate(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return correlate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_citation_graph", tracked_build)
+    monkeypatch.setattr(cli, "_stage_correlate", checked_correlate)
+    run_ok(runner, ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "120",
+                    *FAST_TRAIN, "--points", "3"])
+    assert alive == [[False, False]]
+
+
 @pytest.mark.parametrize(
     "args, config, exit_code",
     [
@@ -2021,7 +2087,7 @@ def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, corpus_calls):
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"])])
     cli._read_corpus(str(tmp_path))
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"]), record("B", 2001, ["11.22.Bb"])])
-    rewritten = cli._read_corpus(str(tmp_path))
+    rewritten, _ = cli._read_corpus(str(tmp_path))
     assert list(rewritten.papers) == ["A", "B"] and corpus_calls["parse"] == 2
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -365,6 +366,24 @@ def test_chunked_trainer_matches_the_per_pair_loop_across_real_chunks():
     pair_count = 2 * embedding._CHUNK_PAIRS + 5
     config = TrainingConfig(dim=3, negatives_per_positive=6, epochs=2, seed=11)
     assert_matches_seed_trainer(random_pairs(3, pair_count, 4), config)
+
+
+def test_training_holds_under_fourteen_bytes_per_pair_slot():
+    """Each slot is read as a 4-byte first-seen id, counted, and remapped to
+    a 4-byte vocabulary id; counting casts the ids to 8 bytes for a moment.
+    A list of the slots plus an int64 copy of it took about 17 bytes a slot.
+    The pairs are built first, and small chunks keep the per-chunk buffers
+    out of the figure."""
+    pairs = random_pairs(9, 10_000, 3)
+    config = TrainingConfig(dim=2, negatives_per_positive=1, epochs=1)
+    with mock.patch.object(embedding, "_CHUNK_PAIRS", 64):
+        tracemalloc.start()
+        try:
+            train_embeddings(pairs, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 14 * 2 * len(pairs)
 
 
 # Digests of `train` on the default 5k corpus (`synth`, `ingest`, all options
