@@ -129,6 +129,8 @@ PRODUCERS = {
     CORPUS_RAW: ("synth",),
     CORPUS_PARSED: ("ingest",),
     EMBEDDING: ("train",),
+    METRICS_SPACE: ("metrics",),
+    DISRUPTION: ("disrupt",),
     METRICS: ("metrics", "disrupt"),  # both stages feed the merged table
 }
 
@@ -138,7 +140,9 @@ RECORDED_TYPES = (
     ("ingest", dict), ("ingest.config", dict), ("ingest.end_year", int),
     ("ingest.config.min_year", int), ("ingest.config.max_year", int),
     ("ingest.config.pad_short_codes", bool), ("ingest.outputs", dict),
-    ("metrics", dict), ("metrics.inputs", dict), ("disrupt", dict), ("disrupt.inputs", dict),
+    ("train", dict), ("train.outputs", dict),
+    ("metrics", dict), ("metrics.inputs", dict), ("metrics.outputs", dict),
+    ("disrupt", dict), ("disrupt.inputs", dict), ("disrupt.outputs", dict),
     ("merge", dict), ("merge.outputs", dict),
 )
 
@@ -235,15 +239,11 @@ def _read_manifest(outdir: str) -> dict:
 
 
 def _update_manifest(
-    outdir: str, stage: str, config: dict, inputs: Sequence[str], outputs: Sequence[str],
-    *, paths: dict[str, str] | None = None, digests: dict[str, str] | None = None, **extra,
-) -> None:
-    """Replace one stage entry, with the digest of each input and output
-    artifact by its name.  Each is read in ``outdir`` unless ``paths`` gives
-    its path: ingest's input may lie outside it.  An input in ``digests``,
-    hashed already as the stage read it, is recorded with that digest."""
-    paths = {name: os.path.join(outdir, name) for name in (*inputs, *outputs)} | (paths or {})
-    digests = digests or {}
+    outdir: str, stage: str, config: dict, inputs: dict[str, str], outputs: Sequence[str], **extra
+) -> dict[str, str]:
+    """Replace one stage entry, with each input artifact's digest as the stage
+    read it or its producer wrote it, and the digest of each output artifact
+    in ``outdir``, by name.  Returns the output digests."""
     manifest = _read_manifest(outdir)
     manifest["versions"] = {
         "knowspan": __version__,
@@ -253,12 +253,13 @@ def _update_manifest(
     entry = {
         "config": config,
         "config_hash": _config_hash(config),
-        "inputs": {name: digests.get(name) or _digest(paths[name]) for name in inputs},
-        "outputs": {name: _digest(paths[name]) for name in outputs},
+        "inputs": inputs,
+        "outputs": {name: _digest(os.path.join(outdir, name)) for name in outputs},
     }
     entry.update(extra)
     manifest.setdefault("stages", {})[stage] = entry
     _write_json(outdir, MANIFEST, manifest)
+    return entry["outputs"]
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +487,12 @@ def _check_recorded(manifest: dict, stage: str, path: str) -> str:
     return digest
 
 
-def _read_metrics(outdir: str) -> AnalysisTable:
+def _read_metrics(outdir: str) -> tuple[AnalysisTable, str]:
     """Numeric columns of the merged metrics table, which must be the one the
-    merge recorded."""
+    merge recorded, and the digest of its file."""
     path = _require(outdir, METRICS)
     table = _load_metrics_table(path)
-    _check_recorded(_read_manifest(outdir), "merge", path)
-    return table
+    return table, _check_recorded(_read_manifest(outdir), "merge", path)
 
 
 def _read_corpus(outdir: str) -> tuple[Corpus, str]:
@@ -539,15 +539,15 @@ def _stage_synth(outdir: str, config: SynthConfig) -> None:
         outdir,
         "synth",
         config=settings,
-        inputs=(),
+        inputs={},
         outputs=(CORPUS_RAW,),
         seed=seed,
     )
 
 
-def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Corpus:
+def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tuple[Corpus, str]:
     """Parse ``input_path``, or corpus.jsonl in ``outdir`` when it is None;
-    returns the contents of the parsed corpus it writes."""
+    returns the contents of the parsed corpus it writes, and its digest."""
     _read_manifest(outdir)  # a damaged manifest fails the stage before it writes
     if input_path is None:
         input_path = _require(outdir, CORPUS_RAW)
@@ -560,23 +560,20 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Co
             fh.write(json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":")) + "\n")
     # vars, not asdict, which would rebuild the skip_reasons Counter from its pairs
     _write_json(outdir, PARSE_REPORT, vars(report))
-    _update_manifest(
+    outputs = _update_manifest(
         outdir,
         "ingest",
         config={"input": os.path.basename(input_path), **dataclasses.asdict(parse)},
-        inputs=(CORPUS_RAW,),
+        inputs={CORPUS_RAW: _digest(input_path)},
         outputs=(CORPUS_PARSED, PARSE_REPORT),
-        paths={CORPUS_RAW: input_path},
         n_parsed=report.n_parsed,
         n_skipped=report.n_skipped,
         end_year=corpus.dataset_end_year,
     )
-    return corpus
+    return corpus, outputs[CORPUS_PARSED]
 
 
-def _stage_train(
-    outdir: str, corpus: Corpus, config: TrainingConfig, digests: dict[str, str] | None = None
-) -> None:
+def _stage_train(outdir: str, corpus: Corpus, corpus_digest: str, config: TrainingConfig) -> None:
     matrix = train_embeddings(build_training_pairs(corpus), config)
     with _replacing(outdir, EMBEDDING) as fh:
         save_embeddings(matrix, fh)
@@ -586,9 +583,8 @@ def _stage_train(
         outdir,
         "train",
         config=settings,
-        inputs=(CORPUS_PARSED,),
+        inputs={CORPUS_PARSED: corpus_digest},
         outputs=(EMBEDDING,),
-        digests=digests,
         seed=seed,
         vocabulary=len(matrix.vocabulary),
         loss_by_epoch=list(matrix.loss_by_epoch),
@@ -668,7 +664,7 @@ def _merge_metrics(outdir: str) -> None:
     tables exist and the manifest records that `metrics` and `disrupt` read
     the same parsed corpus: both then list its papers in its order and stream
     through the join together.  A malformed or mismatched table fails the
-    stage.
+    stage, and so does one that is not the file its stage recorded.
     """
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(outdir, METRICS))
@@ -691,23 +687,31 @@ def _merge_metrics(outdir: str) -> None:
     pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
     space_rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
     disruption_rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
+    inputs = {}
+
+    def merged_rows() -> Iterator[tuple]:
+        yield from map(pick, _paired_rows(space_rows, space_path, disruption_rows, disruption_path))
+        # once the join has read both tables, so one cut at a line boundary fails
+        # it as malformed, and before metrics.csv is put in place
+        inputs[METRICS_SPACE] = _check_recorded(manifest, "metrics", space_path)
+        inputs[DISRUPTION] = _check_recorded(manifest, "disrupt", disruption_path)
+
     with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
         next(space_rows)  # the headers, checked as they are read
         next(disruption_rows)
-        pairs = _paired_rows(space_rows, space_path, disruption_rows, disruption_path)
-        _write_csv(outdir, METRICS, METRIC_COLUMNS, map(pick, pairs))
+        _write_csv(outdir, METRICS, METRIC_COLUMNS, merged_rows())
     _update_manifest(
         outdir,
         "merge",
         config={"columns": list(METRIC_COLUMNS)},
-        inputs=(METRICS_SPACE, DISRUPTION),
+        inputs=inputs,
         outputs=(METRICS,),
     )
 
 
 def _stage_metrics(
-    outdir: str, corpus: Corpus, graph: CitationGraph, exclude_self: bool, export_tree: bool,
-    digests: dict[str, str] | None = None,
+    outdir: str, corpus: Corpus, corpus_digest: str, graph: CitationGraph,
+    exclude_self: bool, export_tree: bool,
 ) -> None:
     embedding_path = _require(outdir, EMBEDDING)
     try:
@@ -715,7 +719,6 @@ def _stage_metrics(
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     embedding_digest = _check_recorded(_read_manifest(outdir), "train", embedding_path)
-    digests = {**(digests or {}), EMBEDDING: embedding_digest}
     tree = build_tree(corpus.distinct_codes())
     vectors = {
         pid: paper_vector(paper, emb) if all(code in emb for code in paper.pacs_codes) else None
@@ -729,9 +732,8 @@ def _stage_metrics(
         outdir,
         "metrics",
         config={"exclude_self": exclude_self, "export_tree": export_tree},
-        inputs=(CORPUS_PARSED, EMBEDDING),
+        inputs={CORPUS_PARSED: corpus_digest, EMBEDDING: embedding_digest},
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
-        digests=digests,
         n_papers=len(corpus.papers),
         n_missing_vocabulary=sum(vec is None for vec in vectors.values()),
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
@@ -740,8 +742,7 @@ def _stage_metrics(
 
 
 def _stage_disrupt(
-    outdir: str, corpus: Corpus, graph: CitationGraph, variant: str,
-    digests: dict[str, str] | None = None,
+    outdir: str, corpus: Corpus, corpus_digest: str, graph: CitationGraph, variant: str
 ) -> None:
     scored = score_corpus(corpus, graph, variant)
     rows = (
@@ -754,9 +755,8 @@ def _stage_disrupt(
         outdir,
         "disrupt",
         config={"d_variant": variant},
-        inputs=(CORPUS_PARSED,),
+        inputs={CORPUS_PARSED: corpus_digest},
         outputs=(DISRUPTION,),
-        digests=digests,
         n_defined=n_defined,
         n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
@@ -765,16 +765,21 @@ def _stage_disrupt(
 
 
 def _write_analysis(
-    outdir: str, stage: str, header: tuple[str, ...], tables: dict, config: dict, **extra
+    outdir: str, stage: str, table_digest: str, header: tuple[str, ...], tables: dict,
+    config: dict, **extra,
 ) -> None:
     """Write the rows of each artifact, all computed first so that a failed
     fit leaves every table as it was, and record them as read from metrics.csv."""
     for artifact, rows in tables.items():
         _write_csv(outdir, artifact, header, rows)
-    _update_manifest(outdir, stage, config=config, inputs=(METRICS,), outputs=list(tables), **extra)
+    _update_manifest(
+        outdir, stage, config=config, inputs={METRICS: table_digest}, outputs=list(tables), **extra
+    )
 
 
-def _stage_correlate(outdir: str, table: AnalysisTable, columns: tuple[str, ...]) -> None:
+def _stage_correlate(
+    outdir: str, table: AnalysisTable, table_digest: str, columns: tuple[str, ...]
+) -> None:
     _require_columns("--columns", columns, table)
     matrix = pearson_matrix(table, columns)
     n = len(matrix.columns)
@@ -784,7 +789,7 @@ def _stage_correlate(outdir: str, table: AnalysisTable, columns: tuple[str, ...]
         for i, name in enumerate(matrix.columns)
     ]
     _write_analysis(
-        outdir, "correlate", ("",) + tuple(matrix.columns), {CORRELATIONS: rows},
+        outdir, "correlate", table_digest, ("",) + tuple(matrix.columns), {CORRELATIONS: rows},
         config={"columns": list(columns)}, df=matrix.df, n_complete=matrix.df + 2,
     )
 
@@ -810,7 +815,7 @@ def _fits(
 
 
 def _stage_regress(
-    outdir: str, table: AnalysisTable,
+    outdir: str, table: AnalysisTable, table_digest: str,
     models: dict[str, RegressionSpec], names: tuple[str, ...], center: str,
 ) -> None:
     tables, summaries = {}, {}
@@ -825,14 +830,15 @@ def _stage_regress(
             "terms": len(result.terms),
         }
     _write_analysis(
-        outdir, "regress", ("term", "coefficient", "std_error", "t", "p", "stars"), tables,
-        config={"models": list(names), "center": center}, fits=summaries,
+        outdir, "regress", table_digest, ("term", "coefficient", "std_error", "t", "p", "stars"),
+        tables, config={"models": list(names), "center": center}, fits=summaries,
     )
 
 
 def _stage_curves(
     outdir: str,
     table: AnalysisTable,
+    table_digest: str,
     models: dict[str, RegressionSpec],
     names: tuple[str, ...],
     center: str,
@@ -853,7 +859,7 @@ def _stage_curves(
             rows.extend(map(dataclasses.astuple, curve))
         tables[f"curves_{name}.csv"] = rows
     _write_analysis(
-        outdir, "curves",
+        outdir, "curves", table_digest,
         ("predictor", "predictor_value", "moderator_level", "prediction", "extrapolated"), tables,
         config={
             "models": list(names),
@@ -1077,8 +1083,7 @@ def _training_config(params: dict) -> TrainingConfig:
 def train(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit code vectors on co-assignment pairs; writes embedding.txt."""
     settings = _training_config(params)  # checked before the corpus is read
-    corpus, digest = _read_corpus(outdir)
-    _stage_train(outdir, corpus, settings, {CORPUS_PARSED: digest})
+    _stage_train(outdir, *_read_corpus(outdir), settings)
 
 
 @_command(*METRICS_OPTIONS)
@@ -1086,10 +1091,7 @@ def metrics(params: dict, config: dict[str, str], outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
     corpus, digest = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
-    _stage_metrics(
-        outdir, corpus, graph, params["exclude_self"], params["export_tree"],
-        {CORPUS_PARSED: digest},
-    )
+    _stage_metrics(outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"])
 
 
 @_command(*DISRUPT_OPTIONS)
@@ -1097,7 +1099,7 @@ def disrupt(params: dict, config: dict[str, str], outdir: str) -> None:
     """Disruption counts, scores, and percentiles; writes disruption.csv."""
     corpus, digest = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
-    _stage_disrupt(outdir, corpus, graph, params["d_variant"], {CORPUS_PARSED: digest})
+    _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
 
 
 @_command(
@@ -1116,7 +1118,7 @@ def correlate(params: dict, config: dict[str, str], outdir: str) -> None:
     repeated = sorted({name for name in columns if columns.count(name) > 1})
     if repeated:
         _fail("bad_arguments", f"--columns names {', '.join(repeated)} more than once")
-    _stage_correlate(outdir, _read_metrics(outdir), columns)
+    _stage_correlate(outdir, *_read_metrics(outdir), columns)
 
 
 def _selected_models(
@@ -1138,7 +1140,7 @@ def _selected_models(
 def regress(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit model presets; writes regression_<model>.csv term tables."""
     models, names = _selected_models(params, config)
-    _stage_regress(outdir, _read_metrics(outdir), models, names, params["center"])
+    _stage_regress(outdir, *_read_metrics(outdir), models, names, params["center"])
 
 
 def _finite_levels(raw: str) -> tuple[float, ...]:
@@ -1182,7 +1184,7 @@ def curves(params: dict, config: dict[str, str], outdir: str) -> None:
     points = _grid_points(params)
     levels = None if params["levels"] is None else _finite_levels(params["levels"])
     models, names = _selected_models(params, config)
-    _stage_curves(outdir, _read_metrics(outdir), models, names, params["center"], points, levels)
+    _stage_curves(outdir, *_read_metrics(outdir), models, names, params["center"], points, levels)
 
 
 @_command(
@@ -1220,18 +1222,18 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
         seed, papers = params["seed"], params["papers"]
         effect = PlantedEffect(quadratic_sign=-1, moderator_sign=1)
         _stage_synth(outdir, SynthConfig(seed=seed, n_papers=papers, planted_effect=effect))
-    corpus = _stage_ingest(outdir, params["input_path"], parse)
-    _stage_train(outdir, corpus, training)
+    corpus, digest = _stage_ingest(outdir, params["input_path"], parse)
+    _stage_train(outdir, corpus, digest, training)
     graph = build_citation_graph(corpus)
-    _stage_metrics(outdir, corpus, graph, params["exclude_self"], params["export_tree"])
-    _stage_disrupt(outdir, corpus, graph, params["d_variant"])
+    _stage_metrics(outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"])
+    _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
     del corpus, graph
     # a full collection empties the free lists, whose idle objects pin arenas the corpus left
     gc.collect()
-    table = _read_metrics(outdir)
-    _stage_correlate(outdir, table, DEFAULT_CORRELATION_COLUMNS)
-    _stage_regress(outdir, table, models, tuple(models), center)
-    _stage_curves(outdir, table, models, tuple(models), center, points, None)
+    table, digest = _read_metrics(outdir)
+    _stage_correlate(outdir, table, digest, DEFAULT_CORRELATION_COLUMNS)
+    _stage_regress(outdir, table, digest, models, tuple(models), center)
+    _stage_curves(outdir, table, digest, models, tuple(models), center, points, None)
 
 
 if __name__ == "__main__":

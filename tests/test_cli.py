@@ -555,6 +555,39 @@ def test_an_embedding_edited_after_training_is_stale(runner, tmp_path, finished_
     assert snapshot(out) == before
 
 
+def edit_one_table_cell(path, column):
+    """Change the first cell of ``column`` that holds a value, rewriting every
+    other byte of the table as it was."""
+    header, rows = read_csv(path)
+    j = header.index(column)
+    row = next(row for row in rows if row[j])
+    row[j] = repr(float(row[j]) - 0.5)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+@pytest.mark.parametrize(
+    "table, column, stage, producer",
+    [("disruption.csv", "d_score", "metrics", "disrupt"),
+     ("metrics_space.csv", "n_pages", "disrupt", "metrics")],
+    ids=["disruption", "metrics_space"],
+)
+def test_a_merge_input_edited_after_its_stage_is_stale(
+    runner, tmp_path, finished_run, table, column, stage, producer
+):
+    """Every row still pairs with its paper, but the merge would join a value
+    the other stage did not write: it fails before metrics.csv is written."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    edit_one_table_cell(out / table, column)
+    payload = run_fail(runner, [stage, "--outdir", str(out)])
+    assert payload["error"] == "stale_artifact"
+    assert (payload["path"], payload["producer"]) == (table, producer)
+    assert not (out / "metrics.csv").exists()
+    assert "merge" not in read_manifest(out)["stages"]
+    assert not list(out.glob("*.partial"))
+
+
 def test_tree_export_writes_edge_list(runner, tmp_path):
     out = str(tmp_path)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "60"])
@@ -1304,25 +1337,33 @@ def test_a_damaged_manifest_fails_a_stage_before_it_writes(runner, tmp_path, fin
     assert snapshot(tmp_path) == before
 
 
+# each with a stage that reads the entry back
 MISTYPED_ENTRIES = [
-    (("ingest",), []),
-    (("ingest", "outputs"), "corpus.parsed.jsonl"),
-    (("ingest", "config"), "min_year=1800"),
-    (("ingest", "config", "min_year"), "1800"),
-    (("ingest", "config", "max_year"), 2100.0),
-    (("ingest", "config", "pad_short_codes"), 0),
-    (("ingest", "end_year"), True),
-    (("metrics",), []),
-    (("metrics", "inputs"), "corpus.parsed.jsonl"),
+    ("disrupt", ("ingest",), []),
+    ("disrupt", ("ingest", "outputs"), "corpus.parsed.jsonl"),
+    ("disrupt", ("ingest", "config"), "min_year=1800"),
+    ("disrupt", ("ingest", "config", "min_year"), "1800"),
+    ("disrupt", ("ingest", "config", "max_year"), 2100.0),
+    ("disrupt", ("ingest", "config", "pad_short_codes"), 0),
+    ("disrupt", ("ingest", "end_year"), True),
+    ("disrupt", ("metrics",), []),
+    ("disrupt", ("metrics", "inputs"), "corpus.parsed.jsonl"),
+    ("disrupt", ("metrics", "outputs"), "metrics_space.csv"),
+    ("disrupt", ("disrupt", "outputs"), []),
+    ("metrics", ("train",), []),
+    ("metrics", ("train", "outputs"), []),
 ]
 
 
 @pytest.mark.parametrize(
-    "keys, value", MISTYPED_ENTRIES, ids=[".".join(keys) for keys, _ in MISTYPED_ENTRIES]
+    "stage, keys, value", MISTYPED_ENTRIES, ids=[".".join(keys) for _, keys, _ in MISTYPED_ENTRIES]
 )
-def test_mistyped_manifest_entry_is_structured_error(runner, tmp_path, finished_run, keys, value):
-    """`disrupt` reads the ingest entry back, and the metrics entry to merge;
-    the manifest is checked before the stage writes anything."""
+def test_mistyped_manifest_entry_is_structured_error(
+    runner, tmp_path, finished_run, stage, keys, value
+):
+    """`disrupt` reads the ingest entry back, and the metrics and disrupt
+    entries to merge; `metrics` reads the train entry to check the embedding.
+    The manifest is checked before the stage writes anything."""
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
     manifest = read_manifest(tmp_path)
     entry = manifest["stages"]
@@ -1331,7 +1372,7 @@ def test_mistyped_manifest_entry_is_structured_error(runner, tmp_path, finished_
     entry[keys[-1]] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     before = snapshot(tmp_path)
-    payload = run_fail(runner, ["disrupt", "--outdir", str(tmp_path)])
+    payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
     assert payload["error"] == "bad_artifact"
     assert "manifest.json" in payload["message"]
     assert "stages." + ".".join(keys) in payload["message"]
@@ -1943,14 +1984,9 @@ def test_pipeline_reads_the_metrics_table_once(runner, tmp_path, monkeypatch):
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("stage", ["train", "metrics", "disrupt"])
-def test_a_stage_run_alone_hashes_each_input_once(
-    runner, tmp_path, finished_run, monkeypatch, stage
-):
-    """The digest that checks an input against its producer's record is the
-    one the stage's manifest entry records for it."""
-    out = tmp_path / "run"
-    shutil.copytree(finished_run, out)
+def counted_binary_opens(monkeypatch):
+    """The base name of each file opened in binary mode from now on, as a
+    digest opens it, in a list that grows as they are opened."""
     hashed, real_open = [], builtins.open
 
     def counted_open(file, mode="r", *args, **kwargs):
@@ -1959,11 +1995,40 @@ def test_a_stage_run_alone_hashes_each_input_once(
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counted_open)
+    return hashed
+
+
+@pytest.mark.parametrize("stage", ["train", "metrics", "disrupt", "correlate", "regress", "curves"])
+def test_a_stage_run_alone_hashes_each_input_once(
+    runner, tmp_path, finished_run, monkeypatch, stage
+):
+    """The digest that checks an input against its producer's record is the
+    one the stage's manifest entry records for it."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    hashed = counted_binary_opens(monkeypatch)
     run_ok(runner, [stage, "--outdir", str(out), *(FAST_TRAIN if stage == "train" else [])])
     inputs = json.loads((out / "manifest.json").read_text())["stages"][stage]["inputs"]
     for name, digest in inputs.items():
         assert hashed.count(name) == 1, name
         assert digest == sha256_of(out / name)
+
+
+def test_pipeline_hashes_each_artifact_at_most_twice(runner, tmp_path, monkeypatch):
+    """Each stage records an input under the digest its producer wrote it
+    with, or the one its check read: the parsed corpus is hashed once, when
+    ingest writes it, and metrics.csv twice, when the merge writes it and when
+    it is read back and checked."""
+    hashed = counted_binary_opens(monkeypatch)
+    run_ok(runner, ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "150",
+                    *FAST_TRAIN, "--points", "3"])
+    counts = {name: hashed.count(name) for name in hashed}
+    assert counts["corpus.parsed.jsonl"] == 1
+    assert counts["metrics.csv"] == 2
+    assert max(counts.values()) <= 2, counts
+    for entry in read_manifest(tmp_path)["stages"].values():
+        for name, digest in entry["inputs"].items():
+            assert digest == sha256_of(tmp_path / name), name
 
 
 def test_pipeline_releases_its_corpus_and_graph_before_the_analysis_stages(
