@@ -35,6 +35,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     InvalidCodeError,
+    Paper,
     ParseConfig,
     build_citation_graph,
     citation_count,
@@ -591,21 +592,29 @@ def _stage_train(outdir: str, corpus: Corpus, corpus_digest: str, config: Traini
     )
 
 
+def _in_vocabulary(paper: Paper, emb: EmbeddingMatrix) -> bool:
+    return all(code in emb for code in paper.pacs_codes)
+
+
 def _space_rows(
     corpus: Corpus,
     graph: CitationGraph,
     emb: EmbeddingMatrix,
     tree: KnowledgeTree,
-    vectors: dict[str, np.ndarray | None],
     exclude_self: bool,
 ) -> Iterator[tuple]:
     """Per-paper metric rows, computed one at a time as they are read.  A
-    paper whose entry in ``vectors`` is None, for a code missing from the
-    trained vocabulary, gets empty embedding-derived cells; so does a journal
-    distance whose journal-year cell has no usable reference point."""
-    cells = journal_cells(corpus, vectors)
+    paper with a code missing from the trained vocabulary gets empty
+    embedding-derived cells; so does a journal distance whose journal-year
+    cell has no usable reference point.  Each paper vector is computed twice,
+    once into its cell's mean and once for its row, so at most one is held."""
+
+    def vector(paper: Paper) -> np.ndarray | None:
+        return paper_vector(paper, emb) if _in_vocabulary(paper, emb) else None
+
+    cells = journal_cells(corpus, map(vector, corpus.papers.values()))
     for pid, paper in corpus.papers.items():
-        vec = vectors[pid]
+        vec = vector(paper)
         journal_dist = None
         article_dist = None
         article_dist_log = None
@@ -655,23 +664,31 @@ def _paired_rows(
         yield space + disruption
 
 
-def _merge_metrics(outdir: str) -> None:
-    """Rebuild metrics.csv from the space and disruption tables.
-
-    Runs each time `metrics` or `disrupt` replaces its table.  The earlier
-    metrics.csv and its `merge` entry are removed first, so a join that fails
-    or is not made leaves no merged table.  A new one is joined only when both
-    tables exist and the manifest records that `metrics` and `disrupt` read
-    the same parsed corpus: both then list its papers in its order and stream
-    through the join together.  A malformed or mismatched table fails the
-    stage, and so does one that is not the file its stage recorded.
-    """
+def _drop_merged(outdir: str) -> None:
+    """Remove metrics.csv and its `merge` entry, as each of `metrics` and
+    `disrupt` does once it replaces its table: a join that then fails or is
+    not made leaves no merged table."""
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(outdir, METRICS))
     manifest = _read_manifest(outdir)
-    stages = manifest["stages"]
-    if stages.pop("merge", None) is not None:
+    if manifest["stages"].pop("merge", None) is not None:
         _write_json(outdir, MANIFEST, manifest)
+
+
+def _merge_metrics(outdir: str, written: dict[str, str]) -> None:
+    """Join metrics.csv from the space and disruption tables, once per command
+    that replaced either: `pipeline` after both stages, a stage run alone
+    after itself.  ``written`` maps each table the command wrote to the digest
+    its stage recorded; the other table is checked against its stage's record.
+
+    A table is joined only when both tables exist and the manifest records
+    that `metrics` and `disrupt` read the same parsed corpus: both then list
+    its papers in its order and stream through the join together.  A
+    malformed or mismatched table fails the command, and so does one that is
+    not the file its stage recorded.
+    """
+    manifest = _read_manifest(outdir)
+    stages = manifest["stages"]
     space_path = os.path.join(outdir, METRICS_SPACE)
     disruption_path = os.path.join(outdir, DISRUPTION)
     metrics_corpus, disrupt_corpus = (
@@ -693,8 +710,9 @@ def _merge_metrics(outdir: str) -> None:
         yield from map(pick, _paired_rows(space_rows, space_path, disruption_rows, disruption_path))
         # once the join has read both tables, so one cut at a line boundary fails
         # it as malformed, and before metrics.csv is put in place
-        inputs[METRICS_SPACE] = _check_recorded(manifest, "metrics", space_path)
-        inputs[DISRUPTION] = _check_recorded(manifest, "disrupt", disruption_path)
+        for stage, name in (("metrics", METRICS_SPACE), ("disrupt", DISRUPTION)):
+            path = os.path.join(outdir, name)
+            inputs[name] = written.get(name) or _check_recorded(manifest, stage, path)
 
     with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
         next(space_rows)  # the headers, checked as they are read
@@ -712,7 +730,8 @@ def _merge_metrics(outdir: str) -> None:
 def _stage_metrics(
     outdir: str, corpus: Corpus, corpus_digest: str, graph: CitationGraph,
     exclude_self: bool, export_tree: bool,
-) -> None:
+) -> str:
+    """Write metrics_space.csv, and return the digest recorded for it."""
     embedding_path = _require(outdir, EMBEDDING)
     try:
         emb = load_embeddings(embedding_path)
@@ -720,30 +739,28 @@ def _stage_metrics(
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     embedding_digest = _check_recorded(_read_manifest(outdir), "train", embedding_path)
     tree = build_tree(corpus.distinct_codes())
-    vectors = {
-        pid: paper_vector(paper, emb) if all(code in emb for code in paper.pacs_codes) else None
-        for pid, paper in corpus.papers.items()
-    }
-    rows = _space_rows(corpus, graph, emb, tree, vectors, exclude_self)
+    rows = _space_rows(corpus, graph, emb, tree, exclude_self)
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
     if export_tree:
         _write_csv(outdir, TREE_EDGES, ("child_label", "parent_label", "level"), tree.edges())
-    _update_manifest(
+    outputs = _update_manifest(
         outdir,
         "metrics",
         config={"exclude_self": exclude_self, "export_tree": export_tree},
         inputs={CORPUS_PARSED: corpus_digest, EMBEDDING: embedding_digest},
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
-        n_missing_vocabulary=sum(vec is None for vec in vectors.values()),
+        n_missing_vocabulary=sum(not _in_vocabulary(paper, emb) for paper in corpus),
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
     )
-    _merge_metrics(outdir)
+    _drop_merged(outdir)
+    return outputs[METRICS_SPACE]
 
 
 def _stage_disrupt(
     outdir: str, corpus: Corpus, corpus_digest: str, graph: CitationGraph, variant: str
-) -> None:
+) -> str:
+    """Write disruption.csv, and return the digest recorded for it."""
     scored = score_corpus(corpus, graph, variant)
     rows = (
         (pid, score.d, score.percentile, counts.n_i, counts.n_j, counts.n_k)
@@ -751,7 +768,7 @@ def _stage_disrupt(
     )
     _write_csv(outdir, DISRUPTION, DISRUPTION_COLUMNS, rows)
     n_defined = sum(score.d is not None for _, score in scored.values())
-    _update_manifest(
+    outputs = _update_manifest(
         outdir,
         "disrupt",
         config={"d_variant": variant},
@@ -761,7 +778,8 @@ def _stage_disrupt(
         n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
     )
-    _merge_metrics(outdir)
+    _drop_merged(outdir)
+    return outputs[DISRUPTION]
 
 
 def _write_analysis(
@@ -1091,7 +1109,10 @@ def metrics(params: dict, config: dict[str, str], outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
     corpus, digest = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
-    _stage_metrics(outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"])
+    space_digest = _stage_metrics(
+        outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"]
+    )
+    _merge_metrics(outdir, {METRICS_SPACE: space_digest})
 
 
 @_command(*DISRUPT_OPTIONS)
@@ -1099,7 +1120,8 @@ def disrupt(params: dict, config: dict[str, str], outdir: str) -> None:
     """Disruption counts, scores, and percentiles; writes disruption.csv."""
     corpus, digest = _read_corpus(outdir)
     graph = build_citation_graph(corpus)
-    _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
+    disruption_digest = _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
+    _merge_metrics(outdir, {DISRUPTION: disruption_digest})
 
 
 @_command(
@@ -1225,9 +1247,12 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
     corpus, digest = _stage_ingest(outdir, params["input_path"], parse)
     _stage_train(outdir, corpus, digest, training)
     graph = build_citation_graph(corpus)
-    _stage_metrics(outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"])
-    _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
+    space_digest = _stage_metrics(
+        outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"]
+    )
+    disruption_digest = _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
     del corpus, graph
+    _merge_metrics(outdir, {METRICS_SPACE: space_digest, DISRUPTION: disruption_digest})
     # a full collection empties the free lists, whose idle objects pin arenas the corpus left
     gc.collect()
     table, digest = _read_metrics(outdir)

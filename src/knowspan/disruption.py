@@ -93,14 +93,12 @@ def score_corpus(
     Papers whose counts are all zero get ``DisruptionScore(None, None)`` and
     are excluded from the percentile pool.
     """
-    counts = {
-        pid: disruption_counts(paper, graph, variant)
-        for pid, paper in corpus.papers.items()
-    }
-    d_by_id = {pid: d_score(c) for pid, c in counts.items() if c.total > 0}
-    percentiles = percentile_ranks(list(d_by_id.values())) if d_by_id else []
-    pct_by_id = dict(zip(d_by_id, percentiles))
+    counts = [disruption_counts(paper, graph, variant) for paper in corpus.papers.values()]
+    scores = [d_score(c) for c in counts if c.total > 0]
+    # each defined paper's (d, percentile), taken in corpus order as they come
+    defined = zip(scores, percentile_ranks(scores) if scores else [])
+    undefined = DisruptionScore(d=None, percentile=None)
     return {
-        pid: (c, DisruptionScore(d=d_by_id.get(pid), percentile=pct_by_id.get(pid)))
-        for pid, c in counts.items()
+        pid: (c, DisruptionScore(*next(defined)) if c.total > 0 else undefined)
+        for pid, c in zip(corpus.papers, counts)
     }

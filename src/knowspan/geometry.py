@@ -11,7 +11,7 @@ distance among the paper's codes.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -20,27 +20,47 @@ from .embedding import EmbeddingMatrix
 
 
 def paper_vector(paper: Paper, emb: EmbeddingMatrix) -> np.ndarray:
-    """Mean of the paper's code vectors; missing codes raise MissingCodeError."""
-    if not paper.pacs_codes:
+    """Mean of the paper's code vectors; missing codes raise MissingCodeError.
+
+    The rows are summed in code order and divided once: for vectors of two
+    or more dimensions, every embedding's, the very sum and division
+    ``np.stack(rows).mean(axis=0)`` makes, without the stacked copy.
+    """
+    codes = paper.pacs_codes
+    if not codes:
         raise ValueError(f"paper {paper.id!r} has no codes")
-    return np.stack([emb[code] for code in paper.pacs_codes]).mean(axis=0)
+    total = emb[codes[0]].copy()
+    for code in codes[1:]:
+        total += emb[code]
+    return total / len(codes)
 
 
 def journal_cells(
-    corpus: Corpus, vectors: Mapping[str, np.ndarray | None]
+    corpus: Corpus, vectors: Iterable[np.ndarray | None]
 ) -> dict[tuple[str, int], tuple[np.ndarray, int] | None]:
     """Mean and count of the defined paper vectors in each (journal, year) cell.
 
-    ``vectors`` maps each paper id to its paper vector, or to None when the
-    vector is undefined.  Cells and their members come in corpus order; a
-    cell with no defined member maps to None.
+    ``vectors`` yields each paper's vector in corpus order, or None when it
+    is undefined, and is read once, so it need hold one vector at a time.
+    Each cell sums its defined members in corpus order and divides once, as
+    ``paper_vector`` does its codes: the bits ``np.mean`` over the stacked
+    members gives.  Cells come in corpus order; a cell with no defined
+    member maps to None.
     """
-    defined: dict[tuple[str, int], list[np.ndarray]] = {}
-    for pid, paper in corpus.papers.items():
-        stacked = defined.setdefault((paper.journal, paper.year), [])
-        if (vector := vectors[pid]) is not None:
-            stacked.append(vector)
-    return {key: (np.mean(v, axis=0), len(v)) if v else None for key, v in defined.items()}
+    sums: dict[tuple[str, int], list | None] = {}
+    for paper, vector in zip(corpus.papers.values(), vectors, strict=True):
+        key = (paper.journal, paper.year)
+        cell = sums.setdefault(key, None)
+        if vector is None:
+            continue
+        if cell is None:
+            sums[key] = [vector.copy(), 1]
+        else:
+            cell[0] += vector
+            cell[1] += 1
+    return {
+        key: None if cell is None else (cell[0] / cell[1], cell[1]) for key, cell in sums.items()
+    }
 
 
 def journal_reference(

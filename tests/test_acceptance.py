@@ -378,7 +378,7 @@ def test_criterion_5_distance_formula_oracles():
             expected_network = math.fsum(tree_dists) / len(tree_dists)
             assert relative_close(network_distance(paper, tree), expected_network, 1e-12)
 
-        cells = journal_cells(corpus, {p.id: paper_vector(p, emb) for p in corpus})
+        cells = journal_cells(corpus, (paper_vector(p, emb) for p in corpus))
         cell_members = {}
         for paper in corpus:
             cell_members.setdefault((paper.journal, paper.year), []).append(paper)
@@ -509,7 +509,7 @@ def test_criterion_8_reference_descriptives():
             paper.id: paper_vector(paper, matrix) if paper.id in article else None
             for paper in corpus
         }
-        cells = journal_cells(corpus, vectors)
+        cells = journal_cells(corpus, vectors.values())
         journal = {}
         for paper in corpus:
             if paper.id in article:

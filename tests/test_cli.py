@@ -2003,27 +2003,78 @@ def test_a_stage_run_alone_hashes_each_input_once(
     runner, tmp_path, finished_run, monkeypatch, stage
 ):
     """The digest that checks an input against its producer's record is the
-    one the stage's manifest entry records for it."""
+    one the stage's manifest entry records for it; an output is hashed once,
+    when it is recorded, and the merge after metrics or disrupt takes the
+    digest recorded for that stage's table."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     hashed = counted_binary_opens(monkeypatch)
     run_ok(runner, [stage, "--outdir", str(out), *(FAST_TRAIN if stage == "train" else [])])
-    inputs = json.loads((out / "manifest.json").read_text())["stages"][stage]["inputs"]
-    for name, digest in inputs.items():
+    entry = json.loads((out / "manifest.json").read_text())["stages"][stage]
+    for name, digest in entry["inputs"].items():
         assert hashed.count(name) == 1, name
         assert digest == sha256_of(out / name)
+    for name in entry["outputs"]:
+        assert hashed.count(name) == 1, name
+
+
+@pytest.mark.parametrize("leftover", ["intact", "cut"])
+def test_a_pipeline_rerun_joins_the_merged_table_once(
+    runner, tmp_path, monkeypatch, leftover
+):
+    """A rerun into a directory that holds an earlier run's tables joins
+    metrics.csv once, after both stages have replaced theirs, so a leftover
+    table the rerun rewrites is never read, whole or cut short."""
+    args = ["pipeline", "--synth", "--papers", "120", *FAST_TRAIN, "--points", "3"]
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    run_ok(runner, args + ["--outdir", str(fresh)])
+    shutil.copytree(fresh, rerun)
+    if leftover == "cut":
+        drop_last_line(rerun / "disruption.csv")
+    joins, write_csv = [], cli._write_csv
+
+    def counted_write_csv(outdir, name, *rest):
+        if name == "metrics.csv":
+            joins.append(outdir)
+        return write_csv(outdir, name, *rest)
+
+    monkeypatch.setattr(cli, "_write_csv", counted_write_csv)
+    run_ok(runner, args + ["--outdir", str(rerun)])
+    assert len(joins) == 1
+    assert snapshot(rerun) == snapshot(fresh)
+
+
+def test_metrics_holds_no_vector_per_paper(runner, tmp_path):
+    """metrics computes each paper vector where it is used, into its cell's
+    running sum and again for its row, so its peak grows by far less per
+    paper than one held 50-float vector (about 550 B with its array header)."""
+    peaks = []
+    for n in (1_000, 4_000):
+        out = str(tmp_path / str(n))
+        for args in (["synth", "--papers", str(n)], ["ingest"], ["train", "--epochs", "1"]):
+            run_ok(runner, [*args, "--outdir", out])
+        corpus, digest = cli._read_corpus(out)
+        graph = cli.build_citation_graph(corpus)
+        tracemalloc.start()
+        try:
+            cli._stage_metrics(out, corpus, digest, graph, False, False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 3_000 < 100, peaks
 
 
 def test_pipeline_hashes_each_artifact_at_most_twice(runner, tmp_path, monkeypatch):
     """Each stage records an input under the digest its producer wrote it
-    with, or the one its check read: the parsed corpus is hashed once, when
-    ingest writes it, and metrics.csv twice, when the merge writes it and when
-    it is read back and checked."""
+    with, or the one its check read: the parsed corpus and the two stage
+    tables are hashed once, when their stages write them, and metrics.csv
+    twice, when the merge writes it and when it is read back and checked."""
     hashed = counted_binary_opens(monkeypatch)
     run_ok(runner, ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "150",
                     *FAST_TRAIN, "--points", "3"])
     counts = {name: hashed.count(name) for name in hashed}
     assert counts["corpus.parsed.jsonl"] == 1
+    assert counts["metrics_space.csv"] == counts["disruption.csv"] == 1
     assert counts["metrics.csv"] == 2
     assert max(counts.values()) <= 2, counts
     for entry in read_manifest(tmp_path)["stages"].values():

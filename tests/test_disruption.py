@@ -370,3 +370,30 @@ def test_score_corpus_pools_defined_scores_only():
     pool = [s.percentile for s in defined]
     assert len(defined) >= 2
     assert all(p is not None for p in pool)
+
+
+def score_corpus_through_maps(corpus, graph, variant):
+    """Oracle: score_corpus as it was, through per-paper maps of d scores
+    and percentiles."""
+    counts = {
+        pid: disruption_counts(paper, graph, variant)
+        for pid, paper in corpus.papers.items()
+    }
+    d_by_id = {pid: d_score(c) for pid, c in counts.items() if c.total > 0}
+    percentiles = percentile_ranks(list(d_by_id.values())) if d_by_id else []
+    pct_by_id = dict(zip(d_by_id, percentiles))
+    return {
+        pid: (c, DisruptionScore(d=d_by_id.get(pid), percentile=pct_by_id.get(pid)))
+        for pid, c in counts.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(tangled_corpora(), st.integers(0, 10**6).map(lambda seed: random_corpus(seed, 60))),
+    st.sampled_from(VARIANTS),
+)
+def test_score_corpus_equals_the_per_paper_maps_exactly(corpus, variant):
+    graph = build_citation_graph(corpus)
+    got = score_corpus(corpus, graph, variant)
+    assert list(got.items()) == list(score_corpus_through_maps(corpus, graph, variant).items())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knowspan.corpus import Paper, parse_code, parse_corpus
+from knowspan.corpus import Corpus, Paper, parse_code, parse_corpus
 from knowspan.embedding import EmbeddingMatrix, MissingCodeError, cosine_distance
 from knowspan.geometry import article_distance, journal_cells, journal_reference, paper_vector
 from knowspan.tree import build_tree, network_distance
@@ -116,7 +116,7 @@ def defined_vectors(corpus, emb):
 def journal_distance(paper, corpus, emb, exclude_self=False):
     """journal_cells and journal_reference composed as the CLI composes them."""
     vectors = defined_vectors(corpus, emb)
-    cell = journal_cells(corpus, vectors)[(paper.journal, paper.year)]
+    cell = journal_cells(corpus, vectors.values())[(paper.journal, paper.year)]
     reference = journal_reference(cell, vectors[paper.id], exclude_self)
     return None if reference is None else cosine_distance(vectors[paper.id], reference)
 
@@ -131,7 +131,7 @@ def test_journal_vector_is_member_mean():
             ("P4", 2001, "J", CODE_POOL[:2]),  # other year, excluded
         ]
     )
-    mean, n_members = journal_cells(corpus, defined_vectors(corpus, emb))[("J", 2000)]
+    mean, n_members = journal_cells(corpus, defined_vectors(corpus, emb).values())[("J", 2000)]
     members = [paper_vector(corpus.papers[p], emb) for p in ("P1", "P2")]
     np.testing.assert_allclose(mean, mean_oracle(members), rtol=1e-12)
     assert n_members == 2
@@ -146,8 +146,9 @@ def test_journal_cells_group_members_by_journal_and_year():
             ("P4", 2001, "J", CODE_POOL[:1]),
         ]
     )
-    vectors = {"P1": np.array([1.0, 0.0]), "P2": np.array([0.0, 3.0]), "P3": np.array([2.0, 2.0])}
-    cells = journal_cells(corpus, {**vectors, "P4": None})
+    # in corpus order, (year, id): P1, P2, P3, and P4 undefined
+    vectors = [np.array([1.0, 0.0]), np.array([0.0, 3.0]), np.array([2.0, 2.0]), None]
+    cells = journal_cells(corpus, vectors)
     assert list(cells) == [("J", 2000), ("K", 2000), ("J", 2001)]
     mean, n_members = cells[("J", 2000)]
     assert mean.tolist() == [0.5, 1.5] and n_members == 2
@@ -166,7 +167,7 @@ def test_journal_vector_leaves_out_undefined_members():
             ("P4", 2001, "J", [CODE_POOL[6]]),  # the cell's only member
         ]
     )
-    cells = journal_cells(corpus, defined_vectors(corpus, emb))
+    cells = journal_cells(corpus, defined_vectors(corpus, emb).values())
     mean, n_members = cells[("J", 2000)]
     members = [paper_vector(corpus.papers[p], emb) for p in ("P1", "P3")]
     np.testing.assert_array_equal(mean, np.mean(members, axis=0))
@@ -211,7 +212,7 @@ def test_journal_distance_exclude_self_single_member_is_none():
         ]
     )
     vectors = defined_vectors(corpus, emb)
-    cell = journal_cells(corpus, vectors)[("J", 2000)]
+    cell = journal_cells(corpus, vectors.values())[("J", 2000)]
     assert cell[1] == 1
     assert journal_reference(cell, vectors["P1"], exclude_self=True) is None
     assert journal_reference(cell, vectors["P1"], exclude_self=False) is cell[0]
@@ -280,7 +281,7 @@ def corpora_and_embeddings(draw):
 def test_journal_reference_matches_the_per_paper_oracle_exactly(case):
     corpus, emb = case
     vectors = defined_vectors(corpus, emb)
-    cells = journal_cells(corpus, vectors)
+    cells = journal_cells(corpus, vectors.values())
     for pid, paper in corpus.papers.items():
         vector = vectors[pid]
         assert np.array_equal(vector, oracle_paper_vector(paper, emb))
@@ -294,6 +295,73 @@ def test_journal_reference_matches_the_per_paper_oracle_exactly(case):
                 assert reference is None
             else:
                 assert cosine_distance(vector, reference) == expected
+
+
+def stacked_journal_cells(corpus, vectors):
+    """Oracle: journal_cells as it was, over a map of every paper's vector,
+    with np.mean over each cell's stacked defined members."""
+    defined = {}
+    for pid, paper in corpus.papers.items():
+        stacked = defined.setdefault((paper.journal, paper.year), [])
+        if (vector := vectors[pid]) is not None:
+            stacked.append(vector)
+    return {key: (np.mean(v, axis=0), len(v)) if v else None for key, v in defined.items()}
+
+
+def scaled_rows(seed, n, dim):
+    """``n`` random rows, each scaled by its own power of ten in 1e-8 .. 1e8."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20), st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_paper_vector_equals_the_stacked_mean_exactly(n_codes, dim, seed):
+    codes = tuple(f"{i:02d}.00.Aa" for i in range(n_codes))
+    vectors = dict(zip(codes, scaled_rows(seed, n_codes, dim)))
+    emb = EmbeddingMatrix(dim=dim, vocabulary=codes, vectors=vectors)
+    paper = Paper("P", 2000, "J", codes, 1, 4, 5, ())
+    assert np.array_equal(paper_vector(paper, emb), oracle_paper_vector(paper, emb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 300), min_size=1, max_size=4),
+    st.integers(2, 64),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_journal_cells_equal_the_stacked_means_exactly(year_sizes, dim, undefined_share, seed):
+    """Cells of 1 to 300 members, two journals' cells interleaved in corpus
+    order, some members undefined; the vectors are read as a stream."""
+    rng = np.random.default_rng(seed)
+    years = [2000 + k for k, size in enumerate(year_sizes) for _ in range(size)]
+    journals = rng.choice(["J", "K"], size=len(years))
+    papers = [
+        Paper(f"P{i:04d}", year, str(journal), ("00.00.Aa",), 1, 4, 5, ())
+        for i, (year, journal) in enumerate(zip(years, journals))
+    ]
+    corpus = Corpus({paper.id: paper for paper in papers}, 2010)
+    undefined = rng.random(len(papers)) < undefined_share
+    vectors = {
+        paper.id: None if gap else row
+        for paper, row, gap in zip(papers, scaled_rows(seed, len(papers), dim), undefined)
+    }
+    cells = journal_cells(corpus, (vectors[pid] for pid in corpus.papers))
+    expected = stacked_journal_cells(corpus, vectors)
+    assert list(cells) == list(expected)
+    for key, cell in cells.items():
+        assert (cell is None) == (expected[key] is None)
+        if cell is not None:
+            assert np.array_equal(cell[0], expected[key][0]) and cell[1] == expected[key][1]
+    for pid, paper in corpus.papers.items():
+        if vectors[pid] is None:
+            continue
+        key = (paper.journal, paper.year)
+        for exclude_self in (False, True):
+            got = journal_reference(cells[key], vectors[pid], exclude_self)
+            want = journal_reference(expected[key], vectors[pid], exclude_self)
+            assert (got is None and want is None) or np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- article distance
