@@ -125,26 +125,33 @@ DEFAULT_CORRELATION_COLUMNS = tuple(
     c for c in METRIC_COLUMNS if c != "paper_id" and not c.startswith("d_n_")
 )
 
-# The stages whose runs write each artifact that another stage reads.
-PRODUCERS = {
-    CORPUS_RAW: ("synth",),
-    CORPUS_PARSED: ("ingest",),
-    EMBEDDING: ("train",),
-    METRICS_SPACE: ("metrics",),
-    DISRUPTION: ("disrupt",),
-    METRICS: ("metrics", "disrupt"),  # both stages feed the merged table
+# Each artifact that one stage reads from another: the stage whose manifest
+# entry records the digest it is checked against, and the subcommands that
+# write it.  Ingest reads corpus.jsonl from anywhere, so nothing checks it.
+ARTIFACT_STAGES = {
+    CORPUS_RAW: (None, ("synth",)),
+    CORPUS_PARSED: ("ingest", ("ingest",)),
+    EMBEDDING: ("train", ("train",)),
+    METRICS_SPACE: ("metrics", ("metrics",)),
+    DISRUPTION: ("disrupt", ("disrupt",)),
+    METRICS: ("merge", ("metrics", "disrupt")),  # both stages feed the merged table
 }
+MERGED_TABLES = (METRICS_SPACE, DISRUPTION)
 
 # The type of each manifest field a stage reads back, by its path below
-# "stages".  A field may be absent, but not of another type.
-RECORDED_TYPES = (
-    ("ingest", dict), ("ingest.config", dict), ("ingest.end_year", int),
-    ("ingest.config.min_year", int), ("ingest.config.max_year", int),
-    ("ingest.config.pad_short_codes", bool), ("ingest.outputs", dict),
-    ("train", dict), ("train.outputs", dict),
-    ("metrics", dict), ("metrics.inputs", dict), ("metrics.outputs", dict),
-    ("disrupt", dict), ("disrupt.inputs", dict), ("disrupt.outputs", dict),
-    ("merge", dict), ("merge.outputs", dict),
+# "stages", parents first: for each recording stage, its entry, those of its
+# fields listed here, then its outputs.  A field may be absent, but not of
+# another type.
+_FIELDS_READ = (
+    ("ingest.config", dict), ("ingest.end_year", int), ("ingest.config.min_year", int),
+    ("ingest.config.max_year", int), ("ingest.config.pad_short_codes", bool),
+    ("metrics.inputs", dict), ("disrupt.inputs", dict),
+)
+RECORDED_TYPES = tuple(
+    row
+    for stage, _ in ARTIFACT_STAGES.values() if stage
+    for row in ((stage, dict), *(r for r in _FIELDS_READ if r[0].startswith(f"{stage}.")),
+                (f"{stage}.outputs", dict))
 )
 
 
@@ -190,7 +197,7 @@ def _require(outdir: str, filename: str) -> str:
     """Path of a prior-stage artifact, or a structured missing-file error."""
     path = os.path.join(outdir, filename)
     if not os.path.exists(path):
-        producers = PRODUCERS[filename]
+        producers = ARTIFACT_STAGES[filename][1]
         phrase = " and ".join(f"'{p}'" for p in producers)
         plural = "subcommands" if len(producers) > 1 else "subcommand"
         _fail(
@@ -417,23 +424,30 @@ def _table_rows(
     """The header, then each data row, of a per-paper CSV artifact.
 
     The header must equal ``columns`` when given, and start with paper_id
-    otherwise; every row must have as many cells as the header.  Anything
-    else, an empty file included, fails the stage with ``bad_artifact``.
+    otherwise; every row must have as many cells as the header, and csv must
+    read it.  Anything else, an empty file included, fails the stage with
+    ``bad_artifact``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "paper_id" or (columns and header != list(columns)):
-            _fail("bad_artifact", f"{path} does not look like a {kind} table")
-        yield header
-        for number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                _fail(
-                    "bad_artifact",
-                    f"{path} data row {number} has {len(row)} cells; "
-                    f"the header has {len(header)}",
-                )
-            yield row
+        number = -1  # of the last row read; the header is row 0
+        try:
+            header = next(reader, None)
+            number = 0
+            if not header or header[0] != "paper_id" or (columns and header != list(columns)):
+                _fail("bad_artifact", f"{path} does not look like a {kind} table")
+            yield header
+            for number, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    _fail(
+                        "bad_artifact",
+                        f"{path} data row {number} has {len(row)} cells; "
+                        f"the header has {len(header)}",
+                    )
+                yield row
+        except csv.Error as exc:  # such as a cell past csv's field size limit
+            where = f"data row {number + 1}" if number >= 0 else "header"
+            _fail("bad_artifact", f"{path} {where}: {exc}")
 
 
 def _load_metrics_table(path: str) -> AnalysisTable:
@@ -473,15 +487,15 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     )
 
 
-def _check_recorded(manifest: dict, stage: str, path: str) -> str:
+def _check_recorded(manifest: dict, path: str) -> str:
     """The digest of the artifact at ``path``.  Fail with ``stale_artifact``
-    when it is not the file ``stage`` recorded among its outputs.  One with no
-    such record, such as a hand-made file, is read as it is."""
+    when it is not the file its recording stage listed among its outputs.  One
+    with no such record, such as a hand-made file, is read as it is."""
     name = os.path.basename(path)
+    stage, producers = ARTIFACT_STAGES[name]
     digest = _digest(path)
     recorded = manifest["stages"].get(stage, {}).get("outputs", {}).get(name)
     if recorded is not None and recorded != digest:
-        producers = PRODUCERS[name]
         rerun = " or ".join(f"'{p}'" for p in producers)
         message = f"{path} is not the file the {stage} stage wrote; rerun {rerun}"
         _fail("stale_artifact", message, path=name, producer=",".join(producers))
@@ -493,7 +507,7 @@ def _read_metrics(outdir: str) -> tuple[AnalysisTable, str]:
     merge recorded, and the digest of its file."""
     path = _require(outdir, METRICS)
     table = _load_metrics_table(path)
-    return table, _check_recorded(_read_manifest(outdir), "merge", path)
+    return table, _check_recorded(_read_manifest(outdir), path)
 
 
 def _read_corpus(outdir: str) -> tuple[Corpus, str]:
@@ -521,7 +535,7 @@ def _read_corpus(outdir: str) -> tuple[Corpus, str]:
         skipped = f"{report.n_skipped} of {report.n_records} records are not ones ingest writes"
         reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(report.skip_reasons.items()))
         _fail("bad_artifact", f"{path}: {skipped} ({reasons})")
-    return corpus, _check_recorded(manifest, "ingest", path)
+    return corpus, _check_recorded(manifest, path)
 
 
 # ---------------------------------------------------------------------------
@@ -688,17 +702,12 @@ def _merge_metrics(outdir: str, written: dict[str, str]) -> None:
     not the file its stage recorded.
     """
     manifest = _read_manifest(outdir)
-    stages = manifest["stages"]
-    space_path = os.path.join(outdir, METRICS_SPACE)
-    disruption_path = os.path.join(outdir, DISRUPTION)
-    metrics_corpus, disrupt_corpus = (
-        stages.get(stage, {}).get("inputs", {}).get(CORPUS_PARSED)
-        for stage in ("metrics", "disrupt")
-    )
-    if not (
-        os.path.exists(space_path) and os.path.exists(disruption_path)
-        and metrics_corpus is not None and metrics_corpus == disrupt_corpus
-    ):
+    space_path, disruption_path = paths = [os.path.join(outdir, name) for name in MERGED_TABLES]
+    corpora = {  # the parsed corpus each table's stage recorded reading
+        manifest["stages"].get(ARTIFACT_STAGES[name][0], {}).get("inputs", {}).get(CORPUS_PARSED)
+        for name in MERGED_TABLES
+    }
+    if not all(map(os.path.exists, paths)) or None in corpora or len(corpora) > 1:
         return
     # each merged column by name from a space row followed by its disruption row
     pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
@@ -710,20 +719,15 @@ def _merge_metrics(outdir: str, written: dict[str, str]) -> None:
         yield from map(pick, _paired_rows(space_rows, space_path, disruption_rows, disruption_path))
         # once the join has read both tables, so one cut at a line boundary fails
         # it as malformed, and before metrics.csv is put in place
-        for stage, name in (("metrics", METRICS_SPACE), ("disrupt", DISRUPTION)):
-            path = os.path.join(outdir, name)
-            inputs[name] = written.get(name) or _check_recorded(manifest, stage, path)
+        for name, path in zip(MERGED_TABLES, paths):
+            inputs[name] = written.get(name) or _check_recorded(manifest, path)
 
     with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
         next(space_rows)  # the headers, checked as they are read
         next(disruption_rows)
         _write_csv(outdir, METRICS, METRIC_COLUMNS, merged_rows())
     _update_manifest(
-        outdir,
-        "merge",
-        config={"columns": list(METRIC_COLUMNS)},
-        inputs=inputs,
-        outputs=(METRICS,),
+        outdir, "merge", config={"columns": list(METRIC_COLUMNS)}, inputs=inputs, outputs=(METRICS,)
     )
 
 
@@ -737,7 +741,7 @@ def _stage_metrics(
         emb = load_embeddings(embedding_path)
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
-    embedding_digest = _check_recorded(_read_manifest(outdir), "train", embedding_path)
+    embedding_digest = _check_recorded(_read_manifest(outdir), embedding_path)
     tree = build_tree(corpus.distinct_codes())
     rows = _space_rows(corpus, graph, emb, tree, exclude_self)
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)

@@ -204,13 +204,6 @@ def pearson_matrix(
     return CorrelationMatrix(columns=tuple(columns), r=r, p=p, df=df)
 
 
-def pearson_r(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Convenience scalar Pearson correlation with its p-value."""
-    table = AnalysisTable({"x": x, "y": y})
-    matrix = pearson_matrix(table, ("x", "y"))
-    return float(matrix.r[0, 1]), float(matrix.p[0, 1])
-
-
 @dataclass(frozen=True)
 class RegressionSpec:
     """One model: outcome, controls, quadratic predictors, optional moderator."""
@@ -440,14 +433,6 @@ def fit_model(spec: RegressionSpec, table: AnalysisTable) -> RegressionResult:
         raise ValueError(f"need more rows (0) than design columns ({n_cols})")
     design = build_design(spec, complete)
     return ols_fit(design, complete.column(spec.outcome))
-
-
-def mean_response(result: RegressionResult) -> float:
-    """Prediction with every design column at its sample mean.
-
-    For OLS with an intercept this equals the sample mean of the outcome.
-    """
-    return float(result.design.column_means @ result.coefficients)
 
 
 @dataclass(frozen=True)

@@ -74,11 +74,6 @@ class SynthConfig:
             raise ValueError("seed must be non-negative")
 
 
-def block_of_code(code: str) -> int:
-    """Block index of a generated code (its leading discipline digit)."""
-    return int(code[0])
-
-
 def _make_codes(config: SynthConfig, rng: np.random.Generator) -> list[list[str]]:
     """Unique canonical codes per block, first character = block digit."""
     sizes = [

@@ -68,11 +68,6 @@ def _label_lca_level(a: str, b: str) -> int:
     return shared + 1
 
 
-def lca_level(p: str, q: str) -> int:
-    """Level of the lowest common ancestor of two leaf codes."""
-    return _label_lca_level(leaf_label(p), leaf_label(q))
-
-
 def _leaf_labels(tree: KnowledgeTree, codes: Iterable[str]) -> list[str]:
     """Leaf labels of codes; a code outside the tree is a KeyError."""
     labels = []

@@ -36,13 +36,12 @@ from knowspan.embedding import (
     TrainingConfig,
     build_training_pairs,
     cosine_distance,
-    pair_gradients,
-    pair_loss,
     train_embeddings,
 )
 from knowspan.geometry import article_distance, journal_cells, journal_reference, paper_vector
-from knowspan.stats import AnalysisTable, RegressionSpec, fit_model
+from knowspan.stats import AnalysisTable, RegressionSpec, fit_model, pearson_matrix
 from knowspan.tree import build_tree, leaf_label, network_distance, path_length
+from oracles import pair_gradients, pair_loss
 
 mp.mp.dps = 40
 
@@ -490,9 +489,11 @@ REFERENCE = {
     reason="set KNOWSPAN_APS_PATH to a corpus JSONL to enable the dataset check",
 )
 def test_criterion_8_reference_descriptives():
-    with criterion(8, "reference descriptive statistics within ±10%"):
-        from knowspan.stats import pearson_r
+    def pearson_r(x, y):
+        matrix = pearson_matrix(AnalysisTable({"x": x, "y": y}), ("x", "y"))
+        return float(matrix.r[0, 1])
 
+    with criterion(8, "reference descriptive statistics within ±10%"):
         with open(APS_PATH, encoding="utf-8") as fh:
             corpus, _ = parse_corpus(fh)
         graph = build_citation_graph(corpus)
@@ -532,17 +533,17 @@ def test_criterion_8_reference_descriptives():
         within(float(np.mean(list(percentile.values()))), "d_percentile_mean")
 
         shared_ids = [pid for pid in article if pid in network]
-        r_an, _ = pearson_r(
-            np.array([article[p] for p in shared_ids]),
-            np.array([network[p] for p in shared_ids]),
+        r_an = pearson_r(
+            [article[p] for p in shared_ids],
+            [network[p] for p in shared_ids],
         )
         within(r_an, "article_network_r")
 
         cited = [
             pid for pid in percentile
         ]
-        r_cd, _ = pearson_r(
-            np.array([math.log1p(len(graph.cited_by.get(p, ()))) for p in cited]),
-            np.array([percentile[p] for p in cited]),
+        r_cd = pearson_r(
+            [math.log1p(len(graph.cited_by.get(p, ()))) for p in cited],
+            [percentile[p] for p in cited],
         )
         within(r_cd, "citation_disruption_r")

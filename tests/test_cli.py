@@ -1256,6 +1256,7 @@ def with_cells(rows, *cells):
 
 
 BASE_ROWS = random_metrics_rows(5, 0.2)
+OVERSIZED = 200_000  # characters, past csv's default field size limit of 131,072
 DEFECTIVE_TABLES = {
     "bad_cell": metrics_text(with_cells(BASE_ROWS, (2, "team_size", "abc"))),
     "inf_cell": metrics_text(with_cells(BASE_ROWS, (3, "d_score", "inf"))),
@@ -1276,6 +1277,9 @@ DEFECTIVE_TABLES = {
     "long_row": metrics_text([BASE_ROWS[0] + ["1.0"]]),
     "paper_id_only": "paper_id\np1\n",
     "empty_file": "",
+    # csv refuses a cell past its field size limit, in the header or a row
+    "oversized_cell": metrics_text(with_cells(BASE_ROWS, (2, "n_pages", "9" * OVERSIZED))),
+    "oversized_header": "paper_id," + "x" * OVERSIZED + "\n",
 }
 
 
@@ -1289,6 +1293,20 @@ def test_column_wise_loader_refuses_what_the_row_based_one_refuses(tmp_path, cap
             load(str(path))
         refusals.append((type(caught.value), str(caught.value), capsys.readouterr().err))
     assert refusals[0] == refusals[1]
+
+
+@pytest.mark.parametrize(
+    "defect, where", [("oversized_cell", "data row 3"), ("oversized_header", "header")]
+)
+def test_a_row_csv_cannot_read_is_a_bad_artifact_naming_it(tmp_path, capsys, defect, where):
+    path = tmp_path / "metrics.csv"
+    path.write_text(DEFECTIVE_TABLES[defect], encoding="utf-8")
+    with pytest.raises(cli.StageFailure):
+        cli._load_metrics_table(str(path))
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "bad_artifact",
+        "message": f"{path} {where}: field larger than field limit (131072)",
+    }
 
 
 def test_loader_holds_little_more_than_the_columns_it_returns(tmp_path):
@@ -1620,12 +1638,13 @@ def tiny_run_with_other_table(runner, tmp_path, stage):
 
 
 def damage_merge_input(path, defect):
-    content = MERGE_INPUT_HEADERS[path.name] + "\nA,0.1\n" if defect == "short_row" else ""
+    rows = {"short_row": "A,0.1\n", "oversized_cell": "A," + "9" * OVERSIZED + "\n"}
+    content = MERGE_INPUT_HEADERS[path.name] + "\n" + rows[defect] if defect in rows else ""
     path.write_text(content, encoding="utf-8")
 
 
 @MERGE_INPUTS
-@pytest.mark.parametrize("defect", ["short_row", "empty_file"])
+@pytest.mark.parametrize("defect", ["short_row", "empty_file", "oversized_cell"])
 def test_malformed_merge_input_is_structured_error(runner, tmp_path, bad_file, stage, defect):
     """Both stages read one corpus, so the merge after this stage reads the
     other stage's table, damaged since that stage ran."""
@@ -1634,6 +1653,8 @@ def test_malformed_merge_input_is_structured_error(runner, tmp_path, bad_file, s
     payload = run_fail(runner, [stage, "--outdir", str(tmp_path)])
     assert payload["error"] == "bad_artifact"
     assert bad_file in payload["message"]
+    if defect == "oversized_cell":
+        assert "data row 1: field larger than field limit" in payload["message"]
     assert not (tmp_path / "metrics.csv").exists()
 
 

@@ -25,11 +25,10 @@ from knowspan.embedding import (
     build_training_pairs,
     cosine_distance,
     load_embeddings,
-    pair_gradients,
-    pair_loss,
     save_embeddings,
     train_embeddings,
 )
+from oracles import pair_gradients, pair_loss
 
 ONE_MINUS_INV_SQRT2 = 0.2928932188134525  # 1 - 1/sqrt(2), 40-digit evaluation
 

@@ -16,15 +16,19 @@ from knowspan.stats import (
     _t_sf,
     build_design,
     fit_model,
-    mean_response,
     ols_fit,
     pearson_matrix,
-    pearson_r,
     predicted_curve,
     star_label,
 )
 
 mp.mp.dps = 50
+
+
+def pearson_r(x, y):
+    """r and its p-value for two columns, read from pearson_matrix."""
+    matrix = pearson_matrix(AnalysisTable({"x": x, "y": y}), ("x", "y"))
+    return float(matrix.r[0, 1]), float(matrix.p[0, 1])
 
 
 def mp_pearson(x, y):
@@ -462,8 +466,11 @@ def quadratic_fit(seed=11, moderated=True, centering="none"):
 
 
 def test_mean_response_equals_outcome_mean():
+    """The prediction with every design column at its sample mean, which the
+    curves start from, is the outcome's mean under OLS with an intercept."""
     result, table = quadratic_fit()
-    assert mean_response(result) == pytest.approx(float(table.column("y").mean()), rel=1e-10)
+    mean_response = float(result.design.column_means @ result.coefficients)
+    assert mean_response == pytest.approx(float(table.column("y").mean()), rel=1e-10)
 
 
 def test_curve_vertex_matches_fitted_quadratic():

@@ -11,8 +11,8 @@ from knowspan.corpus import Paper, parse_code
 from knowspan.tree import (
     LEAF_LEVEL,
     ROOT,
+    _label_lca_level,
     build_tree,
-    lca_level,
     leaf_label,
     network_distance,
     path_length,
@@ -102,14 +102,14 @@ def test_unknown_code_is_error():
 def test_worked_example_level3_ancestor_gives_6():
     # codes that first diverge below their shared two-character node
     a, b = codes("03.67.Ah", "03.75.Fi")
-    assert lca_level(a, b) == 3
+    assert _label_lca_level(leaf_label(a), leaf_label(b)) == 3
     tree = build_tree([a, b])
     assert path_length(tree, a, b) == 6
 
 
 def test_worked_example_level2_ancestor_gives_8():
     a, b = codes("03.67.Ah", "05.45.Xt")
-    assert lca_level(a, b) == 2
+    assert _label_lca_level(leaf_label(a), leaf_label(b)) == 2
     tree = build_tree([a, b])
     assert path_length(tree, a, b) == 8
 
