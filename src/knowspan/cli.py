@@ -251,8 +251,18 @@ def _update_manifest(
 ) -> dict[str, str]:
     """Replace one stage entry, with each input artifact's digest as the stage
     read it or its producer wrote it, and the digest of each output artifact
-    in ``outdir``, by name.  Returns the output digests."""
+    in ``outdir``, by name.  Returns the output digests.
+
+    An output the stage's previous entry recorded and this run did not write,
+    such as tree_edges.csv after `metrics` without --export-tree, is removed
+    once the new entry is written, so every file is one entry's output."""
     manifest = _read_manifest(outdir)
+    previous = manifest["stages"].get(stage)
+    recorded = previous.get("outputs") if isinstance(previous, dict) else None
+    stale = [  # bare file names only, since anyone can edit the manifest
+        name for name in (recorded if isinstance(recorded, dict) else ())
+        if name not in outputs and name == os.path.basename(name) and name != MANIFEST
+    ]
     manifest["versions"] = {
         "knowspan": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
@@ -265,8 +275,11 @@ def _update_manifest(
         "outputs": {name: _digest(os.path.join(outdir, name)) for name in outputs},
     }
     entry.update(extra)
-    manifest.setdefault("stages", {})[stage] = entry
+    manifest["stages"][stage] = entry
     _write_json(outdir, MANIFEST, manifest)
+    for path in (os.path.join(outdir, name) for name in stale):
+        if os.path.isfile(path):
+            os.remove(path)
     return entry["outputs"]
 
 

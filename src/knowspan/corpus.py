@@ -15,6 +15,7 @@ from itertools import repeat
 from typing import Iterable, Iterator
 
 PAD_CHAR = "_"
+REFERENCE_END = "\x00"  # ends each reference in Paper.reference_text
 
 
 class InvalidCodeError(ValueError):
@@ -53,13 +54,36 @@ class Paper:
     author_count: int
     n_pages: int
     title_length: int
-    references: tuple[str, ...]
+    reference_text: str  # join_references of the references, in record order
+
+    @property
+    def references(self) -> tuple[str, ...]:
+        return tuple(split_references(self.reference_text))
 
     def to_record(self) -> dict:
         """Serialize back to the line-record form accepted by parse_corpus:
         every field by its name (``slots=True`` makes ``__slots__`` the field
-        names, in order), a tuple as a JSON array."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        names, in order), a tuple as a JSON array, and the references as the
+        array they were read from in place of their text."""
+        record = {name: getattr(self, name) for name in self.__slots__ if name != "reference_text"}
+        record["references"] = self.references
+        return record
+
+
+def join_references(references: Iterable[str]) -> str:
+    """References held as one text, each followed by ``REFERENCE_END``: one
+    object in place of a tuple and a string per reference.  Ending each one,
+    rather than separating them, keeps a lone empty reference apart from
+    none.  A reference holding ``REFERENCE_END`` cannot be told apart, so
+    the parser refuses it."""
+    return REFERENCE_END.join([*references, ""])
+
+
+def split_references(text: str) -> list[str]:
+    """The references ``join_references`` held in ``text``, in order."""
+    references = text.split(REFERENCE_END)
+    references.pop()  # the empty text after the last end mark
+    return references
 
 
 @dataclass
@@ -127,13 +151,9 @@ def _record_to_paper(
     config: ParseConfig,
     report: ParseReport,
     parsed_codes: dict[str, tuple[str, bool]],
-    papers: dict[str, Paper],
 ) -> Paper:
     """One validated paper; ``parsed_codes`` memoises ``parse_code`` by raw
-    text across the records of one parse.
-
-    A reference to a paper already in ``papers`` (the papers parsed so far)
-    is that paper's own id string, so the two share one object."""
+    text across the records of one parse."""
     if not isinstance(obj, dict):
         raise _SkipRecord("not_an_object")
     for key in ("id", "year", "journal", "pacs_codes", "n_pages", "references"):
@@ -145,7 +165,7 @@ def _record_to_paper(
         raise _SkipRecord("missing_field")
 
     paper_id = obj["id"]
-    if not isinstance(paper_id, str) or not paper_id:
+    if not isinstance(paper_id, str) or not paper_id or REFERENCE_END in paper_id:
         raise _SkipRecord("invalid_id")
 
     year = _require_int(obj, "year")
@@ -209,14 +229,15 @@ def _record_to_paper(
     if not isinstance(raw_refs, list) or not all(map(isinstance, raw_refs, repeat(str))):
         raise _SkipRecord("invalid_references")
     unique_refs = dict.fromkeys(raw_refs)
+    self_references = 0
     if paper_id in unique_refs:  # rare, so only then are the copies counted
         del unique_refs[paper_id]
-        report.self_references_removed += raw_refs.count(paper_id)
-    earlier = papers.get
-    references = tuple(
-        [ref if (cited := earlier(ref)) is None else cited.id for ref in unique_refs]
-    )
+        self_references = raw_refs.count(paper_id)
+    reference_text = join_references(unique_refs)
+    if reference_text.count(REFERENCE_END) != len(unique_refs):
+        raise _SkipRecord("invalid_references")
 
+    report.self_references_removed += self_references
     report.padded_codes += padded_here
     return Paper(
         id=paper_id,
@@ -226,7 +247,7 @@ def _record_to_paper(
         author_count=author_count,
         n_pages=n_pages,
         title_length=title_length,
-        references=references,
+        reference_text=reference_text,
     )
 
 
@@ -255,7 +276,7 @@ def parse_corpus(
             report.skip_reasons["invalid_json"] += 1
             continue
         try:
-            paper = _record_to_paper(obj, config, report, parsed_codes, papers)
+            paper = _record_to_paper(obj, config, report, parsed_codes)
         except _SkipRecord as skip:
             report.n_skipped += 1
             report.skip_reasons[skip.reason] += 1
@@ -309,7 +330,7 @@ def build_citation_graph(corpus: Corpus) -> CitationGraph:
     # visiting citers in corpus order, (year, id), appends each citer list in that order
     for paper in papers.values():
         kept = []
-        for ref in paper.references:
+        for ref in split_references(paper.reference_text):
             target = papers.get(ref)
             if target is None:
                 dropped_missing += 1

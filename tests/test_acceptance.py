@@ -22,6 +22,7 @@ from knowspan.corpus import (
     Corpus,
     Paper,
     build_citation_graph,
+    join_references,
     parse_code,
     parse_corpus,
 )
@@ -67,7 +68,7 @@ def make_paper(pid, year, codes, journal="J", refs=()):
         author_count=1,
         n_pages=1,
         title_length=1,
-        references=tuple(refs),
+        reference_text=join_references(refs),
     )
 
 

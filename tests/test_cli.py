@@ -665,6 +665,34 @@ def test_manifest_records_every_artifact_by_its_name(runner, tmp_path, finished_
     assert_manifest_records_every_artifact(out, ingest_input)
 
 
+def test_a_rerun_that_writes_fewer_outputs_removes_the_ones_it_no_longer_writes(
+    runner, tmp_path, finished_run
+):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    run_ok(runner, ["metrics", "--export-tree", "--outdir", str(out)])
+    assert (out / "tree_edges.csv").exists()
+    assert len(list(out.glob("regression_*.csv"))) == 8
+    run_ok(runner, ["metrics", "--outdir", str(out)])
+    run_ok(runner, ["regress", "--model", "model1", "--outdir", str(out)])
+    assert not (out / "tree_edges.csv").exists()
+    assert [p.name for p in out.glob("regression_*.csv")] == ["regression_model1.csv"]
+    assert_manifest_records_every_artifact(out, out / "corpus.jsonl")
+
+
+def test_an_output_recorded_outside_the_directory_is_never_removed(runner, tmp_path, finished_run):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    outside = tmp_path / "outside.csv"
+    outside.write_text("kept\n")
+    manifest = read_manifest(out)
+    manifest["stages"]["regress"]["outputs"]["../outside.csv"] = "sha256:0"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    run_ok(runner, ["regress", "--model", "model1", "--outdir", str(out)])
+    assert outside.read_text() == "kept\n"
+    assert [p.name for p in out.glob("regression_*.csv")] == ["regression_model1.csv"]
+
+
 # Digests of a small stage run (`synth --papers 400 --seed 3 --density 2`,
 # `ingest`, `train --dim 8 --epochs 2`, `metrics`, `disrupt`), recorded with
 # the per-pair disruption and distance loops; 67 papers have undefined D.

@@ -1,10 +1,12 @@
 """Corpus parsing, validation accounting, and citation-graph construction."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +23,7 @@ from knowspan.corpus import (
     ParseReport,
     build_citation_graph,
     citation_count,
+    join_references,
     log_citation_count,
     parse_code,
     parse_corpus,
@@ -167,6 +170,13 @@ def test_year_out_of_range_skipped():
         ({"title_length": ABSENT, "title": 8}, "invalid_title"),
         ({"title_length": -1}, "invalid_title_length"),
         ({"references": "P1"}, "invalid_references"),
+        # a NUL ends each reference in the held text, so one inside a value
+        # could not be told apart
+        ({"id": "P\x002"}, "invalid_id"),
+        ({"id": "\x00"}, "invalid_id"),
+        ({"references": ["P1", "X\x00Y"]}, "invalid_references"),
+        ({"references": ["\x00"]}, "invalid_references"),
+        ({"references": ["X\x00", "P1"]}, "invalid_references"),
         ({"author_count": ABSENT}, "missing_field"),
         ({"title_length": ABSENT}, "missing_field"),
     ],
@@ -254,12 +264,15 @@ def test_parse_serialize_parse_round_trips(raw):
     assert again.papers[paper.id] == paper
 
 
+NOT_NUL = st.characters(exclude_characters="\x00")  # a NUL skips the record
+
+
 @st.composite
 def generated_papers(draw):
-    paper_id = draw(st.text(min_size=1, max_size=8))
+    paper_id = draw(st.text(NOT_NUL, min_size=1, max_size=8))
     code = st.text(alphabet="0123456789ABab_", min_size=6, max_size=6)
     codes = draw(st.lists(code, min_size=1, max_size=5, unique=True))
-    reference = st.text(max_size=8).filter(lambda ref: ref != paper_id)
+    reference = st.text(NOT_NUL, max_size=8).filter(lambda ref: ref != paper_id)
     references = st.lists(reference, max_size=6, unique=True)
     return Paper(
         id=paper_id,
@@ -269,7 +282,7 @@ def generated_papers(draw):
         author_count=draw(st.integers(1, 10**6)),
         n_pages=draw(st.integers(0, 10**6)),
         title_length=draw(st.integers(0, 10**6)),
-        references=tuple(draw(references)),
+        reference_text=join_references(draw(references)),
     )
 
 
@@ -277,9 +290,9 @@ def generated_papers(draw):
 @given(generated_papers())
 def test_a_papers_record_names_every_field_and_parses_back_to_it(paper):
     """to_record writes each field by its name, so a parser that drops a
-    field fails here."""
+    field fails here.  The references are written as their array."""
     rec = paper.to_record()
-    assert rec.keys() == {f.name for f in dataclasses.fields(Paper)}
+    assert rec.keys() == {f.name for f in dataclasses.fields(Paper)} - {"reference_text"} | {"references"}
     corpus, report = parse_corpus([json.dumps(rec)])
     assert report.n_skipped == 0
     assert corpus.papers[paper.id] == paper
@@ -324,13 +337,91 @@ def shared_id_corpus():
     )
 
 
-def test_reference_to_an_earlier_paper_is_its_id_object():
+def test_a_papers_references_are_held_as_one_text():
     corpus, _ = shared_id_corpus()
-    papers = corpus.papers
-    assert papers["second-paper"].references[0] is papers["first-paper"].id
-    third = papers["third-paper"].references
-    assert third[0] is papers["second-paper"].id
-    assert third[2] is papers["first-paper"].id
+    third = corpus.papers["third-paper"]
+    assert third.reference_text == "second-paper\x00ghost-paper\x00first-paper\x00"
+    assert third.references == ("second-paper", "ghost-paper", "first-paper")
+    assert corpus.papers["second-paper"].reference_text == "first-paper\x00"
+
+
+@pytest.mark.parametrize("references", [[], [""], ["", "P9"], ["P9", ""], ["P9", "", ""]])
+def test_an_empty_reference_is_kept_apart_from_none(references):
+    corpus, _ = parse_lines(record(references=references))
+    assert corpus.papers["P1"].references == tuple(dict.fromkeys(references))
+
+
+def test_a_record_skipped_for_a_nul_reference_counts_no_self_reference():
+    corpus, report = parse_lines(record(), record(id="P2", references=["P2", "P2", "\x00X"]))
+    assert list(corpus.papers) == ["P1"]
+    assert report.skip_reasons == {"invalid_references": 1}
+    assert report.self_references_removed == 0
+
+
+# every character but NUL; those that JSON and CSV writers escape or quote
+# (commas, quotes, backslashes, control and non-ASCII characters) are drawn often
+AWKWARD_TEXT = st.text(
+    st.one_of(st.sampled_from(',"\'\\\n\r\t\x01\x1f\x7f\u2028é漢🙂 '), NOT_NUL), max_size=6
+)
+
+
+@st.composite
+def awkward_corpora(draw):
+    """Lines whose ids and references are awkward texts; each reference is
+    one of the ids or another text, so the graph has edges to check."""
+    ids = draw(st.lists(AWKWARD_TEXT.filter(bool), min_size=1, max_size=6, unique=True))
+    references = {
+        pid: draw(st.lists(st.one_of(st.sampled_from(ids), AWKWARD_TEXT), max_size=6))
+        for pid in ids
+    }
+    lines = [
+        record(id=pid, year=draw(st.integers(1990, 1993)), references=refs)
+        for pid, refs in references.items()
+    ]
+    return lines, references
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_corpora())
+def test_awkward_ids_and_references_survive_a_round_trip(corpus_and_references):
+    lines, references = corpus_and_references
+    corpus, report = parse_corpus(lines)
+    assert report.n_skipped == 0
+    for pid, refs in references.items():
+        assert corpus.papers[pid].references == tuple(dict.fromkeys(r for r in refs if r != pid))
+    again, report = parse_corpus([json.dumps(paper.to_record()) for paper in corpus])
+    assert report.n_skipped == report.self_references_removed == 0
+    assert again.papers == corpus.papers
+    assert [p.references for p in again] == [p.references for p in corpus]
+    assert build_citation_graph(again) == build_citation_graph(corpus)
+
+
+def held_bytes(lines):
+    """Bytes tracemalloc finds held, after parse_corpus returns, by the corpus
+    it parsed from ``lines``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus, _ = parse_corpus(lines)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == len(lines)
+    return held
+
+
+def test_a_parsed_corpus_holds_few_bytes_per_out_of_corpus_reference():
+    """An 8-character reference to no paper in the corpus costs its text
+    and one end mark, not a string object and a tuple slot (about 62 B)."""
+    records = list(generate_records(SynthConfig(seed=3, n_papers=1000)))
+    plain = [json.dumps(rec) for rec in records]
+    added = 20
+    for i, rec in enumerate(records):
+        rec["references"] += [f"X{i * added + k:07d}" for k in range(added)]
+    roughened = [json.dumps(rec) for rec in records]
+    per_reference = (held_bytes(roughened) - held_bytes(plain)) / (len(records) * added)
+    assert 8 < per_reference < 16
 
 
 def test_forward_and_out_of_corpus_references_keep_their_text():
@@ -407,7 +498,7 @@ def test_team_size_reads_author_count():
 
 
 def test_team_size_of_a_paper_with_no_authors_is_error():
-    paper = Paper("P1", 2000, "J", ("03.67.Ah",), 0, 10, 8, ())
+    paper = Paper("P1", 2000, "J", ("03.67.Ah",), 0, 10, 8, "")
     with pytest.raises(ValueError, match="author_count < 1"):
         team_size(paper)
 
@@ -537,7 +628,7 @@ def oracle_record_to_paper(obj, config, report):
         author_count=author_count,
         n_pages=n_pages,
         title_length=title_length,
-        references=tuple(references),
+        reference_text=join_references(references),
     )
 
 

@@ -98,7 +98,7 @@ def test_paper_vector_missing_code_names_it():
     ids=["paper_vector", "article_distance", "network_distance"],
 )
 def test_a_paper_with_no_codes_is_error(distance):
-    paper = Paper("P", 2000, "J", (), 1, 4, 5, ())
+    paper = Paper("P", 2000, "J", (), 1, 4, 5, "")
     with pytest.raises(ValueError, match="'P' has no codes"):
         distance(paper)
 
@@ -320,7 +320,7 @@ def test_paper_vector_equals_the_stacked_mean_exactly(n_codes, dim, seed):
     codes = tuple(f"{i:02d}.00.Aa" for i in range(n_codes))
     vectors = dict(zip(codes, scaled_rows(seed, n_codes, dim)))
     emb = EmbeddingMatrix(dim=dim, vocabulary=codes, vectors=vectors)
-    paper = Paper("P", 2000, "J", codes, 1, 4, 5, ())
+    paper = Paper("P", 2000, "J", codes, 1, 4, 5, "")
     assert np.array_equal(paper_vector(paper, emb), oracle_paper_vector(paper, emb))
 
 
@@ -338,7 +338,7 @@ def test_journal_cells_equal_the_stacked_means_exactly(year_sizes, dim, undefine
     years = [2000 + k for k, size in enumerate(year_sizes) for _ in range(size)]
     journals = rng.choice(["J", "K"], size=len(years))
     papers = [
-        Paper(f"P{i:04d}", year, str(journal), ("00.00.Aa",), 1, 4, 5, ())
+        Paper(f"P{i:04d}", year, str(journal), ("00.00.Aa",), 1, 4, 5, "")
         for i, (year, journal) in enumerate(zip(years, journals))
     ]
     corpus = Corpus({paper.id: paper for paper in papers}, 2010)
@@ -469,7 +469,7 @@ def paper_with(codes):
         author_count=1,
         n_pages=4,
         title_length=5,
-        references=(),
+        reference_text="",
     )
 
 

@@ -51,7 +51,7 @@ def make_paper(code_texts, paper_id="P", year=2000):
         author_count=1,
         n_pages=4,
         title_length=5,
-        references=(),
+        reference_text="",
     )
 
 
