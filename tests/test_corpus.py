@@ -170,6 +170,8 @@ def test_year_out_of_range_skipped():
         ({"title_length": ABSENT, "title": 8}, "invalid_title"),
         ({"title_length": -1}, "invalid_title_length"),
         ({"references": "P1"}, "invalid_references"),
+        ({"author_count": ABSENT}, "missing_field"),
+        ({"title_length": ABSENT}, "missing_field"),
         # a NUL ends each reference in the held text, so one inside a value
         # could not be told apart
         ({"id": "P\x002"}, "invalid_id"),
@@ -177,8 +179,6 @@ def test_year_out_of_range_skipped():
         ({"references": ["P1", "X\x00Y"]}, "invalid_references"),
         ({"references": ["\x00"]}, "invalid_references"),
         ({"references": ["X\x00", "P1"]}, "invalid_references"),
-        ({"author_count": ABSENT}, "missing_field"),
-        ({"title_length": ABSENT}, "missing_field"),
     ],
 )
 def test_skip_reasons(overrides, reason):
