@@ -55,6 +55,7 @@ from .embedding import (
 )
 from .geometry import article_distance, journal_cells, journal_reference, paper_vector
 from .stats import (
+    CENTERINGS,
     AnalysisTable,
     RankDeficiencyError,
     RegressionResult,
@@ -539,7 +540,7 @@ def _read_corpus(outdir: str) -> tuple[Corpus, str]:
     ingest = manifest["stages"].get("ingest", {})
     recorded = ingest.get("config", {})
     parse = ParseConfig(
-        **{k: recorded[k] for k in ("min_year", "max_year", "pad_short_codes") if k in recorded},
+        **{field: recorded[field] for field in PARSE_FIELDS.values() if field in recorded},
         dataset_end_year=ingest.get("end_year"),
     )
     with open(path, encoding="utf-8") as fh:
@@ -925,18 +926,47 @@ CONFIG_OPTION = click.option(
     help="Plain key = value config file; flags given explicitly win.",
 )
 
+# Each option that sets one field of a stage's settings class, by parameter
+# name: that field, whose value in the class's default instance is its default.
+SYNTH_FIELDS = {
+    "seed": "seed", "papers": "n_papers", "codes": "n_codes", "blocks": "n_blocks",
+    "codes_per_paper": "codes_per_paper", "journals": "n_journals",
+    "density": "citation_density", "leakage": "cross_block_leakage",
+}
+PARSE_FIELDS = {
+    "min_year": "min_year", "max_year": "max_year", "pad_short_codes": "pad_short_codes",
+}
+TRAIN_FIELDS = {
+    "dim": "dim", "negatives": "negatives_per_positive", "epochs": "epochs",
+    "initial_lr": "initial_learning_rate", "final_lr": "final_learning_rate", "seed": "seed",
+}
 
-def _seed_option(default: int):
-    return click.option("--seed", default=default, show_default=True, type=int)
+
+def _field_options(defaults, fields: dict[str, str]) -> dict:
+    """The options of ``fields`` by name, each of its default's type; a bool makes a flag."""
+    options = {}
+    for name, field in fields.items():
+        flag, value = "--" + name.replace("_", "-"), getattr(defaults, field)
+        if isinstance(value, bool):
+            options[name] = click.option(flag, is_flag=True, default=value)
+        else:
+            options[name] = click.option(flag, default=value, show_default=True, type=type(value))
+    return options
 
 
-PAPERS_OPTION = click.option("--papers", default=5000, show_default=True, type=int)
+def _settings(cls, fields: dict[str, str], params: dict, **extra):
+    """A ``cls`` settings object with each field of ``fields`` set from its option."""
+    return cls(**{field: params[name] for name, field in fields.items()}, **extra)
+
+
+SYNTH_OPTIONS = _field_options(SynthConfig(), SYNTH_FIELDS)
+PARSE_OPTIONS = _field_options(ParseConfig(), PARSE_FIELDS)
 MODEL_OPTION = click.option(
     "--model", default="all", show_default=True, help="Preset name or 'all'."
 )
 CENTER_OPTION = click.option(
     "--center",
-    type=click.Choice(["none", "mean"]),
+    type=click.Choice(list(CENTERINGS)),
     default="none",
     show_default=True,
     help="Mean-center predictors and moderator before products.",
@@ -951,21 +981,14 @@ INGEST_OPTIONS = (
         type=click.Path(dir_okay=False),
         help="Corpus JSONL to ingest [default: <outdir>/corpus.jsonl].",
     ),
-    click.option("--min-year", default=1800, show_default=True, type=int),
-    click.option("--max-year", default=2100, show_default=True, type=int),
+    PARSE_OPTIONS["min_year"],
+    PARSE_OPTIONS["max_year"],
     click.option(
         "--end-year", default=0, type=int, help="Dataset end year [default: max observed]."
     ),
-    click.option("--pad-short-codes", is_flag=True, default=False),
+    PARSE_OPTIONS["pad_short_codes"],
 )
-TRAIN_OPTIONS = (
-    click.option("--dim", default=50, show_default=True, type=int),
-    click.option("--negatives", default=5, show_default=True, type=int),
-    click.option("--epochs", default=5, show_default=True, type=int),
-    click.option("--initial-lr", default=0.025, show_default=True, type=float),
-    click.option("--final-lr", default=1e-4, show_default=True, type=float),
-    _seed_option(0),
-)
+TRAIN_OPTIONS = tuple(_field_options(TrainingConfig(), TRAIN_FIELDS).values())
 METRICS_OPTIONS = (
     click.option(
         "--exclude-self",
@@ -1042,59 +1065,44 @@ def _command(*options):
     return register
 
 
+# each --planted choice's quadratic sign (None: no effect), each --planted-moderator's sign
+PLANTED_SIGNS = {"none": None, "inverted-u": -1, "u": 1}
+MODERATOR_SIGNS = {"none": 0, "amplify": 1, "dampen": -1}
+
+
+def _planted_effect(planted: str, moderator: str) -> PlantedEffect | None:
+    """The planted effect the choices name; a moderator with no effect to moderate is refused."""
+    quadratic, moderating = PLANTED_SIGNS[planted], MODERATOR_SIGNS[moderator]
+    if quadratic is None and moderating:
+        _fail("bad_arguments", f"--planted-moderator {moderator} needs --planted other than none")
+    return PlantedEffect(quadratic_sign=quadratic, moderator_sign=moderating) if quadratic else None
+
+
 @_command(
-    _seed_option(7),
-    PAPERS_OPTION,
-    click.option("--codes", default=60, show_default=True, type=int),
-    click.option("--blocks", default=6, show_default=True, type=int),
-    click.option("--codes-per-paper", default=5, show_default=True, type=int),
-    click.option("--journals", default=8, show_default=True, type=int),
-    click.option("--density", default=12.0, show_default=True, type=float),
-    click.option("--leakage", default=0.15, show_default=True, type=float),
+    *SYNTH_OPTIONS.values(),
     click.option(
         "--planted",
-        type=click.Choice(["none", "inverted-u", "u"]),
+        type=click.Choice(list(PLANTED_SIGNS)),
         default="none",
         show_default=True,
         help="Optionally bias citations by a quadratic in block spread.",
     ),
     click.option(
         "--planted-moderator",
-        type=click.Choice(["none", "amplify", "dampen"]),
+        type=click.Choice(list(MODERATOR_SIGNS)),
         default="none",
         show_default=True,
     ),
 )
 def synth(params: dict, config: dict[str, str], outdir: str) -> None:
     """Generate a seeded synthetic corpus as corpus.jsonl."""
-    if params["planted"] == "none":
-        effect = None
-    else:
-        effect = PlantedEffect(
-            quadratic_sign=-1 if params["planted"] == "inverted-u" else 1,
-            moderator_sign={"none": 0, "amplify": 1, "dampen": -1}[params["planted_moderator"]],
-        )
-    settings = SynthConfig(
-        seed=params["seed"],
-        n_papers=params["papers"],
-        n_codes=params["codes"],
-        n_blocks=params["blocks"],
-        codes_per_paper=params["codes_per_paper"],
-        n_journals=params["journals"],
-        citation_density=params["density"],
-        cross_block_leakage=params["leakage"],
-        planted_effect=effect,
-    )
-    _stage_synth(outdir, settings)
+    effect = _planted_effect(params["planted"], params["planted_moderator"])
+    _stage_synth(outdir, _settings(SynthConfig, SYNTH_FIELDS, params, planted_effect=effect))
 
 
 def _parse_config(params: dict) -> ParseConfig:
-    return ParseConfig(
-        min_year=params["min_year"],
-        max_year=params["max_year"],
-        dataset_end_year=params["end_year"] or None,
-        pad_short_codes=params["pad_short_codes"],
-    )
+    """Ingest's settings; --end-year 0 leaves the end year to the corpus."""
+    return _settings(ParseConfig, PARSE_FIELDS, params, dataset_end_year=params["end_year"] or None)
 
 
 @_command(*INGEST_OPTIONS)
@@ -1103,21 +1111,10 @@ def ingest(params: dict, config: dict[str, str], outdir: str) -> None:
     _stage_ingest(outdir, params["input_path"], _parse_config(params))
 
 
-def _training_config(params: dict) -> TrainingConfig:
-    return TrainingConfig(
-        dim=params["dim"],
-        negatives_per_positive=params["negatives"],
-        epochs=params["epochs"],
-        initial_learning_rate=params["initial_lr"],
-        final_learning_rate=params["final_lr"],
-        seed=params["seed"],
-    )
-
-
 @_command(*TRAIN_OPTIONS)
 def train(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit code vectors on co-assignment pairs; writes embedding.txt."""
-    settings = _training_config(params)  # checked before the corpus is read
+    settings = _settings(TrainingConfig, TRAIN_FIELDS, params)  # checked before the corpus is read
     _stage_train(outdir, *_read_corpus(outdir), settings)
 
 
@@ -1230,7 +1227,7 @@ def curves(params: dict, config: dict[str, str], outdir: str) -> None:
     click.option(
         "--synth", "use_synth", is_flag=True, default=False, help="Generate the corpus first."
     ),
-    PAPERS_OPTION,
+    SYNTH_OPTIONS["papers"],
     *INGEST_OPTIONS,
     *TRAIN_OPTIONS,
     *METRICS_OPTIONS,
@@ -1242,9 +1239,9 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
     """Run every stage in order on one corpus.
 
     With --synth, first generates a corpus with a planted inverted-U
-    citation effect (amplified by team size); --papers sizes it (5,000 by
-    default).  --seed seeds both the corpus and the training.  Every
-    setting is checked before the first stage runs.
+    citation effect (amplified by team size); --papers sizes it.  --seed
+    seeds both the corpus and the training.  Every setting is checked
+    before the first stage runs.
     """
     use_synth = params["use_synth"]
     if use_synth and params["input_path"] is not None:
@@ -1253,13 +1250,13 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
     if not use_synth and papers_flag == ParameterSource.COMMANDLINE:
         _fail("bad_arguments", "--papers sizes the --synth corpus; it needs --synth")
     parse = _parse_config(params)
-    training = _training_config(params)
+    training = _settings(TrainingConfig, TRAIN_FIELDS, params)
     models = _model_specs(config)
     center = params["center"]
     points = _grid_points(params)
     if use_synth:
         seed, papers = params["seed"], params["papers"]
-        effect = PlantedEffect(quadratic_sign=-1, moderator_sign=1)
+        effect = _planted_effect("inverted-u", "amplify")
         _stage_synth(outdir, SynthConfig(seed=seed, n_papers=papers, planted_effect=effect))
     corpus, digest = _stage_ingest(outdir, params["input_path"], parse)
     _stage_train(outdir, corpus, digest, training)

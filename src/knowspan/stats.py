@@ -20,6 +20,8 @@ RANK_TOL = 1e-10
 
 STAR_THRESHOLDS = ((0.001, "***"), (0.05, "**"), (0.1, "*"))
 
+CENTERINGS = ("none", "mean")  # the values of RegressionSpec.centering
+
 
 # The Student t tail is a regularized incomplete beta, sf = ½ I_x(df/2, ½)
 # with x = df / (df + t²), and I_x comes from its continued fraction.  Near
@@ -212,11 +214,11 @@ class RegressionSpec:
     predictors: tuple[str, ...]
     controls: tuple[str, ...] = ()
     moderator: str | None = None
-    centering: str = "none"  # "none" or "mean"
+    centering: str = "none"  # one of CENTERINGS
 
     def __post_init__(self) -> None:
-        if self.centering not in ("none", "mean"):
-            raise ValueError("centering must be 'none' or 'mean'")
+        if self.centering not in CENTERINGS:
+            raise ValueError(f"centering must be {' or '.join(map(repr, CENTERINGS))}")
         if not self.predictors:
             raise ValueError("at least one predictor is required")
         roles = [self.outcome, *self.controls, *self.predictors]

@@ -1162,6 +1162,38 @@ def test_config_values_take_click_spellings_and_flags_win(runner, tmp_path):
     assert read_manifest(tmp_path)["stages"]["metrics"]["config"]["export_tree"] is True
 
 
+@pytest.mark.parametrize("moderator", ["amplify", "dampen"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_planted_moderator_with_no_planted_effect_is_refused(runner, tmp_path, source, moderator):
+    """--planted none plants nothing to moderate, so the pair is refused
+    before any write instead of the moderator being dropped."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"planted_moderator = {moderator}\n")
+    given = ["--planted-moderator", moderator] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "run"
+    result = runner.invoke(
+        main, ["synth", "--outdir", str(out), "--papers", "50", "--planted", "none", *given]
+    )
+    assert result.exit_code == 1
+    message = f"--planted-moderator {moderator} needs --planted other than none"
+    assert result.stderr == json.dumps({"error": "bad_arguments", "message": message}) + "\n"
+    assert not (out / "corpus.jsonl").exists()
+    assert not out.exists()
+
+
+def test_synth_writes_the_corpus_pipeline_synth_writes(runner, tmp_path):
+    """`pipeline --synth` plants an inverted U amplified by team size and
+    takes every other corpus setting's default, so `synth` with that effect
+    and pipeline's seed writes the same corpus and records the same entry."""
+    alone, piped = tmp_path / "synth", tmp_path / "pipeline"
+    run_ok(runner, ["synth", "--outdir", str(alone), "--papers", "150", "--seed", "0",
+                    "--planted", "inverted-u", "--planted-moderator", "amplify"])
+    run_ok(runner, ["pipeline", "--synth", "--outdir", str(piped), "--papers", "150",
+                    "--dim", "8", "--epochs", "1", "--points", "3"])
+    assert (alone / "corpus.jsonl").read_bytes() == (piped / "corpus.jsonl").read_bytes()
+    assert read_manifest(alone)["stages"]["synth"] == read_manifest(piped)["stages"]["synth"]
+
+
 def table_with_team_size(cell):
     """A one-row metrics table whose team_size cell holds ``cell``."""
     row = ["p1"] + [cell if c == "team_size" else "1.0" for c in METRIC_COLUMNS[1:]]

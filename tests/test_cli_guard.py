@@ -1,8 +1,11 @@
 """Guards on the command line's public surface and its output bytes.
 
-Both tables were recorded with one click declaration per option per
-command, so a rewrite of the wiring that changes an option's name, flag,
-default, type or flag-ness, or one byte of a pipeline's output, fails here.
+The options of `synth`, `ingest` and `train` that set one settings field
+take their default and type from that field's default in `SynthConfig`,
+`ParseConfig` or `TrainingConfig`, so the option surface guards those
+defaults too: a change to an option's name, flag, default, type or
+flag-ness, made in the wiring or in a settings class, fails here, and so
+does a change to one byte of a pipeline's output.
 """
 
 import hashlib

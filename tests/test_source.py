@@ -11,17 +11,69 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "knowspan", "*.py")))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def body_of(function: ast.AST) -> list[ast.AST]:
+    """A function's statements; a lambda's body is one expression."""
+    return function.body if isinstance(function.body, list) else [function.body]
+
+
+def local_names(function: ast.AST) -> set[str]:
+    """The names a function binds in its own scope: its parameters and every
+    name its body assigns, imports or defines outside nested functions, less
+    those it declares global or nonlocal."""
+    arguments = function.args
+    names = {
+        arg.arg
+        for arg in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                    arguments.vararg, arguments.kwarg)
+        if arg
+    }
+    declared = set()
+    stack = list(body_of(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)  # its body is a scope of its own
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
 def referenced_names(tree: ast.AST) -> set[str]:
     """Every name the code loads, reads as an attribute or imports; names in
-    strings, comments and docstrings are not references."""
+    strings, comments and docstrings are not references, and neither is a
+    name loaded where an enclosing function binds it, such as a local
+    variable that shares a module-level function's name."""
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
+
+    def visit(node: ast.AST, bound: frozenset) -> None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in bound:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        if isinstance(node, FUNCTIONS):
+            inner, body = bound | local_names(node), body_of(node)
+            for child in ast.iter_child_nodes(node):
+                # its defaults and decorators are read where it is defined
+                visit(child, inner if any(child is part for part in body) else bound)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, bound)
+
+    visit(tree, frozenset())
     return names
 
 
@@ -55,3 +107,18 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         and not registered_command(node)
     ]
     assert unused == [], f"public definitions with no caller outside tests/: {unused}"
+
+
+def test_a_name_an_enclosing_function_binds_is_no_reference():
+    code = (
+        "def f(a, *rest):\n"
+        "    ingest = a\n"
+        "    def g():\n"
+        "        return ingest + train\n"
+        "    global metrics\n"
+        "    metrics = 1\n"
+        "    return g, metrics, rest, lambda disrupt: disrupt + correlate\n"
+        "def h(x=parse_corpus):\n"
+        "    return x\n"
+    )
+    assert referenced_names(ast.parse(code)) == {"train", "metrics", "correlate", "parse_corpus"}
