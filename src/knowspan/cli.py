@@ -139,13 +139,20 @@ ARTIFACT_STAGES = {
 }
 MERGED_TABLES = (METRICS_SPACE, DISRUPTION)
 
+# ingest's options that each set one ParseConfig field, by parameter name:
+# that field, which ingest records and the later stages parse with
+PARSE_FIELDS = {
+    "min_year": "min_year", "max_year": "max_year", "pad_short_codes": "pad_short_codes",
+}
+
 # The type of each manifest field a stage reads back, by its path below
 # "stages", parents first: for each recording stage, its entry, those of its
 # fields listed here, then its outputs.  A field may be absent, but not of
-# another type.
+# another type; a recorded parse setting is of its ParseConfig default's type.
 _FIELDS_READ = (
-    ("ingest.config", dict), ("ingest.end_year", int), ("ingest.config.min_year", int),
-    ("ingest.config.max_year", int), ("ingest.config.pad_short_codes", bool),
+    ("ingest.config", dict), ("ingest.end_year", int),
+    *((f"ingest.config.{field}", type(getattr(ParseConfig(), field)))
+      for field in PARSE_FIELDS.values()),
     ("metrics.inputs", dict), ("disrupt.inputs", dict),
 )
 RECORDED_TYPES = tuple(
@@ -328,7 +335,7 @@ PRESET_FIELDS = {
     "moderator": (0, 1, "one column or 'none'"),
 }
 # declared by subcommands but read from the command line only
-COMMAND_LINE_ONLY = ("outdir", "config_path", "input_path", "use_synth")
+COMMAND_LINE_ONLY = ("outdir", "config_path", "input_path")
 
 
 def _check_config_keys(config: dict[str, str]) -> None:
@@ -927,14 +934,12 @@ CONFIG_OPTION = click.option(
 )
 
 # Each option that sets one field of a stage's settings class, by parameter
-# name: that field, whose value in the class's default instance is its default.
+# name: that field, whose value in the class's default instance is its default
+# (PARSE_FIELDS, above, for ingest).
 SYNTH_FIELDS = {
     "seed": "seed", "papers": "n_papers", "codes": "n_codes", "blocks": "n_blocks",
     "codes_per_paper": "codes_per_paper", "journals": "n_journals",
     "density": "citation_density", "leakage": "cross_block_leakage",
-}
-PARSE_FIELDS = {
-    "min_year": "min_year", "max_year": "max_year", "pad_short_codes": "pad_short_codes",
 }
 TRAIN_FIELDS = {
     "dim": "dim", "negatives": "negatives_per_positive", "epochs": "epochs",
@@ -959,7 +964,6 @@ def _settings(cls, fields: dict[str, str], params: dict, **extra):
     return cls(**{field: params[name] for name, field in fields.items()}, **extra)
 
 
-SYNTH_OPTIONS = _field_options(SynthConfig(), SYNTH_FIELDS)
 PARSE_OPTIONS = _field_options(ParseConfig(), PARSE_FIELDS)
 MODEL_OPTION = click.option(
     "--model", default="all", show_default=True, help="Preset name or 'all'."
@@ -1070,16 +1074,8 @@ PLANTED_SIGNS = {"none": None, "inverted-u": -1, "u": 1}
 MODERATOR_SIGNS = {"none": 0, "amplify": 1, "dampen": -1}
 
 
-def _planted_effect(planted: str, moderator: str) -> PlantedEffect | None:
-    """The planted effect the choices name; a moderator with no effect to moderate is refused."""
-    quadratic, moderating = PLANTED_SIGNS[planted], MODERATOR_SIGNS[moderator]
-    if quadratic is None and moderating:
-        _fail("bad_arguments", f"--planted-moderator {moderator} needs --planted other than none")
-    return PlantedEffect(quadratic_sign=quadratic, moderator_sign=moderating) if quadratic else None
-
-
 @_command(
-    *SYNTH_OPTIONS.values(),
+    *_field_options(SynthConfig(), SYNTH_FIELDS).values(),
     click.option(
         "--planted",
         type=click.Choice(list(PLANTED_SIGNS)),
@@ -1096,7 +1092,11 @@ def _planted_effect(planted: str, moderator: str) -> PlantedEffect | None:
 )
 def synth(params: dict, config: dict[str, str], outdir: str) -> None:
     """Generate a seeded synthetic corpus as corpus.jsonl."""
-    effect = _planted_effect(params["planted"], params["planted_moderator"])
+    moderator = params["planted_moderator"]
+    quadratic, moderating = PLANTED_SIGNS[params["planted"]], MODERATOR_SIGNS[moderator]
+    if quadratic is None and moderating:  # a moderator with no effect to moderate
+        _fail("bad_arguments", f"--planted-moderator {moderator} needs --planted other than none")
+    effect = PlantedEffect(quadratic_sign=quadratic, moderator_sign=moderating) if quadratic else None
     _stage_synth(outdir, _settings(SynthConfig, SYNTH_FIELDS, params, planted_effect=effect))
 
 
@@ -1224,10 +1224,6 @@ def curves(params: dict, config: dict[str, str], outdir: str) -> None:
 
 
 @_command(
-    click.option(
-        "--synth", "use_synth", is_flag=True, default=False, help="Generate the corpus first."
-    ),
-    SYNTH_OPTIONS["papers"],
     *INGEST_OPTIONS,
     *TRAIN_OPTIONS,
     *METRICS_OPTIONS,
@@ -1236,28 +1232,25 @@ def curves(params: dict, config: dict[str, str], outdir: str) -> None:
     POINTS_OPTION,
 )
 def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
-    """Run every stage in order on one corpus.
+    """Run ingest through curves in order on one corpus.
 
-    With --synth, first generates a corpus with a planted inverted-U
-    citation effect (amplified by team size); --papers sizes it.  --seed
-    seeds both the corpus and the training.  Every setting is checked
-    before the first stage runs.
+    Reads --input, or corpus.jsonl in --outdir, which synth writes.
+    correlate, regress and curves run on the default columns, every model
+    and the default levels.  Every setting is checked before the first
+    stage runs.
     """
-    use_synth = params["use_synth"]
-    if use_synth and params["input_path"] is not None:
-        _fail("bad_arguments", "--input and --synth are mutually exclusive")
-    papers_flag = click.get_current_context().get_parameter_source("papers")
-    if not use_synth and papers_flag == ParameterSource.COMMANDLINE:
-        _fail("bad_arguments", "--papers sizes the --synth corpus; it needs --synth")
+    # a config key of a stage pipeline runs that pipeline does not take would go unread
+    for stage, command in main.commands.items():
+        if stage == "synth":  # the one stage pipeline does not run, so its keys serve it alone
+            continue
+        for key in (p.name for p in command.params if p.name in config and p.name not in params):
+            message = f"config key {key!r} sets an option of {stage} that pipeline does not take"
+            _fail("bad_config", message, key=key)
     parse = _parse_config(params)
     training = _settings(TrainingConfig, TRAIN_FIELDS, params)
     models = _model_specs(config)
     center = params["center"]
     points = _grid_points(params)
-    if use_synth:
-        seed, papers = params["seed"], params["papers"]
-        effect = _planted_effect("inverted-u", "amplify")
-        _stage_synth(outdir, SynthConfig(seed=seed, n_papers=papers, planted_effect=effect))
     corpus, digest = _stage_ingest(outdir, params["input_path"], parse)
     _stage_train(outdir, corpus, digest, training)
     graph = build_citation_graph(corpus)

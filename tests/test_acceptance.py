@@ -43,6 +43,7 @@ from knowspan.geometry import article_distance, journal_cells, journal_reference
 from knowspan.stats import AnalysisTable, RegressionSpec, fit_model, pearson_matrix
 from knowspan.tree import build_tree, leaf_label, network_distance, path_length
 from oracles import pair_gradients, pair_loss
+from planted import synth_then_pipeline
 
 mp.mp.dps = 40
 
@@ -433,12 +434,10 @@ def test_criterion_7_pipeline_determinism_and_budget(tmp_path):
         for sub in ("a", "b"):
             outdir = tmp_path / sub
             begin = time.perf_counter()
-            result = runner.invoke(
-                cli_main,
-                ["pipeline", "--outdir", str(outdir), "--synth"],
-            )
+            for args in synth_then_pipeline(outdir=outdir):
+                result = runner.invoke(cli_main, args)
+                assert result.exit_code == 0, result.stderr
             elapsed.append(time.perf_counter() - begin)
-            assert result.exit_code == 0, result.stderr
         assert max(elapsed) < 60.0
 
         with open(tmp_path / "a" / "metrics.csv", encoding="utf-8") as fh:

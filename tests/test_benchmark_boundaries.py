@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from knowspan.cli import main
+from planted import synth_then_pipeline
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -59,9 +60,7 @@ STAGE_RUN = (
     ["regress", "--model", "model1"],
     ["curves", "--model", "model1", "--points", "3"],
 )
-PIPELINE_RUN = (
-    ["pipeline", "--synth", "--papers", "150", "--dim", "8", "--epochs", "1", "--points", "3"],
-)
+PIPELINE_RUN = synth_then_pipeline("--dim", "8", "--epochs", "1", "--points", "3", papers=150)
 
 
 @pytest.mark.parametrize("commands", [STAGE_RUN, PIPELINE_RUN], ids=["stages", "pipeline"])

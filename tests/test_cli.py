@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from knowspan import cli
 from knowspan.cli import DISRUPTION_COLUMNS, METRIC_COLUMNS, SPACE_COLUMNS, main
 from knowspan.corpus import Paper
+from planted import synth_then_pipeline
 
 FAST_TRAIN = ["--dim", "8", "--epochs", "2"]
 
@@ -39,6 +40,12 @@ def run_ok(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.stderr or result.output
     return result
+
+
+def run_planted(runner, outdir, *pipeline_args, papers=None):
+    """Make the planted corpus in ``outdir`` and run `pipeline` on it."""
+    for args in synth_then_pipeline(*pipeline_args, papers=papers, outdir=outdir):
+        run_ok(runner, args)
 
 
 def run_fail(runner, args):
@@ -167,7 +174,7 @@ def test_train_before_ingest_names_ingest(runner, tmp_path):
 
 def test_unknown_model_is_structured_error(runner, tmp_path):
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "120", *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "3", papers=120)
     payload = run_fail(runner, ["regress", "--outdir", out, "--model", "model99"])
     assert payload["error"] == "unknown_model"
     assert "model99" in payload["message"]
@@ -177,7 +184,7 @@ def test_unknown_model_is_structured_error(runner, tmp_path):
 
 def test_merged_metrics_column_contract(runner, tmp_path):
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "200", *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "3", papers=200)
     header, rows = read_csv(tmp_path / "metrics.csv")
     assert tuple(header) == METRIC_COLUMNS
     assert len(rows) == 200
@@ -318,7 +325,7 @@ def test_vocabulary_gaps_leave_blank_cells_and_defined_means(runner, tmp_path, f
 
 def test_correlations_put_r_above_and_p_below(runner, tmp_path):
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "200", *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "3", papers=200)
     run_ok(
         runner,
         ["correlate", "--outdir", out, "--columns", "team_size,citation_count,years"],
@@ -340,7 +347,7 @@ def test_correlations_put_r_above_and_p_below(runner, tmp_path):
 
 def test_regress_all_emits_all_eight_tables(runner, tmp_path):
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "300", *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "3", papers=300)
     for k in range(1, 9):
         header, rows = read_csv(tmp_path / f"regression_model{k}.csv")
         assert header == ["term", "coefficient", "std_error", "t", "p", "stars"]
@@ -356,7 +363,7 @@ def test_regress_all_emits_all_eight_tables(runner, tmp_path):
 
 def test_curves_are_long_format_within_observed_range(runner, tmp_path):
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "200", *FAST_TRAIN, "--points", "7"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "7", papers=200)
     header, rows = read_csv(tmp_path / "curves_model4.csv")
     assert header == ["predictor", "predictor_value", "moderator_level", "prediction", "extrapolated"]
     predictors = {row[0] for row in rows}
@@ -417,9 +424,7 @@ def test_curves_levels_must_be_finite_numbers(runner, tmp_path, value, route):
 def finished_run(tmp_path_factory):
     """A small finished pipeline run; tests copy it before changing it."""
     out = tmp_path_factory.mktemp("finished")
-    args = ["pipeline", "--outdir", str(out), "--synth", "--papers", "150", *FAST_TRAIN, "--points", "3"]
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.stderr or result.output
+    run_planted(CliRunner(), out, *FAST_TRAIN, "--points", "3", papers=150)
     return out
 
 
@@ -435,7 +440,7 @@ def test_curve_grids_need_two_points(runner, tmp_path, finished_run, value, rout
     if route == "pipeline":
         out = tmp_path / "run"
         out.mkdir()
-        args = ["pipeline", "--outdir", str(out), "--synth", "--points", value]
+        args = ["pipeline", "--outdir", str(out), "--points", value]
     elif route == "flag":
         args = ["curves", "--outdir", str(out), "--points", value]
     else:
@@ -609,7 +614,7 @@ def sha256_of(path):
 
 def test_manifest_records_stages_digests_and_no_paths(runner, tmp_path):
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "150", *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "3", papers=150)
     text = (tmp_path / "manifest.json").read_text()
     assert out not in text  # artifact names only, never absolute paths
     manifest = json.loads(text)
@@ -720,11 +725,7 @@ def test_small_stage_run_matches_the_recorded_digests(runner, tmp_path):
 def test_pipeline_rerun_is_byte_identical(runner, tmp_path):
     dirs = (tmp_path / "a", tmp_path / "b")
     for d in dirs:
-        run_ok(
-            runner,
-            ["pipeline", "--outdir", str(d), "--synth", "--papers", "150",
-             *FAST_TRAIN, "--points", "3"],
-        )
+        run_planted(runner, d, *FAST_TRAIN, "--points", "3", papers=150)
     names = sorted(p.name for p in dirs[0].iterdir())
     assert names == sorted(p.name for p in dirs[1].iterdir())
     for name in names:
@@ -757,8 +758,7 @@ def test_every_artifact_arrives_by_a_rename_from_its_partial_file(runner, tmp_pa
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", recorded)
-    args = ["pipeline", "--synth", "--papers", "150", "--export-tree", *FAST_TRAIN, "--points", "3"]
-    run_ok(runner, [*args, "--outdir", str(tmp_path)])
+    run_planted(runner, tmp_path, "--export-tree", *FAST_TRAIN, "--points", "3", papers=150)
     assert all(src == dst + ".partial" for src, dst in renames), renames
     arrived = {os.path.basename(dst) for _, dst in renames}
     assert {path.name for path in tmp_path.iterdir()} == arrived
@@ -819,9 +819,8 @@ def fail_to_record_after(monkeypatch, n):
 def finished_300(tmp_path_factory):
     """A finished 300-paper run with its tree export; tests copy it."""
     out = tmp_path_factory.mktemp("finished_300")
-    args = ["pipeline", "--synth", "--papers", "300", "--epochs", "1", "--dim", "8",
-            "--points", "3", "--export-tree", "--outdir", str(out)]
-    run_ok(CliRunner(), args)
+    run_planted(CliRunner(), out, "--epochs", "1", "--dim", "8", "--points", "3", "--export-tree",
+                papers=300)
     return out
 
 
@@ -913,7 +912,7 @@ def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
 
 def test_config_file_can_rewrite_a_model_preset(runner, tmp_path):
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "200", *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "3", papers=200)
     config = tmp_path / "models.cfg"
     config.write_text("model1.controls = n_pages\nmodel1.moderator = none\n")
     run_ok(runner, ["regress", "--outdir", out, "--model", "model1", "--config", str(config)])
@@ -1027,8 +1026,8 @@ def test_pipeline_checks_every_setting_before_its_first_stage(
 ):
     out = tmp_path / "run"
     (tmp_path / "bad.ini").write_text(config)
-    args = ["pipeline", "--outdir", str(out), "--synth", "--papers", "120", "--epochs", "1",
-            "--points", "3", "--config", str(tmp_path / "bad.ini"), *args]
+    args = ["pipeline", "--outdir", str(out), "--epochs", "1", "--points", "3",
+            "--config", str(tmp_path / "bad.ini"), *args]
     payload = run_fail(runner, args)
     assert payload["error"] == error
     if key is not None:
@@ -1087,35 +1086,59 @@ def test_empty_controls_and_moderator_config_values_mean_none():
         assert cli._model_specs({"model1.moderator": value})["model1"].moderator is None
 
 
-def test_pipeline_refuses_papers_without_synth(runner, tmp_path):
-    """--papers sizes only the --synth corpus; with --input it would be ignored."""
-    corpus = tmp_path / "corpus.jsonl"
-    tiny_corpus(corpus)
-    out = tmp_path / "run"
-    payload = run_fail(runner, ["pipeline", "--outdir", str(out), "--input", str(corpus), "--papers", "10"])
-    assert payload["error"] == "bad_arguments"
-    assert "--papers" in payload["message"]
-    assert not out.exists()
-
-
 def test_pipeline_checks_a_config_value_it_does_not_read(runner, tmp_path):
-    """Under --input, papers is never read, but a config value is still checked
-    like its flag before any work; a valid one passes, as one file serves every
-    stage."""
+    """pipeline runs every model preset, so a config file's `model` would go
+    unread: it is refused before any work.  A corpus setting belongs to
+    synth, which pipeline does not run, so one file serves both commands."""
     staging = tmp_path / "staging"
     run_ok(runner, ["synth", "--outdir", str(staging), "--papers", "150"])
     config = tmp_path / "run.cfg"
-    config.write_text("papers = many\n")
+    config.write_text("papers = 60\nmodel = model1\n")
     out = tmp_path / "run"
     args = ["pipeline", "--outdir", str(out), "--input", str(staging / "corpus.jsonl"),
             "--config", str(config), *FAST_TRAIN, "--points", "3"]
     payload = run_fail(runner, args)
     assert payload["error"] == "bad_config"
-    assert payload["key"] == "papers"
+    assert payload["key"] == "model"
     assert not out.exists()
     config.write_text("papers = 60\n")
     run_ok(runner, args)
     assert "synth" not in read_manifest(out)["stages"]
+
+
+@pytest.mark.parametrize(
+    "key, value, stage",
+    [("columns", "team_size,years", "correlate"), ("model", "model1", "regress"),
+     ("levels", "1,2", "curves")],
+    ids=["columns", "model", "levels"],
+)
+def test_pipeline_refuses_a_config_key_it_would_ignore(
+    runner, tmp_path, finished_run, key, value, stage
+):
+    """pipeline runs correlate, regress and curves on the default columns,
+    every model and the default levels, so it would not read these keys."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    out = tmp_path / "run"
+    args = ["pipeline", "--outdir", str(out), "--input", str(finished_run / "corpus.jsonl"),
+            "--config", str(config), *FAST_TRAIN, "--points", "3"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    message = f"config key {key!r} sets an option of {stage} that pipeline does not take"
+    payload = {"error": "bad_config", "key": key, "message": message}
+    assert result.stderr == json.dumps(payload, sort_keys=True) + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--synth"], ["--papers", "10"]], ids=["synth", "papers"])
+def test_pipeline_takes_no_corpus_setting(runner, tmp_path, args):
+    """synth is the one command that makes a corpus."""
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["pipeline", *args, "--outdir", str(out)])
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "bad_arguments"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1179,19 +1202,6 @@ def test_a_planted_moderator_with_no_planted_effect_is_refused(runner, tmp_path,
     assert result.stderr == json.dumps({"error": "bad_arguments", "message": message}) + "\n"
     assert not (out / "corpus.jsonl").exists()
     assert not out.exists()
-
-
-def test_synth_writes_the_corpus_pipeline_synth_writes(runner, tmp_path):
-    """`pipeline --synth` plants an inverted U amplified by team size and
-    takes every other corpus setting's default, so `synth` with that effect
-    and pipeline's seed writes the same corpus and records the same entry."""
-    alone, piped = tmp_path / "synth", tmp_path / "pipeline"
-    run_ok(runner, ["synth", "--outdir", str(alone), "--papers", "150", "--seed", "0",
-                    "--planted", "inverted-u", "--planted-moderator", "amplify"])
-    run_ok(runner, ["pipeline", "--synth", "--outdir", str(piped), "--papers", "150",
-                    "--dim", "8", "--epochs", "1", "--points", "3"])
-    assert (alone / "corpus.jsonl").read_bytes() == (piped / "corpus.jsonl").read_bytes()
-    assert read_manifest(alone)["stages"]["synth"] == read_manifest(piped)["stages"]["synth"]
 
 
 def table_with_team_size(cell):
@@ -1280,7 +1290,7 @@ def assert_same_tables(path):
 
 
 def test_column_wise_loader_matches_the_row_based_one_on_a_default_run(runner, tmp_path):
-    run_ok(runner, ["pipeline", "--outdir", str(tmp_path), "--synth"])
+    run_planted(runner, tmp_path)
     assert_same_tables(str(tmp_path / "metrics.csv"))
 
 
@@ -1400,7 +1410,7 @@ def test_malformed_manifest_is_structured_error(runner, tmp_path, finished_run, 
 
 @pytest.mark.parametrize(
     "args",
-    [["synth", "--papers", "50"], ["ingest"], ["pipeline", "--synth", "--papers", "50"]],
+    [["synth", "--papers", "50"], ["ingest"], ["pipeline"]],
     ids=["synth", "ingest", "pipeline"],
 )
 def test_a_damaged_manifest_fails_a_stage_before_it_writes(runner, tmp_path, finished_run, args):
@@ -1735,7 +1745,7 @@ def test_a_table_of_another_corpus_is_left_unread(runner, tmp_path, bad_file, st
 def test_merge_refuses_tables_of_different_corpora(runner, tmp_path, stale):
     """After a new corpus, the stage not yet rerun holds an old table."""
     out = str(tmp_path)
-    run_ok(runner, ["pipeline", "--outdir", out, "--synth", "--papers", "150", *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, out, *FAST_TRAIN, "--points", "3", papers=150)
     run_ok(runner, ["synth", "--outdir", out, "--papers", "150", "--seed", "99"])
     run_ok(runner, ["ingest", "--outdir", out])
     run_ok(runner, ["train", "--outdir", out, *FAST_TRAIN])
@@ -1852,7 +1862,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         ["correlate", "--outdir", out],
         ["regress", "--outdir", out],
         ["curves", "--outdir", out],
-        ["pipeline", "--outdir", str(tmp_path / "pipeline"), "--synth", "--papers", "150", "--epochs", "1"],
+        *synth_then_pipeline("--epochs", "1", papers=150, outdir=tmp_path / "pipeline"),
     ]
     assert {args[0] for args in runs} == set(main.commands)
     for args in runs:
@@ -2024,8 +2034,7 @@ def corpus_calls(monkeypatch):
 def test_pipeline_parses_once_and_links_once(runner, tmp_path, corpus_calls):
     """train, metrics and disrupt share the corpus ingest parsed, and metrics
     and disrupt one graph."""
-    args = ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "120"]
-    run_ok(runner, args + [*FAST_TRAIN, "--points", "3"])
+    run_planted(runner, tmp_path, *FAST_TRAIN, "--points", "3", papers=120)
     assert corpus_calls == {"parse": 1, "graph": 1}
 
 
@@ -2049,8 +2058,7 @@ def test_pipeline_reads_the_metrics_table_once(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_load_metrics_table", counted_load)
     monkeypatch.setattr(builtins, "open", counted_open)
     piped, staged = tmp_path / "pipeline", tmp_path / "stages"
-    run_ok(runner, ["pipeline", "--outdir", str(piped), "--synth", "--papers", "150",
-                    *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, piped, *FAST_TRAIN, "--points", "3", papers=150)
     assert loads == ["metrics.csv"]
     assert [mode for mode in opens if "b" not in mode] == ["r"]
     shutil.copytree(piped, staged)
@@ -2106,9 +2114,9 @@ def test_a_pipeline_rerun_joins_the_merged_table_once(
     """A rerun into a directory that holds an earlier run's tables joins
     metrics.csv once, after both stages have replaced theirs, so a leftover
     table the rerun rewrites is never read, whole or cut short."""
-    args = ["pipeline", "--synth", "--papers", "120", *FAST_TRAIN, "--points", "3"]
+    args = [*FAST_TRAIN, "--points", "3"]
     fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
-    run_ok(runner, args + ["--outdir", str(fresh)])
+    run_planted(runner, fresh, *args, papers=120)
     shutil.copytree(fresh, rerun)
     if leftover == "cut":
         drop_last_line(rerun / "disruption.csv")
@@ -2120,7 +2128,7 @@ def test_a_pipeline_rerun_joins_the_merged_table_once(
         return write_csv(outdir, name, *rest)
 
     monkeypatch.setattr(cli, "_write_csv", counted_write_csv)
-    run_ok(runner, args + ["--outdir", str(rerun)])
+    run_planted(runner, rerun, *args, papers=120)
     assert len(joins) == 1
     assert snapshot(rerun) == snapshot(fresh)
 
@@ -2151,8 +2159,7 @@ def test_pipeline_hashes_each_artifact_at_most_twice(runner, tmp_path, monkeypat
     tables are hashed once, when their stages write them, and metrics.csv
     twice, when the merge writes it and when it is read back and checked."""
     hashed = counted_binary_opens(monkeypatch)
-    run_ok(runner, ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "150",
-                    *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, tmp_path, *FAST_TRAIN, "--points", "3", papers=150)
     counts = {name: hashed.count(name) for name in hashed}
     assert counts["corpus.parsed.jsonl"] == 1
     assert counts["metrics_space.csv"] == counts["disruption.csv"] == 1
@@ -2183,8 +2190,7 @@ def test_pipeline_releases_its_corpus_and_graph_before_the_analysis_stages(
 
     monkeypatch.setattr(cli, "build_citation_graph", tracked_build)
     monkeypatch.setattr(cli, "_stage_correlate", checked_correlate)
-    run_ok(runner, ["pipeline", "--outdir", str(tmp_path), "--synth", "--papers", "120",
-                    *FAST_TRAIN, "--points", "3"])
+    run_planted(runner, tmp_path, *FAST_TRAIN, "--points", "3", papers=120)
     assert alive == [[False, False]]
 
 
@@ -2197,9 +2203,8 @@ def test_pipeline_releases_its_corpus_and_graph_before_the_analysis_stages(
         (["regress", "--model", "model9"], "", 1),
         (["train"], "bogus = 1\n", 1),
         (["metrics"], "", 1),
-        (["pipeline", "--synth", "--input", "x"], "", 1),
-        (["pipeline", "--papers", "10"], "", 1),
-        (["pipeline", "--synth", "--dim", "1"], "", 1),
+        (["pipeline", "--papers", "10"], "", 2),
+        (["pipeline", "--dim", "1"], "", 1),
         (["train", "--dim", "abc"], "", 2),
     ],
     ids=[
@@ -2209,7 +2214,6 @@ def test_pipeline_releases_its_corpus_and_graph_before_the_analysis_stages(
         "regress_model",
         "config_key",
         "missing_artifact",
-        "pipeline_input_and_synth",
         "pipeline_papers",
         "pipeline_dim",
         "usage_error",

@@ -14,6 +14,7 @@ import json
 from click.testing import CliRunner
 
 from knowspan.cli import main
+from planted import synth_then_pipeline
 
 # (parameter name, flags, default, click type name, is_flag) per subcommand.
 OPTION_SURFACE = {
@@ -70,10 +71,8 @@ OPTION_SURFACE = {
         ("negatives", ("--negatives",), 5, "integer", False),
         ("outdir", ("--outdir",), ".", "directory", False),
         ("pad_short_codes", ("--pad-short-codes",), False, "boolean", True),
-        ("papers", ("--papers",), 5000, "integer", False),
         ("points", ("--points",), 41, "integer", False),
         ("seed", ("--seed",), 0, "integer", False),
-        ("use_synth", ("--synth",), False, "boolean", True),
     },
     "regress": {
         ("center", ("--center",), "none", "choice", False),
@@ -119,11 +118,11 @@ def test_every_subcommand_keeps_its_option_surface():
     assert surface == OPTION_SURFACE
 
 
-# sha256 of every file of `pipeline --synth --papers 150 --dim 8 --epochs 2
-# --points 3 --export-tree`; for manifest.json, of the canonical JSON of its
-# "stages" only, because "versions" depends on the environment.  "loss" is
-# the `epoch,mean_loss` CSV the train stage once wrote, rebuilt from the
-# manifest's `stages.train.loss_by_epoch`.
+# sha256 of every file of the 150-paper planted run (tests/planted.py), with
+# `pipeline --dim 8 --epochs 2 --points 3 --export-tree`; for manifest.json,
+# of the canonical JSON of its "stages" only, because "versions" depends on
+# the environment.  "loss" is the `epoch,mean_loss` CSV the train stage once
+# wrote, rebuilt from the manifest's `stages.train.loss_by_epoch`.
 PIPELINE_SHA256 = {
     "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
     "corpus.parsed.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
@@ -156,10 +155,10 @@ PIPELINE_SHA256 = {
 
 
 def pipeline_digests(outdir, *flags, papers=150):
-    args = ["pipeline", "--outdir", str(outdir), "--synth", "--papers", str(papers),
-            "--dim", "8", "--epochs", "2", "--points", "3", *flags]
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.stderr or result.output
+    pipeline_args = ("--dim", "8", "--epochs", "2", "--points", "3", *flags)
+    for args in synth_then_pipeline(*pipeline_args, papers=papers, outdir=outdir):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.stderr or result.output
     digests = {}
     for path in outdir.iterdir():
         data = path.read_bytes()
@@ -181,7 +180,7 @@ def test_pipeline_output_matches_the_recorded_digests(tmp_path):
     assert digests == PIPELINE_SHA256
 
 
-# The same digests for `pipeline --synth --papers 150 --dim 8 --epochs 2
+# The same digests for 150 papers with `pipeline --dim 8 --epochs 2
 # --points 3 --exclude-self`, which takes the leave-one-out journal mean.
 EXCLUDE_SELF_SHA256 = {
     "corpus.jsonl": "da27cdb3c7fdf59603157f1805a46c51b2da2e6fbff44c12da49379403b6ea51",
@@ -216,7 +215,7 @@ def test_exclude_self_pipeline_output_matches_the_recorded_digests(tmp_path):
     assert pipeline_digests(tmp_path, "--exclude-self") == EXCLUDE_SELF_SHA256
 
 
-# The same digests for `pipeline --synth --papers 400 --dim 8 --epochs 2
+# The same digests for 400 papers with `pipeline --dim 8 --epochs 2
 # --points 3`.  Its 400 papers hold more code pairs than the 60-code
 # vocabulary has, so `metrics` keeps article-distance pair terms in a table;
 # the 150-paper runs above recompute every term.

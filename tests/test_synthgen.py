@@ -73,8 +73,9 @@ def test_same_config_is_byte_identical():
     assert list(generate(small_config(seed=4))) != first
 
 
-# The record stream of a ten-block, 300-code corpus with the planted effect
-# `pipeline --synth` uses; a change to the generator's draws changes it.
+# The record stream of a ten-block, 300-code corpus with the planted effect of
+# the tests' planted run (tests/planted.py); a change to the generator's
+# draws changes it.
 MULTI_BLOCK_SHA256 = "3f2e5076ef9e9c116e0644b11ef0319244452f810ed78218e8c7033e38038b95"
 
 
