@@ -31,7 +31,6 @@ from click.core import ParameterSource
 
 from . import __version__
 from .corpus import (
-    CitationGraph,
     Corpus,
     CorpusError,
     InvalidCodeError,
@@ -98,10 +97,15 @@ METRIC_COLUMNS = (
     "title_length",
 )
 
-SPACE_COLUMNS = tuple(c for c in METRIC_COLUMNS if not c.startswith("d_"))
-DISRUPTION_COLUMNS = ("paper_id",) + tuple(c for c in METRIC_COLUMNS if c.startswith("d_"))
+# disrupt writes every column read from the citation graph; D's come first,
+# since readers of disruption.csv may take them by position
+DISRUPTION_COLUMNS = (
+    "paper_id", "d_score", "d_percentile", "d_n_i", "d_n_j", "d_n_k",
+    "citation_count", "log_citations",
+)
+SPACE_COLUMNS = ("paper_id",) + tuple(c for c in METRIC_COLUMNS if c not in DISRUPTION_COLUMNS)
 
-# the CitationGraph counters that the metrics and disrupt manifest entries record
+# the CitationGraph counters that the disrupt manifest entry records
 GRAPH_COUNTERS = ("n_edges", "n_dropped_out_of_corpus", "n_dropped_year_order")
 
 CONTROLS = ("n_pages", "years", "title_length")
@@ -445,9 +449,9 @@ def _table_rows(
     """The header, then each data row, of a per-paper CSV artifact.
 
     The header must equal ``columns`` when given, and start with paper_id
-    otherwise; every row must have as many cells as the header, and csv must
-    read it.  Anything else, an empty file included, fails the stage with
-    ``bad_artifact``.
+    and name each column once otherwise; every row must have as many cells
+    as the header, and csv must read it.  Anything else, an empty file
+    included, fails the stage with ``bad_artifact``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -457,6 +461,9 @@ def _table_rows(
             number = 0
             if not header or header[0] != "paper_id" or (columns and header != list(columns)):
                 _fail("bad_artifact", f"{path} does not look like a {kind} table")
+            repeated = next((name for name in header if header.count(name) > 1), None)
+            if repeated is not None:  # a reader by name would take one of its columns
+                _fail("bad_artifact", f"{path} header names column {repeated!r} more than once")
             yield header
             for number, row in enumerate(reader, start=1):
                 if len(row) != len(header):
@@ -632,11 +639,7 @@ def _in_vocabulary(paper: Paper, emb: EmbeddingMatrix) -> bool:
 
 
 def _space_rows(
-    corpus: Corpus,
-    graph: CitationGraph,
-    emb: EmbeddingMatrix,
-    tree: KnowledgeTree,
-    exclude_self: bool,
+    corpus: Corpus, emb: EmbeddingMatrix, tree: KnowledgeTree, exclude_self: bool
 ) -> Iterator[tuple]:
     """Per-paper metric rows, computed one at a time as they are read.  A
     paper with a code missing from the trained vocabulary gets empty
@@ -666,8 +669,6 @@ def _space_rows(
             article_dist_log,
             network_distance(paper, tree),
             team_size(paper),
-            citation_count(paper, graph),
-            log_citation_count(paper, graph),
             corpus.paper_age(paper),
             paper.n_pages,
             paper.title_length,
@@ -753,8 +754,7 @@ def _merge_metrics(outdir: str, written: dict[str, str]) -> None:
 
 
 def _stage_metrics(
-    outdir: str, corpus: Corpus, corpus_digest: str, graph: CitationGraph,
-    exclude_self: bool, export_tree: bool,
+    outdir: str, corpus: Corpus, corpus_digest: str, exclude_self: bool, export_tree: bool
 ) -> str:
     """Write metrics_space.csv, and return the digest recorded for it."""
     embedding_path = _require(outdir, EMBEDDING)
@@ -764,7 +764,7 @@ def _stage_metrics(
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     embedding_digest = _check_recorded(_read_manifest(outdir), embedding_path)
     tree = build_tree(corpus.distinct_codes())
-    rows = _space_rows(corpus, graph, emb, tree, exclude_self)
+    rows = _space_rows(corpus, emb, tree, exclude_self)
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
     if export_tree:
         _write_csv(outdir, TREE_EDGES, ("child_label", "parent_label", "level"), tree.edges())
@@ -776,20 +776,20 @@ def _stage_metrics(
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
         n_missing_vocabulary=sum(not _in_vocabulary(paper, emb) for paper in corpus),
-        **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
     )
     _drop_merged(outdir)
     return outputs[METRICS_SPACE]
 
 
-def _stage_disrupt(
-    outdir: str, corpus: Corpus, corpus_digest: str, graph: CitationGraph, variant: str
-) -> str:
-    """Write disruption.csv, and return the digest recorded for it."""
+def _stage_disrupt(outdir: str, corpus: Corpus, corpus_digest: str, variant: str) -> str:
+    """Write disruption.csv from the corpus's citation graph, and return the
+    digest recorded for it."""
+    graph = build_citation_graph(corpus)
     scored = score_corpus(corpus, graph, variant)
     rows = (
-        (pid, score.d, score.percentile, counts.n_i, counts.n_j, counts.n_k)
-        for pid, (counts, score) in scored.items()
+        (pid, score.d, score.percentile, counts.n_i, counts.n_j, counts.n_k,
+         citation_count(paper, graph), log_citation_count(paper, graph))
+        for paper, (pid, (counts, score)) in zip(corpus, scored.items())
     )
     _write_csv(outdir, DISRUPTION, DISRUPTION_COLUMNS, rows)
     n_defined = sum(score.d is not None for _, score in scored.values())
@@ -1122,19 +1122,17 @@ def train(params: dict, config: dict[str, str], outdir: str) -> None:
 def metrics(params: dict, config: dict[str, str], outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
     corpus, digest = _read_corpus(outdir)
-    graph = build_citation_graph(corpus)
     space_digest = _stage_metrics(
-        outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"]
+        outdir, corpus, digest, params["exclude_self"], params["export_tree"]
     )
     _merge_metrics(outdir, {METRICS_SPACE: space_digest})
 
 
 @_command(*DISRUPT_OPTIONS)
 def disrupt(params: dict, config: dict[str, str], outdir: str) -> None:
-    """Disruption counts, scores, and percentiles; writes disruption.csv."""
+    """Citation counts and disruption counts, scores and percentiles; writes disruption.csv."""
     corpus, digest = _read_corpus(outdir)
-    graph = build_citation_graph(corpus)
-    disruption_digest = _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
+    disruption_digest = _stage_disrupt(outdir, corpus, digest, params["d_variant"])
     _merge_metrics(outdir, {DISRUPTION: disruption_digest})
 
 
@@ -1253,12 +1251,11 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
     points = _grid_points(params)
     corpus, digest = _stage_ingest(outdir, params["input_path"], parse)
     _stage_train(outdir, corpus, digest, training)
-    graph = build_citation_graph(corpus)
     space_digest = _stage_metrics(
-        outdir, corpus, digest, graph, params["exclude_self"], params["export_tree"]
+        outdir, corpus, digest, params["exclude_self"], params["export_tree"]
     )
-    disruption_digest = _stage_disrupt(outdir, corpus, digest, graph, params["d_variant"])
-    del corpus, graph
+    disruption_digest = _stage_disrupt(outdir, corpus, digest, params["d_variant"])
+    del corpus
     _merge_metrics(outdir, {METRICS_SPACE: space_digest, DISRUPTION: disruption_digest})
     # a full collection empties the free lists, whose idle objects pin arenas the corpus left
     gc.collect()

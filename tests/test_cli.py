@@ -194,6 +194,9 @@ def test_merged_metrics_column_contract(runner, tmp_path):
         for cell in row[1:]:
             if cell != "":
                 float(cell)  # every populated cell is numeric
+    # a reader of disruption.csv may take D's cells by position
+    header, _ = read_csv(tmp_path / "disruption.csv")
+    assert header[:6] == ["paper_id", "d_score", "d_percentile", "d_n_i", "d_n_j", "d_n_k"]
 
 
 def test_undefined_disruption_cells_are_empty_not_zero(runner, tmp_path):
@@ -226,7 +229,9 @@ def test_overlapping_variant_changes_the_counts(runner, tmp_path):
     assert by_id["P"]["d_score"] == "0.5"
 
 
-def test_metrics_and_disrupt_record_the_graph_counters(runner, tmp_path):
+def test_only_disrupt_records_the_graph_counters(runner, tmp_path):
+    """disrupt builds the citation graph and records its counters; metrics
+    reads no citation and records none."""
     out = str(tmp_path)
     tiny_corpus(tmp_path / "corpus.jsonl")
     with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as fh:
@@ -235,11 +240,9 @@ def test_metrics_and_disrupt_record_the_graph_counters(runner, tmp_path):
     for stage in ("ingest", "train", "metrics", "disrupt"):
         run_ok(runner, [stage, "--outdir", out, *(FAST_TRAIN if stage == "train" else [])])
     stages = read_manifest(tmp_path)["stages"]
-    for stage in ("metrics", "disrupt"):
-        counters = {k: stages[stage][k] for k in cli.GRAPH_COUNTERS}
-        assert counters == {
-            "n_edges": 8, "n_dropped_out_of_corpus": 1, "n_dropped_year_order": 1
-        }, stage
+    counters = {k: stages["disrupt"][k] for k in cli.GRAPH_COUNTERS}
+    assert counters == {"n_edges": 8, "n_dropped_out_of_corpus": 1, "n_dropped_year_order": 1}
+    assert not stages["metrics"].keys() & set(cli.GRAPH_COUNTERS)
 
 
 def test_exclude_self_empties_single_member_cells(runner, tmp_path):
@@ -285,8 +288,8 @@ def vocabulary_gap_corpus(path):
 # `train --dim 8 --epochs 2` and `metrics` with each flag setting; the
 # corpus's papers, and so its training pairs, in (year, id) order.
 VOCABULARY_GAP_SHA256 = {
-    (): "5d7188758441ced10f6ae5ebe69fe9ce9e2e714186bebfde87848ed6d8256841",
-    ("--exclude-self",): "98b9bc28c100a0f8d92515f790557f5f1914016ad5a8dfc90583c05d4a83111c",
+    (): "1aab1be2e20046e4e0545feec5d5b082856b2cca1d09a0a2291980943bd756ae",
+    ("--exclude-self",): "cb61b58274f6186dcafb70977e7df4125bcc0b17613c60fd4b9efffc8ae4ccca",
 }
 
 
@@ -699,11 +702,12 @@ def test_an_output_recorded_outside_the_directory_is_never_removed(runner, tmp_p
 
 
 # Digests of a small stage run (`synth --papers 400 --seed 3 --density 2`,
-# `ingest`, `train --dim 8 --epochs 2`, `metrics`, `disrupt`), recorded with
-# the per-pair disruption and distance loops; 67 papers have undefined D.
+# `ingest`, `train --dim 8 --epochs 2`, `metrics`, `disrupt`); 67 papers have
+# undefined D.  metrics.csv's was recorded with the per-pair disruption and
+# distance loops, and holds the cells of the two stage tables.
 STAGE_RUN_SHA256 = {
-    "metrics_space.csv": "2d38abb52dfc1dd9c2a866f6ee7eecedf43cdb73d2a81bde48dc372854daa65b",
-    "disruption.csv": "1dcbc3c62f5d2eb76447b1bd30ad504188c374d5d9c7b9d2add9c27c63888ef0",
+    "metrics_space.csv": "8e2b34b8d24346c070ced15b4862bf8d3b1dbb120e374d4e8e77afe3887ff388",
+    "disruption.csv": "44f002ccd475fbce4c044361706eeed80e9997ba2e61efd3854d7f204547dd30",
     "metrics.csv": "3e66dcc3e7cb4d1b60aa67104fad80783d226d2a2bc2bc67f041b20916b844c9",
 }
 
@@ -1597,6 +1601,20 @@ def test_correlate_needs_three_complete_rows(runner, tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv"]
 
 
+def test_a_table_naming_a_column_twice_is_refused(runner, tmp_path):
+    """A column read by name would be one of the two, unseen."""
+    path = tmp_path / "metrics.csv"
+    rows = [f"p{i},{i % 3},{i},{i * i % 7}" for i in range(5)]
+    path.write_text("\n".join(["paper_id,team_size,team_size,years", *rows]) + "\n")
+    args = ["correlate", "--outdir", str(tmp_path), "--columns", "team_size,years"]
+    payload = run_fail(runner, args)
+    assert payload == {
+        "error": "bad_artifact",
+        "message": f"{path} header names column 'team_size' more than once",
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+
 def test_a_key_error_without_an_argument_is_stage_failed(runner, tmp_path, finished_run, monkeypatch):
     """A KeyError's message is its argument; one with none is named by its repr."""
     shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
@@ -2032,8 +2050,8 @@ def corpus_calls(monkeypatch):
 
 
 def test_pipeline_parses_once_and_links_once(runner, tmp_path, corpus_calls):
-    """train, metrics and disrupt share the corpus ingest parsed, and metrics
-    and disrupt one graph."""
+    """train, metrics and disrupt share the corpus ingest parsed; disrupt
+    alone builds its citation graph."""
     run_planted(runner, tmp_path, *FAST_TRAIN, "--points", "3", papers=120)
     assert corpus_calls == {"parse": 1, "graph": 1}
 
@@ -2143,10 +2161,9 @@ def test_metrics_holds_no_vector_per_paper(runner, tmp_path):
         for args in (["synth", "--papers", str(n)], ["ingest"], ["train", "--epochs", "1"]):
             run_ok(runner, [*args, "--outdir", out])
         corpus, digest = cli._read_corpus(out)
-        graph = cli.build_citation_graph(corpus)
         tracemalloc.start()
         try:
-            cli._stage_metrics(out, corpus, digest, graph, False, False)
+            cli._stage_metrics(out, corpus, digest, False, False)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -2280,7 +2297,8 @@ def test_each_stage_invocation_parses_and_links_for_itself(runner, tmp_path, cor
     for _ in range(2):
         run_ok(runner, ["metrics", "--outdir", out])
         run_ok(runner, ["disrupt", "--outdir", out])
-    assert corpus_calls == {"parse": 6, "graph": 4}
+    # metrics reads no citation, so disrupt alone builds the graph
+    assert corpus_calls == {"parse": 6, "graph": 2}
 
 
 def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, corpus_calls):

@@ -135,12 +135,12 @@ PIPELINE_SHA256 = {
     "curves_model6.csv": "1577e4373c750fa3cfaef8240a9465b7b4727db5daa9a8c8f87cb07362ac7ad8",
     "curves_model7.csv": "d77d8afe6aaffc307601162b0ea77899cc2cb1ba222f6411ae331a618201bfb8",
     "curves_model8.csv": "d067d50a5719da929ccd9e987b0c84fd32880376e05609ca9c6803b5edbd4f8e",
-    "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
+    "disruption.csv": "5234b375261bb4f8ffdd59557ee9eaee1a04f636a1d388282ce7611b13498dda",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
     "loss": "e4e68a07325fa6f222bb934d5e675cb4107ed955464ec4696f3d894025797811",
-    "manifest.json": "81c7b0220c6c3643012b74f099d5cab6e08eef64b3f86f0d6b8723ecba2cca33",
+    "manifest.json": "6d1cc34792d97e478603595ecd03b98809dd3541a6c92e347da17fabd57056b4",
     "metrics.csv": "1f1a10c17daf05da6d303a2173007142732dbf76d63e4e423c472f09314c4f7a",
-    "metrics_space.csv": "ebf5d38e00e71f092a7d90a8b3c86336acc505242c79e1671491af41eb951540",
+    "metrics_space.csv": "8e46f5b3cea6d1e92edf71ef41ebab109f28d96dd668bd980022d59662f3b52a",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
     "regression_model1.csv": "93166ccb81312bc7daf4fe2a66b4dc6a92d0137a261c51e2fb3bd41ba6a136ce",
     "regression_model2.csv": "2053a040e0e04ed6d1d1a146ea4cd307e3e20f2593bf25d56c8e7e6089925d0a",
@@ -194,11 +194,11 @@ EXCLUDE_SELF_SHA256 = {
     "curves_model6.csv": "1577e4373c750fa3cfaef8240a9465b7b4727db5daa9a8c8f87cb07362ac7ad8",
     "curves_model7.csv": "39d76edc77a70d0ee3610251073a316744b93aa8502c046db8ed9df5a6768de8",
     "curves_model8.csv": "e9d829d63d73fc56e02d0686d57820e983d1dd23348391b02e4c5c85762f4a50",
-    "disruption.csv": "608ccb3a9d6a4786098b2feb04b1f2f00f05294cb8114c45132e990fbaa6fc64",
+    "disruption.csv": "5234b375261bb4f8ffdd59557ee9eaee1a04f636a1d388282ce7611b13498dda",
     "embedding.txt": "8914d72f076b79081c0b02e8cc756f95bbee5bc7f398bb06e256c676c402785b",
-    "manifest.json": "2053ee9551101a92338afe17fbddb2951e12bef2f02dba526028c3ca37d54296",
+    "manifest.json": "165a7846c62313a3a63494f1112c80772b4e8d3d7c6ba564c5d109bb8f3be632",
     "metrics.csv": "780598781ce2604a91558f9724dc5a45aec5c7c310a6386e86882f4231b3ffb1",
-    "metrics_space.csv": "9df755a83a9cc4bf248a9d7d4fe36a306350a51b1f2a607d532393c3d0cbb959",
+    "metrics_space.csv": "7512d89021c862fc008135fa8c3ab7eb6e41d2c14130a27c47b5ce8046375322",
     "parse_report.json": "adb23f3187f7636eb679cb1f7a7f9e2d70dd83e80fd4454c57fd28844cccce76",
     "regression_model1.csv": "93166ccb81312bc7daf4fe2a66b4dc6a92d0137a261c51e2fb3bd41ba6a136ce",
     "regression_model2.csv": "2053a040e0e04ed6d1d1a146ea4cd307e3e20f2593bf25d56c8e7e6089925d0a",
@@ -231,11 +231,11 @@ TABLE_PATH_SHA256 = {
     "curves_model6.csv": "04996d19104a1d6b7398588a1c50e2be7394a43a0894e937ed5757b0a0042596",
     "curves_model7.csv": "533cb2242401c80fdc312dcbf82d1f1aba4375128fdc97e500c17f0aae744e2c",
     "curves_model8.csv": "a9d398af7060d46a46f4bf7069ab1a8f2856df0877138bc8bd581974fe8a1aac",
-    "disruption.csv": "11c2e8c287580ccb4861e482fe58b1a5b565f6d90995522663542b8b061ea303",
+    "disruption.csv": "c89e6b57ab3db090c24636dfd807d5ebb15522fe161b27d1953432785b71f11b",
     "embedding.txt": "3a87dc9d3250710035cc241d508f045d3e08f88c04bcedc51b1befa3ecf7ded2",
-    "manifest.json": "ed335db1d64a85a4e91d27c8835574ba00c27bbf7567091f28618596eb94a46b",
+    "manifest.json": "32b266ef229781c4606ab064957114de8560a35e370c2feacad108f85717d88c",
     "metrics.csv": "6b70d648d213fea0aad8ceb9ede1ac7dba2ce81d9c6da04c7a0da8fe531de7d5",
-    "metrics_space.csv": "688aa93fd23a033520d63000353ca22ed304cd8ff9da2b1ed2e36e9ce9e9d828",
+    "metrics_space.csv": "8ea899ba53a0db0fc2490c90113b6074ad4e3d23934d47e1a23b5736ae5225fe",
     "parse_report.json": "0007e4cfa5a3bb1719be2e0dc808aad13ec169cedc14a84c8d82a735a2f6a37c",
     "regression_model1.csv": "cc64efb00c59b44acbacedf4e57fb7762046903620215e7abc89ef39a55659a0",
     "regression_model2.csv": "851a8036b7906ce82df8474ef417c153098ca86982d4531acc99927a9cf27bf0",
