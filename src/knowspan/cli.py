@@ -157,7 +157,7 @@ _FIELDS_READ = (
     ("ingest.config", dict), ("ingest.end_year", int),
     *((f"ingest.config.{field}", type(getattr(ParseConfig(), field)))
       for field in PARSE_FIELDS.values()),
-    ("metrics.inputs", dict), ("disrupt.inputs", dict),
+    ("train.inputs", dict), ("metrics.inputs", dict), ("disrupt.inputs", dict),
 )
 RECORDED_TYPES = tuple(
     row
@@ -258,40 +258,53 @@ def _read_manifest(outdir: str) -> dict:
     return manifest
 
 
+def _recorded_outputs(entry) -> dict:
+    """The outputs a manifest entry records, or none if it is not well formed."""
+    outputs = entry.get("outputs") if isinstance(entry, dict) else None
+    return outputs if isinstance(outputs, dict) else {}
+
+
 def _update_manifest(
-    outdir: str, stage: str, config: dict, inputs: dict[str, str], outputs: Sequence[str], **extra
+    outdir: str, stage: str, config: dict, inputs: dict[str, str], outputs: Sequence[str],
+    invalidates: Sequence[str] = (), **extra
 ) -> dict[str, str]:
     """Replace one stage entry, with each input artifact's digest as the stage
     read it or its producer wrote it, and the digest of each output artifact
-    in ``outdir``, by name.  Returns the output digests.
+    in ``outdir``, by name.  A ``seed`` in ``config`` is recorded beside the
+    config, not in it.  Returns the output digests.
 
-    An output the stage's previous entry recorded and this run did not write,
-    such as tree_edges.csv after `metrics` without --export-tree, is removed
-    once the new entry is written, so every file is one entry's output."""
+    Before the manifest is written, each artifact in ``invalidates`` is
+    removed with the entry that records it, and so is an output the stage's
+    previous entry recorded, this run did not write and no other entry
+    records, such as tree_edges.csv after `metrics` without --export-tree.
+    A failed removal or write thus leaves no file that no entry records."""
     manifest = _read_manifest(outdir)
-    previous = manifest["stages"].get(stage)
-    recorded = previous.get("outputs") if isinstance(previous, dict) else None
-    stale = [  # bare file names only, since anyone can edit the manifest
-        name for name in (recorded if isinstance(recorded, dict) else ())
-        if name not in outputs and name == os.path.basename(name) and name != MANIFEST
-    ]
+    stages = manifest["stages"]
+    previous = _recorded_outputs(stages.pop(stage, None))
+    for name in invalidates:
+        stages.pop(ARTIFACT_STAGES[name][0], None)
+    kept = {MANIFEST, *outputs}.union(*map(_recorded_outputs, stages.values()))
+    # bare file names only, since anyone can edit the manifest
+    stale = [name for name in previous if name not in kept and name == os.path.basename(name)]
+    config = dict(config)
+    if "seed" in config:
+        extra["seed"] = config.pop("seed")
     manifest["versions"] = {
         "knowspan": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
     }
-    entry = {
+    entry = stages[stage] = {
         "config": config,
         "config_hash": _config_hash(config),
         "inputs": inputs,
         "outputs": {name: _digest(os.path.join(outdir, name)) for name in outputs},
+        **extra,
     }
-    entry.update(extra)
-    manifest["stages"][stage] = entry
-    _write_json(outdir, MANIFEST, manifest)
-    for path in (os.path.join(outdir, name) for name in stale):
+    for path in (os.path.join(outdir, name) for name in (*stale, *invalidates)):
         if os.path.isfile(path):
             os.remove(path)
+    _write_json(outdir, MANIFEST, manifest)
     return entry["outputs"]
 
 
@@ -576,16 +589,8 @@ def _stage_synth(outdir: str, config: SynthConfig) -> None:
         for line in generate(config):
             fh.write(line + "\n")
     settings = dataclasses.asdict(config)
-    seed = settings.pop("seed")  # recorded beside the config, not in it
     settings["planted"] = settings.pop("planted_effect")
-    _update_manifest(
-        outdir,
-        "synth",
-        config=settings,
-        inputs={},
-        outputs=(CORPUS_RAW,),
-        seed=seed,
-    )
+    _update_manifest(outdir, "synth", config=settings, inputs={}, outputs=(CORPUS_RAW,))
 
 
 def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tuple[Corpus, str]:
@@ -620,15 +625,12 @@ def _stage_train(outdir: str, corpus: Corpus, corpus_digest: str, config: Traini
     matrix = train_embeddings(build_training_pairs(corpus), config)
     with _replacing(outdir, EMBEDDING) as fh:
         save_embeddings(matrix, fh)
-    settings = dataclasses.asdict(config)
-    seed = settings.pop("seed")  # recorded beside the config, not in it
     _update_manifest(
         outdir,
         "train",
-        config=settings,
+        config=dataclasses.asdict(config),
         inputs={CORPUS_PARSED: corpus_digest},
         outputs=(EMBEDDING,),
-        seed=seed,
         vocabulary=len(matrix.vocabulary),
         loss_by_epoch=list(matrix.loss_by_epoch),
     )
@@ -700,17 +702,6 @@ def _paired_rows(
         yield space + disruption
 
 
-def _drop_merged(outdir: str) -> None:
-    """Remove metrics.csv and its `merge` entry, as each of `metrics` and
-    `disrupt` does once it replaces its table: a join that then fails or is
-    not made leaves no merged table."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(outdir, METRICS))
-    manifest = _read_manifest(outdir)
-    if manifest["stages"].pop("merge", None) is not None:
-        _write_json(outdir, MANIFEST, manifest)
-
-
 def _merge_metrics(outdir: str, written: dict[str, str]) -> None:
     """Join metrics.csv from the space and disruption tables, once per command
     that replaced either: `pipeline` after both stages, a stage run alone
@@ -762,7 +753,12 @@ def _stage_metrics(
         emb = load_embeddings(embedding_path)
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
-    embedding_digest = _check_recorded(_read_manifest(outdir), embedding_path)
+    manifest = _read_manifest(outdir)
+    embedding_digest = _check_recorded(manifest, embedding_path)
+    fitted_on = manifest["stages"].get("train", {}).get("inputs", {}).get(CORPUS_PARSED)
+    if fitted_on is not None and fitted_on != corpus_digest:
+        message = f"{embedding_path} was fitted on another {CORPUS_PARSED}; rerun 'train'"
+        _fail("stale_artifact", message, path=EMBEDDING, producer="train")
     tree = build_tree(corpus.distinct_codes())
     rows = _space_rows(corpus, emb, tree, exclude_self)
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
@@ -776,8 +772,8 @@ def _stage_metrics(
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
         n_missing_vocabulary=sum(not _in_vocabulary(paper, emb) for paper in corpus),
+        invalidates=(METRICS,),
     )
-    _drop_merged(outdir)
     return outputs[METRICS_SPACE]
 
 
@@ -802,8 +798,8 @@ def _stage_disrupt(outdir: str, corpus: Corpus, corpus_digest: str, variant: str
         n_defined=n_defined,
         n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
+        invalidates=(METRICS,),
     )
-    _drop_merged(outdir)
     return outputs[DISRUPTION]
 
 

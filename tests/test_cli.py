@@ -563,6 +563,30 @@ def test_an_embedding_edited_after_training_is_stale(runner, tmp_path, finished_
     assert snapshot(out) == before
 
 
+def test_an_embedding_fitted_on_another_parsed_corpus_is_stale(runner, tmp_path, finished_run):
+    """After a new ingest, embedding.txt is still the file train wrote, but
+    train fitted it on the earlier parsed corpus: metrics fails before it
+    writes anything.  An embedding with no train entry is read as it is."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    run_ok(runner, ["ingest", "--outdir", str(out), "--min-year", "2005"])
+    fitted_on = read_manifest(out)["stages"]["train"]["inputs"]["corpus.parsed.jsonl"]
+    assert fitted_on != sha256_of(out / "corpus.parsed.jsonl")
+    before = snapshot(out)
+    payload = run_fail(runner, ["metrics", "--outdir", str(out)])
+    assert payload == {
+        "error": "stale_artifact",
+        "message": f"{out / 'embedding.txt'} was fitted on another corpus.parsed.jsonl; rerun 'train'",
+        "path": "embedding.txt",
+        "producer": "train",
+    }
+    assert snapshot(out) == before
+    manifest = read_manifest(out)
+    del manifest["stages"]["train"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    run_ok(runner, ["metrics", "--outdir", str(out)])
+
+
 def edit_one_table_cell(path, column):
     """Change the first cell of ``column`` that holds a value, rewriting every
     other byte of the table as it was."""
@@ -699,6 +723,39 @@ def test_an_output_recorded_outside_the_directory_is_never_removed(runner, tmp_p
     run_ok(runner, ["regress", "--model", "model1", "--outdir", str(out)])
     assert outside.read_text() == "kept\n"
     assert [p.name for p in out.glob("regression_*.csv")] == ["regression_model1.csv"]
+
+
+def test_an_output_another_entry_records_is_never_removed(runner, tmp_path, finished_run):
+    """A correlate entry edited to list embedding.txt, which train records,
+    does not make correlate remove it."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    embedding = (out / "embedding.txt").read_bytes()
+    manifest = read_manifest(out)
+    manifest["stages"]["correlate"]["outputs"]["embedding.txt"] = "sha256:0"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    run_ok(runner, ["correlate", "--outdir", str(out)])
+    assert (out / "embedding.txt").read_bytes() == embedding
+    assert_manifest_records_every_artifact(out, out / "corpus.jsonl")
+
+
+def test_a_failed_removal_leaves_no_file_unrecorded(runner, tmp_path, finished_300, monkeypatch):
+    """metrics without --export-tree stops recording tree_edges.csv; when the
+    file cannot be removed, the manifest still records it."""
+    shutil.copytree(finished_300, tmp_path, dirs_exist_ok=True)
+    remove = os.remove
+
+    def refused(path, *args, **kwargs):
+        if os.path.basename(path) == "tree_edges.csv":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return remove(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", refused)
+    payload = run_fail(runner, ["metrics", "--outdir", str(tmp_path)])
+    monkeypatch.undo()
+    assert payload["error"] == "io_error"
+    assert (tmp_path / "tree_edges.csv").exists()
+    assert_manifest_records_every_artifact(tmp_path, tmp_path / "corpus.jsonl")
 
 
 # Digests of a small stage run (`synth --papers 400 --seed 3 --density 2`,
@@ -873,13 +930,13 @@ def test_a_write_that_fails_part_way_leaves_the_earlier_artifact(
     ],
     ids=["metrics", "disrupt"],
 )
-@pytest.mark.parametrize("fault", ["full_disk", "missing_partner"])
+@pytest.mark.parametrize("fault", ["full_disk", "missing_partner", "unrecorded_table"])
 def test_a_stage_that_replaces_its_table_leaves_no_stale_merged_table(
     runner, tmp_path, finished_300, monkeypatch, args, partner, fault
 ):
     """The earlier metrics.csv was joined from the table the stage replaces,
     so a join that fails part-way, or that lacks the other table, leaves no
-    merged table for the analyses to read."""
+    merged table for the analyses to read, even one no merge entry records."""
     shutil.copytree(finished_300, tmp_path, dirs_exist_ok=True)
     if fault == "full_disk":
         fill_disk(monkeypatch, tmp_path / "metrics.csv")
@@ -888,6 +945,10 @@ def test_a_stage_that_replaces_its_table_leaves_no_stale_merged_table(
         assert payload["error"] == "io_error"
     else:
         (tmp_path / partner).unlink()
+        if fault == "unrecorded_table":  # as no entry records a hand-made table
+            manifest = read_manifest(tmp_path)
+            del manifest["stages"]["merge"]
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         run_ok(runner, [*args, "--outdir", str(tmp_path)])
     assert not (tmp_path / "metrics.csv").exists()
     assert "merge" not in read_manifest(tmp_path)["stages"]
@@ -1752,6 +1813,7 @@ def test_a_table_of_another_corpus_is_left_unread(runner, tmp_path, bad_file, st
     the merge does not read it, damaged or not, and the stage succeeds."""
     tiny_run_with_other_table(runner, tmp_path, stage)
     run_ok(runner, ["ingest", "--outdir", str(tmp_path), "--min-year", "2001"])
+    run_ok(runner, ["train", "--outdir", str(tmp_path), *FAST_TRAIN])
     damage_merge_input(tmp_path / bad_file, "empty_file")
     run_ok(runner, [stage, "--outdir", str(tmp_path)])
     assert not (tmp_path / "metrics.csv").exists()

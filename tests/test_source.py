@@ -122,3 +122,25 @@ def test_a_name_an_enclosing_function_binds_is_no_reference():
         "    return x\n"
     )
     assert referenced_names(ast.parse(code)) == {"train", "metrics", "correlate", "parse_corpus"}
+
+
+def test_only_update_manifest_writes_the_manifest_or_removes_a_file():
+    """`cli._update_manifest` is the one writer of manifest.json and the one
+    remover of an artifact, so one function orders each removal before the
+    manifest stops recording the file; `_replacing` removes only its own
+    partial file."""
+    module = parsed(os.path.join(ROOT, "src", "knowspan", "cli.py"))
+    writers, removers = [], []
+    for owner in module.body:  # a module-level call is owned by its statement
+        name = getattr(owner, "name", type(owner).__name__)
+        for call in (node for node in ast.walk(owner) if isinstance(node, ast.Call)):
+            callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+            named = {getattr(node, "id", getattr(node, "value", None))  # names and constants
+                     for arg in call.args for node in ast.walk(arg)}
+            writes = callee in ("_write_json", "_replacing", "open")
+            if writes and named & {"manifest.json", "MANIFEST"}:
+                writers.append(name)
+            if callee in ("remove", "unlink", "rmtree", "rmdir"):
+                removers.append(name)
+    assert writers == ["_update_manifest"]
+    assert sorted(removers) == ["_replacing", "_update_manifest"]
