@@ -131,8 +131,9 @@ DEFAULT_CORRELATION_COLUMNS = tuple(
 )
 
 # Each artifact that one stage reads from another: the stage whose manifest
-# entry records the digest it is checked against, and the subcommands that
-# write it.  Ingest reads corpus.jsonl from anywhere, so nothing checks it.
+# entry records the digest it is checked against and recorded under by its
+# readers, and the subcommands that write it.  Ingest reads corpus.jsonl from
+# anywhere, so nothing checks it.
 ARTIFACT_STAGES = {
     CORPUS_RAW: (None, ("synth",)),
     CORPUS_PARSED: ("ingest", ("ingest",)),
@@ -258,34 +259,45 @@ def _read_manifest(outdir: str) -> dict:
     return manifest
 
 
-def _recorded_outputs(entry) -> dict:
-    """The outputs a manifest entry records, or none if it is not well formed."""
-    outputs = entry.get("outputs") if isinstance(entry, dict) else None
-    return outputs if isinstance(outputs, dict) else {}
+def _recorded(entry, field: str = "outputs") -> dict:
+    """The outputs, or the inputs, a manifest entry records, or none if it is
+    not well formed."""
+    recorded = entry.get(field) if isinstance(entry, dict) else None
+    return recorded if isinstance(recorded, dict) else {}
 
 
 def _update_manifest(
     outdir: str, stage: str, config: dict, inputs: dict[str, str], outputs: Sequence[str],
     invalidates: Sequence[str] = (), **extra
-) -> dict[str, str]:
-    """Replace one stage entry, with each input artifact's digest as the stage
-    read it or its producer wrote it, and the digest of each output artifact
-    in ``outdir``, by name.  A ``seed`` in ``config`` is recorded beside the
-    config, not in it.  Returns the output digests.
+) -> None:
+    """Replace one stage entry, with the digest each input artifact is
+    recorded under, as given, and the digest of each output artifact in
+    ``outdir``, by name.  A ``seed`` in ``config`` is recorded beside the
+    config, not in it.
 
     Before the manifest is written, each artifact in ``invalidates`` is
     removed with the entry that records it, and so is an output the stage's
     previous entry recorded, this run did not write and no other entry
     records, such as tree_edges.csv after `metrics` without --export-tree.
-    A failed removal or write thus leaves no file that no entry records."""
+    An entry that records reading a removed artifact goes too, and so do its
+    outputs that no other entry records, such as correlations.csv with
+    metrics.csv.  A failed removal or write thus leaves no file that no
+    entry records."""
     manifest = _read_manifest(outdir)
     stages = manifest["stages"]
-    previous = _recorded_outputs(stages.pop(stage, None))
-    for name in invalidates:
-        stages.pop(ARTIFACT_STAGES[name][0], None)
-    kept = {MANIFEST, *outputs}.union(*map(_recorded_outputs, stages.values()))
-    # bare file names only, since anyone can edit the manifest
-    stale = [name for name in previous if name not in kept and name == os.path.basename(name)]
+    dropped = [stages.pop(stage, None)]
+    dropped += (stages.pop(ARTIFACT_STAGES[name][0], None) for name in invalidates)
+    removed: list[str] = []
+    # the stage's own stale outputs go first, then the artifacts it invalidates,
+    # then the outputs of each entry that records reading a removed artifact
+    while dropped:
+        kept = {MANIFEST, *outputs, *removed}.union(*map(_recorded, stages.values()))
+        # bare file names only, since anyone can edit the manifest
+        bare = [name for name in _recorded(dropped.pop(0)) if name == os.path.basename(name)]
+        removed += [name for name in bare if name not in kept]
+        removed += [name for name in invalidates if name not in removed]
+        readers = [s for s, entry in stages.items() if _recorded(entry, "inputs").keys() & removed]
+        dropped += map(stages.pop, readers)
     config = dict(config)
     if "seed" in config:
         extra["seed"] = config.pop("seed")
@@ -294,18 +306,17 @@ def _update_manifest(
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
     }
-    entry = stages[stage] = {
+    stages[stage] = {
         "config": config,
         "config_hash": _config_hash(config),
         "inputs": inputs,
         "outputs": {name: _digest(os.path.join(outdir, name)) for name in outputs},
         **extra,
     }
-    for path in (os.path.join(outdir, name) for name in (*stale, *invalidates)):
+    for path in (os.path.join(outdir, name) for name in removed):
         if os.path.isfile(path):
             os.remove(path)
     _write_json(outdir, MANIFEST, manifest)
-    return entry["outputs"]
 
 
 # ---------------------------------------------------------------------------
@@ -528,31 +539,47 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     )
 
 
-def _check_recorded(manifest: dict, path: str) -> str:
-    """The digest of the artifact at ``path``.  Fail with ``stale_artifact``
-    when it is not the file its recording stage listed among its outputs.  One
-    with no such record, such as a hand-made file, is read as it is."""
+def _check_recorded(manifest: dict, path: str) -> None:
+    """Fail with ``stale_artifact`` when the artifact at ``path`` is not the
+    file its recording stage listed among its outputs.  One with no such
+    record, such as a hand-made file, is read as it is, and not hashed."""
     name = os.path.basename(path)
     stage, producers = ARTIFACT_STAGES[name]
-    digest = _digest(path)
-    recorded = manifest["stages"].get(stage, {}).get("outputs", {}).get(name)
-    if recorded is not None and recorded != digest:
+    recorded = _recorded(manifest["stages"].get(stage)).get(name)
+    if recorded is not None and recorded != _digest(path):
         rerun = " or ".join(f"'{p}'" for p in producers)
         message = f"{path} is not the file the {stage} stage wrote; rerun {rerun}"
         _fail("stale_artifact", message, path=name, producer=",".join(producers))
-    return digest
 
 
-def _read_metrics(outdir: str) -> tuple[AnalysisTable, str]:
+def _current_digest(outdir: str, name: str) -> str | None:
+    """The digest of artifact ``name`` in ``outdir``, as a stage that reads it
+    records it: the one its recording stage lists among its outputs, which
+    every reader checks the file against, or the file's own when no entry
+    records it, as with a hand-made file; None when neither exists."""
+    recorded = _recorded(_read_manifest(outdir)["stages"].get(ARTIFACT_STAGES[name][0])).get(name)
+    path = os.path.join(outdir, name)
+    return _digest(path) if recorded is None and os.path.isfile(path) else recorded
+
+
+def _read_current(outdir: str, entry) -> bool:
+    """Whether each input a stage entry records is at its current digest, so
+    that what the stage wrote is of the artifacts now in ``outdir``."""
+    recorded = _recorded(entry, "inputs")
+    return all(digest == _current_digest(outdir, name) for name, digest in recorded.items())
+
+
+def _read_metrics(outdir: str) -> AnalysisTable:
     """Numeric columns of the merged metrics table, which must be the one the
-    merge recorded, and the digest of its file."""
+    merge recorded."""
     path = _require(outdir, METRICS)
     table = _load_metrics_table(path)
-    return table, _check_recorded(_read_manifest(outdir), path)
+    _check_recorded(_read_manifest(outdir), path)
+    return table
 
 
-def _read_corpus(outdir: str) -> tuple[Corpus, str]:
-    """Contents of the parsed corpus, and the digest of its file.
+def _read_corpus(outdir: str) -> Corpus:
+    """Contents of the parsed corpus.
 
     The file is parsed with the year range and padding ingest recorded in
     the manifest, so later stages keep every paper ingest kept, and with the
@@ -576,7 +603,8 @@ def _read_corpus(outdir: str) -> tuple[Corpus, str]:
         skipped = f"{report.n_skipped} of {report.n_records} records are not ones ingest writes"
         reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(report.skip_reasons.items()))
         _fail("bad_artifact", f"{path}: {skipped} ({reasons})")
-    return corpus, _check_recorded(manifest, path)
+    _check_recorded(manifest, path)
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +621,9 @@ def _stage_synth(outdir: str, config: SynthConfig) -> None:
     _update_manifest(outdir, "synth", config=settings, inputs={}, outputs=(CORPUS_RAW,))
 
 
-def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tuple[Corpus, str]:
+def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Corpus:
     """Parse ``input_path``, or corpus.jsonl in ``outdir`` when it is None;
-    returns the contents of the parsed corpus it writes, and its digest."""
+    returns the contents of the parsed corpus it writes."""
     _read_manifest(outdir)  # a damaged manifest fails the stage before it writes
     if input_path is None:
         input_path = _require(outdir, CORPUS_RAW)
@@ -608,7 +636,7 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tu
             fh.write(json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":")) + "\n")
     # vars, not asdict, which would rebuild the skip_reasons Counter from its pairs
     _write_json(outdir, PARSE_REPORT, vars(report))
-    outputs = _update_manifest(
+    _update_manifest(
         outdir,
         "ingest",
         config={"input": os.path.basename(input_path), **dataclasses.asdict(parse)},
@@ -618,10 +646,10 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> tu
         n_skipped=report.n_skipped,
         end_year=corpus.dataset_end_year,
     )
-    return corpus, outputs[CORPUS_PARSED]
+    return corpus
 
 
-def _stage_train(outdir: str, corpus: Corpus, corpus_digest: str, config: TrainingConfig) -> None:
+def _stage_train(outdir: str, corpus: Corpus, config: TrainingConfig) -> None:
     matrix = train_embeddings(build_training_pairs(corpus), config)
     with _replacing(outdir, EMBEDDING) as fh:
         save_embeddings(matrix, fh)
@@ -629,7 +657,7 @@ def _stage_train(outdir: str, corpus: Corpus, corpus_digest: str, config: Traini
         outdir,
         "train",
         config=dataclasses.asdict(config),
-        inputs={CORPUS_PARSED: corpus_digest},
+        inputs={CORPUS_PARSED: _current_digest(outdir, CORPUS_PARSED)},
         outputs=(EMBEDDING,),
         vocabulary=len(matrix.vocabulary),
         loss_by_epoch=list(matrix.loss_by_epoch),
@@ -702,61 +730,60 @@ def _paired_rows(
         yield space + disruption
 
 
-def _merge_metrics(outdir: str, written: dict[str, str]) -> None:
+def _merge_metrics(outdir: str, written: Sequence[str]) -> None:
     """Join metrics.csv from the space and disruption tables, once per command
     that replaced either: `pipeline` after both stages, a stage run alone
-    after itself.  ``written`` maps each table the command wrote to the digest
-    its stage recorded; the other table is checked against its stage's record.
+    after itself.  ``written`` names the tables the command wrote; the other
+    is checked against its stage's record.
 
     A table is joined only when both tables exist and the manifest records
-    that `metrics` and `disrupt` read the same parsed corpus: both then list
-    its papers in its order and stream through the join together.  A
-    malformed or mismatched table fails the command, and so does one that is
-    not the file its stage recorded.
+    that `metrics` and `disrupt` each read a parsed corpus and every input at
+    its current digest: both then list the current corpus's papers in its
+    order and stream through the join together.  A malformed or mismatched
+    table fails the command, and so does one that is not the file its stage
+    recorded.
     """
     manifest = _read_manifest(outdir)
     space_path, disruption_path = paths = [os.path.join(outdir, name) for name in MERGED_TABLES]
-    corpora = {  # the parsed corpus each table's stage recorded reading
-        manifest["stages"].get(ARTIFACT_STAGES[name][0], {}).get("inputs", {}).get(CORPUS_PARSED)
-        for name in MERGED_TABLES
-    }
-    if not all(map(os.path.exists, paths)) or None in corpora or len(corpora) > 1:
+    entries = [manifest["stages"].get(ARTIFACT_STAGES[name][0]) for name in MERGED_TABLES]
+    if not all(map(os.path.exists, paths)) or not all(
+        CORPUS_PARSED in _recorded(entry, "inputs") and _read_current(outdir, entry)
+        for entry in entries
+    ):
         return
     # each merged column by name from a space row followed by its disruption row
     pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
     space_rows = _table_rows(space_path, "space metrics", SPACE_COLUMNS)
     disruption_rows = _table_rows(disruption_path, "disruption", DISRUPTION_COLUMNS)
-    inputs = {}
 
     def merged_rows() -> Iterator[tuple]:
         yield from map(pick, _paired_rows(space_rows, space_path, disruption_rows, disruption_path))
         # once the join has read both tables, so one cut at a line boundary fails
         # it as malformed, and before metrics.csv is put in place
         for name, path in zip(MERGED_TABLES, paths):
-            inputs[name] = written.get(name) or _check_recorded(manifest, path)
+            if name not in written:
+                _check_recorded(manifest, path)
 
     with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
         next(space_rows)  # the headers, checked as they are read
         next(disruption_rows)
         _write_csv(outdir, METRICS, METRIC_COLUMNS, merged_rows())
+    inputs = {name: _current_digest(outdir, name) for name in MERGED_TABLES}
     _update_manifest(
         outdir, "merge", config={"columns": list(METRIC_COLUMNS)}, inputs=inputs, outputs=(METRICS,)
     )
 
 
-def _stage_metrics(
-    outdir: str, corpus: Corpus, corpus_digest: str, exclude_self: bool, export_tree: bool
-) -> str:
-    """Write metrics_space.csv, and return the digest recorded for it."""
+def _stage_metrics(outdir: str, corpus: Corpus, exclude_self: bool, export_tree: bool) -> None:
+    """Write metrics_space.csv."""
     embedding_path = _require(outdir, EMBEDDING)
     try:
         emb = load_embeddings(embedding_path)
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     manifest = _read_manifest(outdir)
-    embedding_digest = _check_recorded(manifest, embedding_path)
-    fitted_on = manifest["stages"].get("train", {}).get("inputs", {}).get(CORPUS_PARSED)
-    if fitted_on is not None and fitted_on != corpus_digest:
+    _check_recorded(manifest, embedding_path)
+    if not _read_current(outdir, manifest["stages"].get("train")):
         message = f"{embedding_path} was fitted on another {CORPUS_PARSED}; rerun 'train'"
         _fail("stale_artifact", message, path=EMBEDDING, producer="train")
     tree = build_tree(corpus.distinct_codes())
@@ -764,22 +791,20 @@ def _stage_metrics(
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
     if export_tree:
         _write_csv(outdir, TREE_EDGES, ("child_label", "parent_label", "level"), tree.edges())
-    outputs = _update_manifest(
+    _update_manifest(
         outdir,
         "metrics",
         config={"exclude_self": exclude_self, "export_tree": export_tree},
-        inputs={CORPUS_PARSED: corpus_digest, EMBEDDING: embedding_digest},
+        inputs={name: _current_digest(outdir, name) for name in (CORPUS_PARSED, EMBEDDING)},
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
         n_missing_vocabulary=sum(not _in_vocabulary(paper, emb) for paper in corpus),
         invalidates=(METRICS,),
     )
-    return outputs[METRICS_SPACE]
 
 
-def _stage_disrupt(outdir: str, corpus: Corpus, corpus_digest: str, variant: str) -> str:
-    """Write disruption.csv from the corpus's citation graph, and return the
-    digest recorded for it."""
+def _stage_disrupt(outdir: str, corpus: Corpus, variant: str) -> None:
+    """Write disruption.csv from the corpus's citation graph."""
     graph = build_citation_graph(corpus)
     scored = score_corpus(corpus, graph, variant)
     rows = (
@@ -789,36 +814,31 @@ def _stage_disrupt(outdir: str, corpus: Corpus, corpus_digest: str, variant: str
     )
     _write_csv(outdir, DISRUPTION, DISRUPTION_COLUMNS, rows)
     n_defined = sum(score.d is not None for _, score in scored.values())
-    outputs = _update_manifest(
+    _update_manifest(
         outdir,
         "disrupt",
         config={"d_variant": variant},
-        inputs={CORPUS_PARSED: corpus_digest},
+        inputs={CORPUS_PARSED: _current_digest(outdir, CORPUS_PARSED)},
         outputs=(DISRUPTION,),
         n_defined=n_defined,
         n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
         invalidates=(METRICS,),
     )
-    return outputs[DISRUPTION]
 
 
 def _write_analysis(
-    outdir: str, stage: str, table_digest: str, header: tuple[str, ...], tables: dict,
-    config: dict, **extra,
+    outdir: str, stage: str, header: tuple[str, ...], tables: dict, config: dict, **extra
 ) -> None:
     """Write the rows of each artifact, all computed first so that a failed
     fit leaves every table as it was, and record them as read from metrics.csv."""
     for artifact, rows in tables.items():
         _write_csv(outdir, artifact, header, rows)
-    _update_manifest(
-        outdir, stage, config=config, inputs={METRICS: table_digest}, outputs=list(tables), **extra
-    )
+    inputs = {METRICS: _current_digest(outdir, METRICS)}
+    _update_manifest(outdir, stage, config=config, inputs=inputs, outputs=list(tables), **extra)
 
 
-def _stage_correlate(
-    outdir: str, table: AnalysisTable, table_digest: str, columns: tuple[str, ...]
-) -> None:
+def _stage_correlate(outdir: str, table: AnalysisTable, columns: tuple[str, ...]) -> None:
     _require_columns("--columns", columns, table)
     matrix = pearson_matrix(table, columns)
     n = len(matrix.columns)
@@ -828,7 +848,7 @@ def _stage_correlate(
         for i, name in enumerate(matrix.columns)
     ]
     _write_analysis(
-        outdir, "correlate", table_digest, ("",) + tuple(matrix.columns), {CORRELATIONS: rows},
+        outdir, "correlate", ("",) + tuple(matrix.columns), {CORRELATIONS: rows},
         config={"columns": list(columns)}, df=matrix.df, n_complete=matrix.df + 2,
     )
 
@@ -854,8 +874,8 @@ def _fits(
 
 
 def _stage_regress(
-    outdir: str, table: AnalysisTable, table_digest: str,
-    models: dict[str, RegressionSpec], names: tuple[str, ...], center: str,
+    outdir: str, table: AnalysisTable, models: dict[str, RegressionSpec], names: tuple[str, ...],
+    center: str,
 ) -> None:
     tables, summaries = {}, {}
     for name, _, result in _fits(table, models, names, center):
@@ -869,7 +889,7 @@ def _stage_regress(
             "terms": len(result.terms),
         }
     _write_analysis(
-        outdir, "regress", table_digest, ("term", "coefficient", "std_error", "t", "p", "stars"),
+        outdir, "regress", ("term", "coefficient", "std_error", "t", "p", "stars"),
         tables, config={"models": list(names), "center": center}, fits=summaries,
     )
 
@@ -877,7 +897,6 @@ def _stage_regress(
 def _stage_curves(
     outdir: str,
     table: AnalysisTable,
-    table_digest: str,
     models: dict[str, RegressionSpec],
     names: tuple[str, ...],
     center: str,
@@ -898,7 +917,7 @@ def _stage_curves(
             rows.extend(map(dataclasses.astuple, curve))
         tables[f"curves_{name}.csv"] = rows
     _write_analysis(
-        outdir, "curves", table_digest,
+        outdir, "curves",
         ("predictor", "predictor_value", "moderator_level", "prediction", "extrapolated"), tables,
         config={
             "models": list(names),
@@ -1111,25 +1130,21 @@ def ingest(params: dict, config: dict[str, str], outdir: str) -> None:
 def train(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit code vectors on co-assignment pairs; writes embedding.txt."""
     settings = _settings(TrainingConfig, TRAIN_FIELDS, params)  # checked before the corpus is read
-    _stage_train(outdir, *_read_corpus(outdir), settings)
+    _stage_train(outdir, _read_corpus(outdir), settings)
 
 
 @_command(*METRICS_OPTIONS)
 def metrics(params: dict, config: dict[str, str], outdir: str) -> None:
     """Per-paper distances and covariates; writes metrics_space.csv."""
-    corpus, digest = _read_corpus(outdir)
-    space_digest = _stage_metrics(
-        outdir, corpus, digest, params["exclude_self"], params["export_tree"]
-    )
-    _merge_metrics(outdir, {METRICS_SPACE: space_digest})
+    _stage_metrics(outdir, _read_corpus(outdir), params["exclude_self"], params["export_tree"])
+    _merge_metrics(outdir, (METRICS_SPACE,))
 
 
 @_command(*DISRUPT_OPTIONS)
 def disrupt(params: dict, config: dict[str, str], outdir: str) -> None:
     """Citation counts and disruption counts, scores and percentiles; writes disruption.csv."""
-    corpus, digest = _read_corpus(outdir)
-    disruption_digest = _stage_disrupt(outdir, corpus, digest, params["d_variant"])
-    _merge_metrics(outdir, {DISRUPTION: disruption_digest})
+    _stage_disrupt(outdir, _read_corpus(outdir), params["d_variant"])
+    _merge_metrics(outdir, (DISRUPTION,))
 
 
 @_command(
@@ -1148,7 +1163,7 @@ def correlate(params: dict, config: dict[str, str], outdir: str) -> None:
     repeated = sorted({name for name in columns if columns.count(name) > 1})
     if repeated:
         _fail("bad_arguments", f"--columns names {', '.join(repeated)} more than once")
-    _stage_correlate(outdir, *_read_metrics(outdir), columns)
+    _stage_correlate(outdir, _read_metrics(outdir), columns)
 
 
 def _selected_models(
@@ -1170,7 +1185,7 @@ def _selected_models(
 def regress(params: dict, config: dict[str, str], outdir: str) -> None:
     """Fit model presets; writes regression_<model>.csv term tables."""
     models, names = _selected_models(params, config)
-    _stage_regress(outdir, *_read_metrics(outdir), models, names, params["center"])
+    _stage_regress(outdir, _read_metrics(outdir), models, names, params["center"])
 
 
 def _finite_levels(raw: str) -> tuple[float, ...]:
@@ -1214,7 +1229,7 @@ def curves(params: dict, config: dict[str, str], outdir: str) -> None:
     points = _grid_points(params)
     levels = None if params["levels"] is None else _finite_levels(params["levels"])
     models, names = _selected_models(params, config)
-    _stage_curves(outdir, *_read_metrics(outdir), models, names, params["center"], points, levels)
+    _stage_curves(outdir, _read_metrics(outdir), models, names, params["center"], points, levels)
 
 
 @_command(
@@ -1245,20 +1260,18 @@ def pipeline(params: dict, config: dict[str, str], outdir: str) -> None:
     models = _model_specs(config)
     center = params["center"]
     points = _grid_points(params)
-    corpus, digest = _stage_ingest(outdir, params["input_path"], parse)
-    _stage_train(outdir, corpus, digest, training)
-    space_digest = _stage_metrics(
-        outdir, corpus, digest, params["exclude_self"], params["export_tree"]
-    )
-    disruption_digest = _stage_disrupt(outdir, corpus, digest, params["d_variant"])
+    corpus = _stage_ingest(outdir, params["input_path"], parse)
+    _stage_train(outdir, corpus, training)
+    _stage_metrics(outdir, corpus, params["exclude_self"], params["export_tree"])
+    _stage_disrupt(outdir, corpus, params["d_variant"])
     del corpus
-    _merge_metrics(outdir, {METRICS_SPACE: space_digest, DISRUPTION: disruption_digest})
+    _merge_metrics(outdir, MERGED_TABLES)
     # a full collection empties the free lists, whose idle objects pin arenas the corpus left
     gc.collect()
-    table, digest = _read_metrics(outdir)
-    _stage_correlate(outdir, table, digest, DEFAULT_CORRELATION_COLUMNS)
-    _stage_regress(outdir, table, digest, models, tuple(models), center)
-    _stage_curves(outdir, table, digest, models, tuple(models), center, points, None)
+    table = _read_metrics(outdir)
+    _stage_correlate(outdir, table, DEFAULT_CORRELATION_COLUMNS)
+    _stage_regress(outdir, table, models, tuple(models), center)
+    _stage_curves(outdir, table, models, tuple(models), center, points, None)
 
 
 if __name__ == "__main__":

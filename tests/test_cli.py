@@ -587,6 +587,48 @@ def test_an_embedding_fitted_on_another_parsed_corpus_is_stale(runner, tmp_path,
     run_ok(runner, ["metrics", "--outdir", str(out)])
 
 
+def analysis_tables(out):
+    return sorted(
+        p.name for p in out.iterdir()
+        if p.name == "correlations.csv" or p.name.startswith(("regression_", "curves_"))
+    )
+
+
+def test_the_analysis_tables_go_with_the_merged_table_they_were_fitted_on(
+    runner, tmp_path, finished_run
+):
+    """After a new ingest and train, metrics removes metrics.csv, since the
+    disruption table is of the earlier corpus, and with it every table
+    fitted on it and every entry that records reading it."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    assert len(analysis_tables(out)) == 17
+    for args in (["ingest", "--min-year", "2005"], ["train", *FAST_TRAIN], ["metrics"]):
+        run_ok(runner, args + ["--outdir", str(out)])
+    assert not (out / "metrics.csv").exists()
+    assert analysis_tables(out) == []
+    assert set(read_manifest(out)["stages"]) == {"synth", "ingest", "train", "metrics", "disrupt"}
+
+
+def test_a_space_table_of_a_replaced_embedding_is_not_joined(runner, tmp_path, finished_run):
+    """After train replaces the embedding, metrics_space.csv is of the old
+    one: disrupt does not join it, and there is no metrics.csv to analyse
+    until metrics reruns."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    run_ok(runner, ["train", "--outdir", str(out), *FAST_TRAIN, "--seed", "1"])
+    stages = read_manifest(out)["stages"]
+    assert stages["metrics"]["inputs"]["embedding.txt"] != stages["train"]["outputs"]["embedding.txt"]
+    run_ok(runner, ["disrupt", "--outdir", str(out)])
+    assert not (out / "metrics.csv").exists()
+    assert "merge" not in read_manifest(out)["stages"]
+    payload = run_fail(runner, ["correlate", "--outdir", str(out)])
+    assert (payload["error"], payload["path"]) == ("missing_artifact", "metrics.csv")
+    run_ok(runner, ["metrics", "--outdir", str(out)])
+    run_ok(runner, ["correlate", "--outdir", str(out)])
+    assert_manifest_records_every_artifact(out, out / "corpus.jsonl")
+
+
 def edit_one_table_cell(path, column):
     """Change the first cell of ``column`` that holds a value, rewriting every
     other byte of the table as it was."""
@@ -704,8 +746,9 @@ def test_a_rerun_that_writes_fewer_outputs_removes_the_ones_it_no_longer_writes(
     shutil.copytree(finished_run, out)
     run_ok(runner, ["metrics", "--export-tree", "--outdir", str(out)])
     assert (out / "tree_edges.csv").exists()
-    assert len(list(out.glob("regression_*.csv"))) == 8
     run_ok(runner, ["metrics", "--outdir", str(out)])
+    run_ok(runner, ["regress", "--outdir", str(out)])  # metrics removed the tables fitted before
+    assert len(list(out.glob("regression_*.csv"))) == 8
     run_ok(runner, ["regress", "--model", "model1", "--outdir", str(out)])
     assert not (out / "tree_edges.csv").exists()
     assert [p.name for p in out.glob("regression_*.csv")] == ["regression_model1.csv"]
@@ -1982,7 +2025,7 @@ def test_metrics_normalises_each_code_at_most_once(runner, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "load_embeddings", load)
     monkeypatch.setattr(knowspan.embedding, "direction_and_norm", counted)
     run_ok(runner, ["metrics", "--outdir", out])
-    corpus, _ = cli._read_corpus(out)
+    corpus = cli._read_corpus(out)
     assert 0 < len(calls) <= len(corpus.distinct_codes())
     assert len(set(calls)) == len(calls)
 
@@ -2167,16 +2210,27 @@ def counted_binary_opens(monkeypatch):
     return hashed
 
 
-@pytest.mark.parametrize("stage", ["train", "metrics", "disrupt", "correlate", "regress", "curves"])
+@pytest.mark.parametrize(
+    "stage, unrecorded",
+    [*((stage, None) for stage in ("train", "metrics", "disrupt", "correlate", "regress", "curves")),
+     ("train", "ingest")],
+    ids=["train", "metrics", "disrupt", "correlate", "regress", "curves",
+         "train_of_a_corpus_no_entry_records"],
+)
 def test_a_stage_run_alone_hashes_each_input_once(
-    runner, tmp_path, finished_run, monkeypatch, stage
+    runner, tmp_path, finished_run, monkeypatch, stage, unrecorded
 ):
     """The digest that checks an input against its producer's record is the
     one the stage's manifest entry records for it; an output is hashed once,
     when it is recorded, and the merge after metrics or disrupt takes the
-    digest recorded for that stage's table."""
+    digest recorded for that stage's table.  An input no entry records is
+    hashed once, when the stage records it."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
+    if unrecorded:
+        manifest = read_manifest(out)
+        del manifest["stages"][unrecorded]
+        (out / "manifest.json").write_text(json.dumps(manifest))
     hashed = counted_binary_opens(monkeypatch)
     run_ok(runner, [stage, "--outdir", str(out), *(FAST_TRAIN if stage == "train" else [])])
     entry = json.loads((out / "manifest.json").read_text())["stages"][stage]
@@ -2222,10 +2276,10 @@ def test_metrics_holds_no_vector_per_paper(runner, tmp_path):
         out = str(tmp_path / str(n))
         for args in (["synth", "--papers", str(n)], ["ingest"], ["train", "--epochs", "1"]):
             run_ok(runner, [*args, "--outdir", out])
-        corpus, digest = cli._read_corpus(out)
+        corpus = cli._read_corpus(out)
         tracemalloc.start()
         try:
-            cli._stage_metrics(out, corpus, digest, False, False)
+            cli._stage_metrics(out, corpus, False, False)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -2368,7 +2422,7 @@ def test_read_corpus_parses_a_rewritten_file_afresh(tmp_path, corpus_calls):
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"])])
     cli._read_corpus(str(tmp_path))
     write_jsonl(parsed, [record("A", 2000, ["11.22.Aa"]), record("B", 2001, ["11.22.Bb"])])
-    rewritten, _ = cli._read_corpus(str(tmp_path))
+    rewritten = cli._read_corpus(str(tmp_path))
     assert list(rewritten.papers) == ["A", "B"] and corpus_calls["parse"] == 2
 
 
