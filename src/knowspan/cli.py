@@ -130,10 +130,10 @@ DEFAULT_CORRELATION_COLUMNS = tuple(
     c for c in METRIC_COLUMNS if c != "paper_id" and not c.startswith("d_n_")
 )
 
-# Each artifact that one stage reads from another: the stage whose manifest
-# entry records the digest it is checked against and recorded under by its
-# readers, and the subcommands that write it.  Ingest reads corpus.jsonl from
-# anywhere, so nothing checks it.
+# Each artifact that one stage reads from another, after those its producers
+# read: the stage whose manifest entry records the digest it is checked against
+# and recorded under by its readers, and the subcommands that write it.  Ingest
+# reads corpus.jsonl from anywhere, so nothing checks it.
 ARTIFACT_STAGES = {
     CORPUS_RAW: (None, ("synth",)),
     CORPUS_PARSED: ("ingest", ("ingest",)),
@@ -152,19 +152,18 @@ PARSE_FIELDS = {
 
 # The type of each manifest field a stage reads back, by its path below
 # "stages", parents first: for each recording stage, its entry, those of its
-# fields listed here, then its outputs.  A field may be absent, but not of
-# another type; a recorded parse setting is of its ParseConfig default's type.
+# fields listed here, then its inputs and outputs.  A field may be absent, but
+# not of another type; a recorded parse setting is of its ParseConfig default's type.
 _FIELDS_READ = (
     ("ingest.config", dict), ("ingest.end_year", int),
     *((f"ingest.config.{field}", type(getattr(ParseConfig(), field)))
       for field in PARSE_FIELDS.values()),
-    ("train.inputs", dict), ("metrics.inputs", dict), ("disrupt.inputs", dict),
 )
 RECORDED_TYPES = tuple(
     row
     for stage, _ in ARTIFACT_STAGES.values() if stage
     for row in ((stage, dict), *(r for r in _FIELDS_READ if r[0].startswith(f"{stage}.")),
-                (f"{stage}.outputs", dict))
+                (f"{stage}.inputs", dict), (f"{stage}.outputs", dict))
 )
 
 
@@ -539,42 +538,48 @@ def _load_metrics_table(path: str) -> AnalysisTable:
     )
 
 
-def _check_recorded(manifest: dict, path: str) -> None:
-    """Fail with ``stale_artifact`` when the artifact at ``path`` is not the
-    file its recording stage listed among its outputs.  One with no such
-    record, such as a hand-made file, is read as it is, and not hashed."""
-    name = os.path.basename(path)
-    stage, producers = ARTIFACT_STAGES[name]
-    recorded = _recorded(manifest["stages"].get(stage)).get(name)
-    if recorded is not None and recorded != _digest(path):
-        rerun = " or ".join(f"'{p}'" for p in producers)
-        message = f"{path} is not the file the {stage} stage wrote; rerun {rerun}"
-        _fail("stale_artifact", message, path=name, producer=",".join(producers))
-
-
-def _current_digest(outdir: str, name: str) -> str | None:
-    """The digest of artifact ``name`` in ``outdir``, as a stage that reads it
-    records it: the one its recording stage lists among its outputs, which
-    every reader checks the file against, or the file's own when no entry
-    records it, as with a hand-made file; None when neither exists."""
-    recorded = _recorded(_read_manifest(outdir)["stages"].get(ARTIFACT_STAGES[name][0])).get(name)
+def _current_digest(manifest: dict, outdir: str, name: str) -> str | None:
+    """The digest a reader of artifact ``name`` in ``outdir`` records for it: the
+    one its recording stage lists among its outputs in ``manifest``, or the
+    file's own when no entry records it; None when neither exists."""
+    recorded = _recorded(manifest["stages"].get(ARTIFACT_STAGES[name][0])).get(name)
     path = os.path.join(outdir, name)
     return _digest(path) if recorded is None and os.path.isfile(path) else recorded
 
 
-def _read_current(outdir: str, entry) -> bool:
-    """Whether each input a stage entry records is at its current digest, so
-    that what the stage wrote is of the artifacts now in ``outdir``."""
-    recorded = _recorded(entry, "inputs")
-    return all(digest == _current_digest(outdir, name) for name, digest in recorded.items())
+def _current(manifest: dict, outdir: str, names: Sequence[str], read: bool = True) -> bool:
+    """Whether each artifact of ``names`` in ``outdir`` is current: its file, if
+    ``read``, is the one its recording stage lists among its outputs, if any,
+    and each input that stage's entry records is at its current digest and is
+    itself current, up to corpus.jsonl, which ingest may read from anywhere.  A
+    reader (``read``) fails with ``stale_artifact`` at the most upstream one that is not."""
+    reached, stale = set(names), None
+    digest = functools.cache(lambda name: _current_digest(manifest, outdir, name))
+    # from the artifacts read upstream, so the last one found stale is the most upstream
+    for name, (stage, _) in reversed(ARTIFACT_STAGES.items()):
+        if stage is None or name not in reached:
+            continue
+        entry = manifest["stages"].get(stage)
+        inputs = _recorded(entry, "inputs")
+        reached.update(inputs)
+        recorded, path = _recorded(entry).get(name), os.path.join(outdir, name)
+        replaced = [i for i, d in inputs.items() if ARTIFACT_STAGES[i][0] and d != digest(i)]
+        if read and name in names and recorded is not None and recorded != _digest(path):
+            stale = name, f"{path} is not the file the {stage} stage wrote"
+        elif replaced:
+            stale = name, f"{path} was fitted on another {replaced[0]}"
+    if stale is None or not read:
+        return stale is None
+    producers = ARTIFACT_STAGES[stale[0]][1]
+    message = f"{stale[1]}; rerun " + " or ".join(f"'{p}'" for p in producers)
+    _fail("stale_artifact", message, path=stale[0], producer=",".join(producers))
 
 
 def _read_metrics(outdir: str) -> AnalysisTable:
-    """Numeric columns of the merged metrics table, which must be the one the
-    merge recorded."""
+    """Numeric columns of the merged metrics table, which must be current."""
     path = _require(outdir, METRICS)
     table = _load_metrics_table(path)
-    _check_recorded(_read_manifest(outdir), path)
+    _current(_read_manifest(outdir), outdir, (METRICS,))
     return table
 
 
@@ -603,7 +608,7 @@ def _read_corpus(outdir: str) -> Corpus:
         skipped = f"{report.n_skipped} of {report.n_records} records are not ones ingest writes"
         reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(report.skip_reasons.items()))
         _fail("bad_artifact", f"{path}: {skipped} ({reasons})")
-    _check_recorded(manifest, path)
+    _current(manifest, outdir, (CORPUS_PARSED,))
     return corpus
 
 
@@ -657,7 +662,7 @@ def _stage_train(outdir: str, corpus: Corpus, config: TrainingConfig) -> None:
         outdir,
         "train",
         config=dataclasses.asdict(config),
-        inputs={CORPUS_PARSED: _current_digest(outdir, CORPUS_PARSED)},
+        inputs={CORPUS_PARSED: _current_digest(_read_manifest(outdir), outdir, CORPUS_PARSED)},
         outputs=(EMBEDDING,),
         vocabulary=len(matrix.vocabulary),
         loss_by_epoch=list(matrix.loss_by_epoch),
@@ -736,20 +741,18 @@ def _merge_metrics(outdir: str, written: Sequence[str]) -> None:
     after itself.  ``written`` names the tables the command wrote; the other
     is checked against its stage's record.
 
-    A table is joined only when both tables exist and the manifest records
-    that `metrics` and `disrupt` each read a parsed corpus and every input at
-    its current digest: both then list the current corpus's papers in its
-    order and stream through the join together.  A malformed or mismatched
-    table fails the command, and so does one that is not the file its stage
-    recorded.
+    A table is joined only when both tables exist and are current and the
+    manifest records that `metrics` and `disrupt` each read a parsed corpus:
+    both then list the current corpus's papers in its order and stream
+    through the join together.  A malformed or mismatched table fails the
+    command, and so does one that is not the file its stage recorded.
     """
     manifest = _read_manifest(outdir)
     space_path, disruption_path = paths = [os.path.join(outdir, name) for name in MERGED_TABLES]
     entries = [manifest["stages"].get(ARTIFACT_STAGES[name][0]) for name in MERGED_TABLES]
     if not all(map(os.path.exists, paths)) or not all(
-        CORPUS_PARSED in _recorded(entry, "inputs") and _read_current(outdir, entry)
-        for entry in entries
-    ):
+        CORPUS_PARSED in _recorded(entry, "inputs") for entry in entries
+    ) or not _current(manifest, outdir, MERGED_TABLES, read=False):
         return
     # each merged column by name from a space row followed by its disruption row
     pick = operator.itemgetter(*map((SPACE_COLUMNS + DISRUPTION_COLUMNS).index, METRIC_COLUMNS))
@@ -760,15 +763,13 @@ def _merge_metrics(outdir: str, written: Sequence[str]) -> None:
         yield from map(pick, _paired_rows(space_rows, space_path, disruption_rows, disruption_path))
         # once the join has read both tables, so one cut at a line boundary fails
         # it as malformed, and before metrics.csv is put in place
-        for name, path in zip(MERGED_TABLES, paths):
-            if name not in written:
-                _check_recorded(manifest, path)
+        _current(manifest, outdir, [name for name in MERGED_TABLES if name not in written])
 
     with contextlib.closing(space_rows), contextlib.closing(disruption_rows):
         next(space_rows)  # the headers, checked as they are read
         next(disruption_rows)
         _write_csv(outdir, METRICS, METRIC_COLUMNS, merged_rows())
-    inputs = {name: _current_digest(outdir, name) for name in MERGED_TABLES}
+    inputs = {name: _current_digest(manifest, outdir, name) for name in MERGED_TABLES}
     _update_manifest(
         outdir, "merge", config={"columns": list(METRIC_COLUMNS)}, inputs=inputs, outputs=(METRICS,)
     )
@@ -782,10 +783,7 @@ def _stage_metrics(outdir: str, corpus: Corpus, exclude_self: bool, export_tree:
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     manifest = _read_manifest(outdir)
-    _check_recorded(manifest, embedding_path)
-    if not _read_current(outdir, manifest["stages"].get("train")):
-        message = f"{embedding_path} was fitted on another {CORPUS_PARSED}; rerun 'train'"
-        _fail("stale_artifact", message, path=EMBEDDING, producer="train")
+    _current(manifest, outdir, (EMBEDDING,))
     tree = build_tree(corpus.distinct_codes())
     rows = _space_rows(corpus, emb, tree, exclude_self)
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
@@ -795,7 +793,7 @@ def _stage_metrics(outdir: str, corpus: Corpus, exclude_self: bool, export_tree:
         outdir,
         "metrics",
         config={"exclude_self": exclude_self, "export_tree": export_tree},
-        inputs={name: _current_digest(outdir, name) for name in (CORPUS_PARSED, EMBEDDING)},
+        inputs={n: _current_digest(manifest, outdir, n) for n in (CORPUS_PARSED, EMBEDDING)},
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
         n_missing_vocabulary=sum(not _in_vocabulary(paper, emb) for paper in corpus),
@@ -818,7 +816,7 @@ def _stage_disrupt(outdir: str, corpus: Corpus, variant: str) -> None:
         outdir,
         "disrupt",
         config={"d_variant": variant},
-        inputs={CORPUS_PARSED: _current_digest(outdir, CORPUS_PARSED)},
+        inputs={CORPUS_PARSED: _current_digest(_read_manifest(outdir), outdir, CORPUS_PARSED)},
         outputs=(DISRUPTION,),
         n_defined=n_defined,
         n_undefined=len(scored) - n_defined,
@@ -834,7 +832,7 @@ def _write_analysis(
     fit leaves every table as it was, and record them as read from metrics.csv."""
     for artifact, rows in tables.items():
         _write_csv(outdir, artifact, header, rows)
-    inputs = {METRICS: _current_digest(outdir, METRICS)}
+    inputs = {METRICS: _current_digest(_read_manifest(outdir), outdir, METRICS)}
     _update_manifest(outdir, stage, config=config, inputs=inputs, outputs=list(tables), **extra)
 
 

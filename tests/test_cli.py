@@ -629,6 +629,50 @@ def test_a_space_table_of_a_replaced_embedding_is_not_joined(runner, tmp_path, f
     assert_manifest_records_every_artifact(out, out / "corpus.jsonl")
 
 
+# each a rerun that replaces an artifact metrics.csv was joined from: the
+# artifact the analysis stages then name, the input it was fitted on, and the
+# producer that writes it again
+REPLACED_INPUTS = {
+    "retrain": (["train", "--dim", "8", "--epochs", "1", "--seed", "1"],
+                "metrics_space.csv", "embedding.txt", "metrics"),
+    "reingest": (["ingest", "--min-year", "2005"], "embedding.txt", "corpus.parsed.jsonl", "train"),
+}
+
+
+@pytest.mark.parametrize("stage", ["correlate", "regress", "curves"])
+@pytest.mark.parametrize("replace", list(REPLACED_INPUTS))
+def test_a_merged_table_of_a_replaced_input_is_stale(runner, tmp_path, finished_run, replace, stage):
+    """metrics.csv is still the file the merge wrote, but it was joined from
+    tables of the artifact train or ingest replaced: the analysis stage fails
+    before it writes anything, naming the most upstream artifact fitted on a
+    replaced input, and runs once the producers each refusal names rerun."""
+    args, path, replaced, producer = REPLACED_INPUTS[replace]
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    run_ok(runner, [*args, "--outdir", str(out)])
+    command = [stage, "--outdir", str(out), *(["--points", "3"] if stage == "curves" else [])]
+    before = snapshot(out)
+    payload = run_fail(runner, command)
+    assert payload == {
+        "error": "stale_artifact",
+        "message": f"{out / path} was fitted on another {replaced}; rerun '{producer}'",
+        "path": path,
+        "producer": producer,
+    }
+    assert snapshot(out) == before
+    reruns = []
+    while payload is not None and len(reruns) < 4:
+        reruns.append(payload["producer"])
+        for name in payload["producer"].split(","):
+            run_ok(runner, [name, "--outdir", str(out), *(FAST_TRAIN if name == "train" else [])])
+        result = runner.invoke(main, command)
+        payload = json.loads(result.stderr) if result.exit_code else None
+    assert payload is None, payload
+    # after a new ingest, disrupt's table is of the earlier corpus too
+    assert reruns == (["metrics"] if replace == "retrain" else ["train", "metrics", "metrics,disrupt"])
+    assert_manifest_records_every_artifact(out, out / "corpus.jsonl")
+
+
 def edit_one_table_cell(path, column):
     """Change the first cell of ``column`` that holds a value, rewriting every
     other byte of the table as it was."""
@@ -1576,7 +1620,9 @@ def test_mistyped_manifest_entry_is_structured_error(
 
 
 @pytest.mark.parametrize(
-    "keys, value", [(("merge",), []), (("merge", "outputs"), "metrics.csv")], ids=["merge", "merge.outputs"]
+    "keys, value",
+    [(("merge",), []), (("merge", "outputs"), "metrics.csv"), (("merge", "inputs"), [])],
+    ids=["merge", "merge.outputs", "merge.inputs"],
 )
 def test_mistyped_merge_entry_is_structured_error(runner, tmp_path, finished_run, keys, value):
     """`regress` reads the merge entry back to check the table it fits."""
