@@ -130,19 +130,26 @@ DEFAULT_CORRELATION_COLUMNS = tuple(
     c for c in METRIC_COLUMNS if c != "paper_id" and not c.startswith("d_n_")
 )
 
-# Each artifact that one stage reads from another, after those its producers
-# read: the stage whose manifest entry records the digest it is checked against
-# and recorded under by its readers, and the subcommands that write it.  Ingest
-# reads corpus.jsonl from anywhere, so nothing checks it.
-ARTIFACT_STAGES = {
-    CORPUS_RAW: (None, ("synth",)),
-    CORPUS_PARSED: ("ingest", ("ingest",)),
-    EMBEDDING: ("train", ("train",)),
-    METRICS_SPACE: ("metrics", ("metrics",)),
-    DISRUPTION: ("disrupt", ("disrupt",)),
-    METRICS: ("merge", ("metrics", "disrupt")),  # both stages feed the merged table
+# Each stage that records a manifest entry, after those it reads from: the
+# subcommands that run it, the artifacts it reads, which its entry records,
+# and its outputs that their readers check against that entry.  Ingest reads
+# corpus.jsonl from anywhere, so no record of it is checked.
+STAGES = {
+    "synth": (("synth",), (), ()),
+    "ingest": (("ingest",), (CORPUS_RAW,), (CORPUS_PARSED,)),
+    "train": (("train",), (CORPUS_PARSED,), (EMBEDDING,)),
+    "metrics": (("metrics",), (CORPUS_PARSED, EMBEDDING), (METRICS_SPACE,)),
+    "disrupt": (("disrupt",), (CORPUS_PARSED,), (DISRUPTION,)),
+    "merge": (("metrics", "disrupt"), (METRICS_SPACE, DISRUPTION), (METRICS,)),
+    "correlate": (("correlate",), (METRICS,), ()),
+    "regress": (("regress",), (METRICS,), ()),
+    "curves": (("curves",), (METRICS,), ()),
 }
-MERGED_TABLES = (METRICS_SPACE, DISRUPTION)
+# each artifact a stage reads, upstream first: the stage recording it, the subcommands writing it
+ARTIFACT_STAGES = {CORPUS_RAW: (None, ("synth",))} | {
+    name: (stage, runs) for stage, (runs, _, checked) in STAGES.items() for name in checked
+}
+MERGED_TABLES = STAGES["merge"][1]
 
 # ingest's options that each set one ParseConfig field, by parameter name:
 # that field, which ingest records and the later stages parse with
@@ -161,7 +168,7 @@ _FIELDS_READ = (
 )
 RECORDED_TYPES = tuple(
     row
-    for stage, _ in ARTIFACT_STAGES.values() if stage
+    for stage, (_, _, checked) in STAGES.items() if checked
     for row in ((stage, dict), *(r for r in _FIELDS_READ if r[0].startswith(f"{stage}.")),
                 (f"{stage}.inputs", dict), (f"{stage}.outputs", dict))
 )
@@ -266,26 +273,28 @@ def _recorded(entry, field: str = "outputs") -> dict:
 
 
 def _update_manifest(
-    outdir: str, stage: str, config: dict, inputs: dict[str, str], outputs: Sequence[str],
-    invalidates: Sequence[str] = (), **extra
+    outdir: str, stage: str, config: dict, outputs: Sequence[str],
+    inputs: dict[str, str] | None = None, **extra
 ) -> None:
-    """Replace one stage entry, with the digest each input artifact is
-    recorded under, as given, and the digest of each output artifact in
-    ``outdir``, by name.  A ``seed`` in ``config`` is recorded beside the
-    config, not in it.
+    """Replace one stage entry, with the digest each artifact STAGES declares
+    it reads is recorded under (``inputs`` gives ingest's, of the file it
+    read), and the digest of each output artifact in ``outdir``, by name.  A
+    ``seed`` in ``config`` is recorded beside the config, not in it.
 
-    Before the manifest is written, each artifact in ``invalidates`` is
-    removed with the entry that records it, and so is an output the stage's
+    Before the manifest is written, the outputs STAGES declares of each stage
+    this one runs and writes an input of (the merge, for `metrics` and
+    `disrupt`) are removed with its entry, and so is an output the stage's
     previous entry recorded, this run did not write and no other entry
     records, such as tree_edges.csv after `metrics` without --export-tree.
-    An entry that records reading a removed artifact goes too, and so do its
+    An entry that records reading a removed artifact goes too, with its
     outputs that no other entry records, such as correlations.csv with
-    metrics.csv.  A failed removal or write thus leaves no file that no
-    entry records."""
+    metrics.csv.  A failed removal or write thus leaves no file unrecorded."""
     manifest = _read_manifest(outdir)
     stages = manifest["stages"]
-    dropped = [stages.pop(stage, None)]
-    dropped += (stages.pop(ARTIFACT_STAGES[name][0], None) for name in invalidates)
+    if inputs is None:
+        inputs = {name: _current_digest(manifest, outdir, name) for name in STAGES[stage][1]}
+    stale = [s for s, (runs, reads, _) in STAGES.items() if stage in runs and {*reads} & {*outputs}]
+    dropped = [stages.pop(s, None) for s in (stage, *stale)]
     removed: list[str] = []
     # the stage's own stale outputs go first, then the artifacts it invalidates,
     # then the outputs of each entry that records reading a removed artifact
@@ -294,8 +303,9 @@ def _update_manifest(
         # bare file names only, since anyone can edit the manifest
         bare = [name for name in _recorded(dropped.pop(0)) if name == os.path.basename(name)]
         removed += [name for name in bare if name not in kept]
-        removed += [name for name in invalidates if name not in removed]
-        readers = [s for s, entry in stages.items() if _recorded(entry, "inputs").keys() & removed]
+        removed += [name for s in stale for name in STAGES[s][2] if name not in removed]
+        readers = [s for s, entry in stages.items() if s in STAGES  # by the inputs it declares
+                   and _recorded(entry, "inputs").keys() & removed & {*STAGES[s][1]}]
         dropped += map(stages.pop, readers)
     config = dict(config)
     if "seed" in config:
@@ -327,25 +337,29 @@ def _read_config(path: str) -> dict[str, str]:
     key given twice fails, since one of its values would be ignored."""
     values: dict[str, str] = {}
     linenos: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                _fail(
-                    "bad_config",
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}",
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in linenos:
-                _fail(
-                    "bad_config",
-                    f"{path}:{lineno}: config key {key!r} is already set on line {linenos[key]}",
-                    key=key,
-                )
-            linenos[key] = lineno
-            values[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        _fail("bad_config", f"{path} is not UTF-8 text: {exc.reason}")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            _fail(
+                "bad_config",
+                f"{path}:{lineno}: expected 'key = value', got {line!r}",
+            )
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in linenos:
+            _fail(
+                "bad_config",
+                f"{path}:{lineno}: config key {key!r} is already set on line {linenos[key]}",
+                key=key,
+            )
+        linenos[key] = lineno
+        values[key] = value
     return values
 
 
@@ -473,8 +487,8 @@ def _table_rows(
 
     The header must equal ``columns`` when given, and start with paper_id
     and name each column once otherwise; every row must have as many cells
-    as the header, and csv must read it.  Anything else, an empty file
-    included, fails the stage with ``bad_artifact``.
+    as the header, and csv must read it as UTF-8 text.  Anything else, an
+    empty file included, fails the stage with ``bad_artifact``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -499,6 +513,8 @@ def _table_rows(
         except csv.Error as exc:  # such as a cell past csv's field size limit
             where = f"data row {number + 1}" if number >= 0 else "header"
             _fail("bad_artifact", f"{path} {where}: {exc}")
+        except UnicodeDecodeError as exc:  # decoded a block at a time, so no row is named
+            _fail("bad_artifact", f"{path} is not UTF-8 text: {exc.reason}")
 
 
 def _load_metrics_table(path: str) -> AnalysisTable:
@@ -550,9 +566,9 @@ def _current_digest(manifest: dict, outdir: str, name: str) -> str | None:
 def _current(manifest: dict, outdir: str, names: Sequence[str], read: bool = True) -> bool:
     """Whether each artifact of ``names`` in ``outdir`` is current: its file, if
     ``read``, is the one its recording stage lists among its outputs, if any,
-    and each input that stage's entry records is at its current digest and is
-    itself current, up to corpus.jsonl, which ingest may read from anywhere.  A
-    reader (``read``) fails with ``stale_artifact`` at the most upstream one that is not."""
+    and each declared input that stage's entry records is at its current digest
+    and is itself current, up to corpus.jsonl, which ingest may read from
+    anywhere.  A reader (``read``) fails with ``stale_artifact`` at the most upstream stale one."""
     reached, stale = set(names), None
     digest = functools.cache(lambda name: _current_digest(manifest, outdir, name))
     # from the artifacts read upstream, so the last one found stale is the most upstream
@@ -560,7 +576,7 @@ def _current(manifest: dict, outdir: str, names: Sequence[str], read: bool = Tru
         if stage is None or name not in reached:
             continue
         entry = manifest["stages"].get(stage)
-        inputs = _recorded(entry, "inputs")
+        inputs = {i: d for i, d in _recorded(entry, "inputs").items() if i in STAGES[stage][1]}
         reached.update(inputs)
         recorded, path = _recorded(entry).get(name), os.path.join(outdir, name)
         replaced = [i for i, d in inputs.items() if ARTIFACT_STAGES[i][0] and d != digest(i)]
@@ -583,6 +599,16 @@ def _read_metrics(outdir: str) -> AnalysisTable:
     return table
 
 
+def _parse_file(path: str, parse: ParseConfig, kind: str) -> tuple:
+    """The corpus and parse report of the corpus JSONL at ``path``; a byte that
+    is not UTF-8 fails the stage with ``kind``, naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_corpus(fh, parse)
+    except UnicodeDecodeError as exc:
+        _fail(kind, f"{path} is not UTF-8 text: {exc.reason}")
+
+
 def _read_corpus(outdir: str) -> Corpus:
     """Contents of the parsed corpus.
 
@@ -590,9 +616,10 @@ def _read_corpus(outdir: str) -> Corpus:
     the manifest, so later stages keep every paper ingest kept, and with the
     end year ingest used (which --end-year sets), so paper ages agree.
     Ingest writes only records it keeps, so a record the parse skips means a
-    damaged file, which fails the stage with ``bad_artifact``.  A file that
-    parses cleanly must still be the one ingest recorded: one cut at a line
-    boundary would otherwise be read as a smaller corpus.
+    damaged file, which fails the stage with ``bad_artifact``, as a byte that
+    is not UTF-8 does.  A file that parses cleanly must still be the one
+    ingest recorded: one cut at a line boundary would otherwise be read as a
+    smaller corpus.
     """
     path = _require(outdir, CORPUS_PARSED)
     manifest = _read_manifest(outdir)
@@ -602,8 +629,7 @@ def _read_corpus(outdir: str) -> Corpus:
         **{field: recorded[field] for field in PARSE_FIELDS.values() if field in recorded},
         dataset_end_year=ingest.get("end_year"),
     )
-    with open(path, encoding="utf-8") as fh:
-        corpus, report = parse_corpus(fh, parse)
+    corpus, report = _parse_file(path, parse, "bad_artifact")
     if report.n_skipped:
         skipped = f"{report.n_skipped} of {report.n_records} records are not ones ingest writes"
         reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(report.skip_reasons.items()))
@@ -623,7 +649,7 @@ def _stage_synth(outdir: str, config: SynthConfig) -> None:
             fh.write(line + "\n")
     settings = dataclasses.asdict(config)
     settings["planted"] = settings.pop("planted_effect")
-    _update_manifest(outdir, "synth", config=settings, inputs={}, outputs=(CORPUS_RAW,))
+    _update_manifest(outdir, "synth", config=settings, outputs=(CORPUS_RAW,))
 
 
 def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Corpus:
@@ -634,8 +660,7 @@ def _stage_ingest(outdir: str, input_path: str | None, parse: ParseConfig) -> Co
         input_path = _require(outdir, CORPUS_RAW)
     elif not os.path.exists(input_path):
         _fail("missing_input", f"input file {input_path!r} does not exist")
-    with open(input_path, encoding="utf-8") as fh:
-        corpus, report = parse_corpus(fh, parse)
+    corpus, report = _parse_file(input_path, parse, "corpus_error")
     with _replacing(outdir, CORPUS_PARSED) as fh:
         for paper in corpus:
             fh.write(json.dumps(paper.to_record(), sort_keys=True, separators=(",", ":")) + "\n")
@@ -662,7 +687,6 @@ def _stage_train(outdir: str, corpus: Corpus, config: TrainingConfig) -> None:
         outdir,
         "train",
         config=dataclasses.asdict(config),
-        inputs={CORPUS_PARSED: _current_digest(_read_manifest(outdir), outdir, CORPUS_PARSED)},
         outputs=(EMBEDDING,),
         vocabulary=len(matrix.vocabulary),
         loss_by_epoch=list(matrix.loss_by_epoch),
@@ -769,10 +793,7 @@ def _merge_metrics(outdir: str, written: Sequence[str]) -> None:
         next(space_rows)  # the headers, checked as they are read
         next(disruption_rows)
         _write_csv(outdir, METRICS, METRIC_COLUMNS, merged_rows())
-    inputs = {name: _current_digest(manifest, outdir, name) for name in MERGED_TABLES}
-    _update_manifest(
-        outdir, "merge", config={"columns": list(METRIC_COLUMNS)}, inputs=inputs, outputs=(METRICS,)
-    )
+    _update_manifest(outdir, "merge", config={"columns": list(METRIC_COLUMNS)}, outputs=(METRICS,))
 
 
 def _stage_metrics(outdir: str, corpus: Corpus, exclude_self: bool, export_tree: bool) -> None:
@@ -782,8 +803,7 @@ def _stage_metrics(outdir: str, corpus: Corpus, exclude_self: bool, export_tree:
         emb = load_embeddings(embedding_path)
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
-    manifest = _read_manifest(outdir)
-    _current(manifest, outdir, (EMBEDDING,))
+    _current(_read_manifest(outdir), outdir, (EMBEDDING,))
     tree = build_tree(corpus.distinct_codes())
     rows = _space_rows(corpus, emb, tree, exclude_self)
     _write_csv(outdir, METRICS_SPACE, SPACE_COLUMNS, rows)
@@ -793,11 +813,9 @@ def _stage_metrics(outdir: str, corpus: Corpus, exclude_self: bool, export_tree:
         outdir,
         "metrics",
         config={"exclude_self": exclude_self, "export_tree": export_tree},
-        inputs={n: _current_digest(manifest, outdir, n) for n in (CORPUS_PARSED, EMBEDDING)},
         outputs=(METRICS_SPACE, TREE_EDGES) if export_tree else (METRICS_SPACE,),
         n_papers=len(corpus.papers),
         n_missing_vocabulary=sum(not _in_vocabulary(paper, emb) for paper in corpus),
-        invalidates=(METRICS,),
     )
 
 
@@ -816,12 +834,10 @@ def _stage_disrupt(outdir: str, corpus: Corpus, variant: str) -> None:
         outdir,
         "disrupt",
         config={"d_variant": variant},
-        inputs={CORPUS_PARSED: _current_digest(_read_manifest(outdir), outdir, CORPUS_PARSED)},
         outputs=(DISRUPTION,),
         n_defined=n_defined,
         n_undefined=len(scored) - n_defined,
         **{name: getattr(graph, name) for name in GRAPH_COUNTERS},
-        invalidates=(METRICS,),
     )
 
 
@@ -832,8 +848,7 @@ def _write_analysis(
     fit leaves every table as it was, and record them as read from metrics.csv."""
     for artifact, rows in tables.items():
         _write_csv(outdir, artifact, header, rows)
-    inputs = {METRICS: _current_digest(_read_manifest(outdir), outdir, METRICS)}
-    _update_manifest(outdir, stage, config=config, inputs=inputs, outputs=list(tables), **extra)
+    _update_manifest(outdir, stage, config=config, outputs=list(tables), **extra)
 
 
 def _stage_correlate(outdir: str, table: AnalysisTable, columns: tuple[str, ...]) -> None:

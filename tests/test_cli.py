@@ -1640,6 +1640,22 @@ def test_mistyped_merge_entry_is_structured_error(runner, tmp_path, finished_run
     assert snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize("stage, command", [("train", "metrics"), ("merge", "correlate")])
+def test_an_input_name_no_stage_declares_steers_no_check(
+    runner, tmp_path, finished_run, stage, command
+):
+    """A name an entry records among its inputs that cli.STAGES does not
+    declare it reads is ignored, and the entry the next stage records lists
+    exactly the inputs STAGES declares."""
+    shutil.copytree(finished_run, tmp_path, dirs_exist_ok=True)
+    manifest = read_manifest(tmp_path)
+    manifest["stages"][stage]["inputs"]["foo.csv"] = "sha256:0"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    run_ok(runner, [command, "--outdir", str(tmp_path)])
+    recorded = read_manifest(tmp_path)["stages"][command]["inputs"]
+    assert list(recorded) == list(cli.STAGES[command][1])
+
+
 def damage_embedding(text, defect):
     header, first, second, *rest = text.splitlines(keepends=True)
     if defect == "truncated":
@@ -1676,6 +1692,54 @@ def test_malformed_embedding_is_structured_error(runner, tmp_path, finished_run,
     assert payload["error"] == "bad_artifact"
     assert "embedding.txt" in payload["message"]
     assert snapshot(tmp_path) == before
+
+
+def set_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF  # never part of a UTF-8 text
+    path.write_bytes(bytes(data))
+
+
+# each artifact cli.STAGES declares a stage reads, but corpus.jsonl, which
+# ingest may read from anywhere, by each subcommand running that stage that
+# does not write it first; then a config file and an ingest input
+NOT_UTF8 = [
+    (stage, name, [command], "bad_artifact")
+    for stage, (runs, reads, _) in cli.STAGES.items()
+    for name in reads if name != cli.CORPUS_RAW
+    for command in runs if command not in cli.ARTIFACT_STAGES[name][1]
+] + [(None, "run.cfg", ["train", "--config"], "bad_config"),
+     (None, "input.jsonl", ["ingest", "--input"], "corpus_error")]
+
+
+@pytest.mark.parametrize(
+    "stage, name, args, error", NOT_UTF8, ids=[f"{args[0]}-{name}" for _, name, args, _ in NOT_UTF8]
+)
+def test_a_file_that_is_not_utf8_is_refused_naming_it(
+    runner, tmp_path, finished_run, stage, name, args, error
+):
+    """A stage that reads an artifact, a config file or a corpus to ingest
+    that holds a byte UTF-8 never uses fails with one error naming the file.
+    A failed merge leaves no merged table; any other failure changes no file."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    if stage is None:  # a file named on the command line
+        path = tmp_path / name
+        config = b"dim = 8\nepochs = 1\n"
+        path.write_bytes(config if name == "run.cfg" else (out / "corpus.jsonl").read_bytes())
+        args = [*args, str(path)]
+    else:
+        path = out / name
+    set_middle_byte(path)
+    before = snapshot(out)
+    payload = run_fail(runner, [*args, "--outdir", str(out)])
+    assert payload["error"] == error
+    assert name in payload["message"]
+    if stage == "merge":
+        assert not (out / "metrics.csv").exists()
+        assert "merge" not in read_manifest(out)["stages"]
+    else:
+        assert snapshot(out) == before
 
 
 @pytest.mark.parametrize("field, value", [("outcome", "d_percentil"), ("predictors", "network_distanc")])

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import knowspan
-from knowspan.cli import main
+from knowspan.cli import STAGES, main
 from knowspan.synthgen import SynthConfig, generate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,3 +63,19 @@ def test_library_example_runs(tmp_path, monkeypatch):
     namespace: dict = {}
     exec(compile(example, "README.md", "exec"), namespace)
     assert len(namespace["distances"]) == len(namespace["corpus"])
+
+
+def test_stage_table_needs_the_inputs_each_stage_declares():
+    """Each row of the Pipeline stages table, in the order of cli.STAGES,
+    names in its "needs" cell exactly the artifacts STAGES declares the stage
+    reads; `pipeline` needs what no stage it runs writes."""
+    table = re.search(r"^\| stage .*?\n\n", README, re.S | re.M).group(0)
+    cells = [line.split("|") for line in table.strip().splitlines()[2:]]
+    needs = {re.sub(r"[`*()\s]", "", row[1]): row[2] for row in cells}
+    reads = {stage: set(names) for stage, (_, names, _) in STAGES.items()}
+    written = {name for _, _, checked in STAGES.values() for name in checked}
+    reads["pipeline"] = set().union(*reads.values()) - written
+    assert list(needs) == list(reads)
+    for stage, cell in needs.items():
+        named = {name for name in re.findall(r"`([^`]+)`", cell) if not name.startswith("--")}
+        assert named == reads[stage], stage
