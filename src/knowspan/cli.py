@@ -601,9 +601,11 @@ def _read_metrics(outdir: str) -> AnalysisTable:
 
 def _parse_file(path: str, parse: ParseConfig, kind: str) -> tuple:
     """The corpus and parse report of the corpus JSONL at ``path``; a byte that
-    is not UTF-8 fails the stage with ``kind``, naming the file."""
+    is not UTF-8 fails the stage with ``kind``, naming the file.  A byte-order
+    mark that starts the file, as spreadsheet exports write, is read past; one
+    anywhere else makes its line invalid JSON."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_corpus(fh, parse)
     except UnicodeDecodeError as exc:
         _fail(kind, f"{path} is not UTF-8 text: {exc.reason}")
@@ -801,6 +803,8 @@ def _stage_metrics(outdir: str, corpus: Corpus, exclude_self: bool, export_tree:
     embedding_path = _require(outdir, EMBEDDING)
     try:
         emb = load_embeddings(embedding_path)
+    except UnicodeDecodeError as exc:  # decoded a block at a time: no position is the file's
+        _fail("bad_artifact", f"{embedding_path} is not UTF-8 text: {exc.reason}")
     except ValueError as exc:
         _fail("bad_artifact", f"{embedding_path}: {exc}")
     _current(_read_manifest(outdir), outdir, (EMBEDDING,))

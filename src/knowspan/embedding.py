@@ -8,7 +8,9 @@ loss for one pair with negatives n_1..n_K is
 
 where v are input-side vectors (the ones exported) and u are output-side
 vectors.  Training is plain sequential SGD seeded from ``seed``, so two runs
-with one seed produce bit-identical matrices.
+with one seed produce bit-identical matrices.  Each update performs the float
+operations of the plain per-pair update in the same order, so the trained
+bytes do not depend on how the update is dispatched.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ _CHUNK_PAIRS = 4096
 
 
 def _sgd_step(
-    w_in: np.ndarray,
+    w_in: np.ndarray | Sequence[np.ndarray],
     w_out: np.ndarray,
     center: int,
     targets: np.ndarray,
@@ -173,21 +175,32 @@ def _sgd_step(
 ) -> None:
     """One in-place SGD update; ``targets[0]`` is the positive context.
 
-    Writes the pre-update scores ``w_out[targets] @ w_in[center]`` into
-    ``scores``; ``_pair_losses`` turns them into the loss.  ``distinct``
-    promises that no target repeats; otherwise duplicate negative draws are
-    accumulated, not overwritten.
+    ``w_in`` is the input-side matrix or the list of its row views.  Writes
+    the pre-update scores ``w_out[targets] @ w_in[center]`` into ``scores``;
+    ``_pair_losses`` turns them into the loss.  ``distinct`` promises that no
+    target repeats; otherwise duplicate negative draws are accumulated, not
+    overwritten.
+
+    The float operations and their order are those of the plain per-pair
+    update that the tests keep as an oracle, so every weight training can
+    hold matches it bit for bit.  The ndarray methods stand in for
+    ``np.dot``, whose ``__array_function__`` dispatch costs more than these
+    small products.
     """
     v = w_in[center]
     u = w_out.take(targets, axis=0)  # a copy, so u stays at pre-update values
-    np.dot(u, v, out=scores)
-    probs = list(map(expit, scores.tolist()))
-    probs[0] -= 1.0
-    err = np.array([lr * p for p in probs])
-    grad_center = np.dot(err, u)
-    # the outer product err v as a k=1 matrix product: each entry is one
-    # rounded product, as with broadcasting, at less call overhead
-    outer = np.dot(err[:, None], v[None, :])
+    u.dot(v, out=scores)
+    xs = iter(scores.tolist())
+    err = [lr * (expit(next(xs)) - 1.0)]  # the positive context's entry
+    err += [lr * expit(x) for x in xs]
+    err = np.array(err)
+    grad_center = err.dot(u)
+    # the outer product err v as a k=1 matrix product, at less call overhead
+    # than broadcasting: each entry is the one rounded product, but a -0.0
+    # product comes out +0.0.  That can change a weight only where it is
+    # -0.0, and training never holds one: rng.uniform draws none, and a
+    # difference is -0.0 only when its left operand is.
+    outer = err[:, None].dot(v[None, :])
     if distinct:  # write the updated copy back in one assignment
         u -= outer
         w_out[targets] = u
@@ -246,7 +259,8 @@ def train_embeddings(
     context is dropped rather than resampled.  The learning rate decays
     linearly from the initial to the final value over all scheduled updates.
 
-    Updates run pair by pair; the work that does not depend on the vectors
+    Updates run pair by pair, each with the float operations of the per-pair
+    update in the same order; the work that does not depend on the vectors
     (noise draws, learning rates, the loss) is done once per chunk of
     ``_CHUNK_PAIRS`` pairs, with results identical to doing it per pair.
     """
@@ -287,6 +301,7 @@ def train_embeddings(
     total_updates = config.epochs * pair_count
     step = 0
     losses = []
+    w_in_rows = list(w_in)  # views, indexed faster than the matrix
     for _ in range(config.epochs):
         acc = 0.0
         for lo in range(0, pair_count, _CHUNK_PAIRS):
@@ -302,16 +317,15 @@ def train_embeddings(
             rows = zip(
                 centers[lo:hi].tolist(),
                 targets,
-                kept,
                 scores,
                 rates.tolist(),
                 widths.tolist(),
                 distinct.tolist(),
             )
-            for center, row, row_kept, row_scores, lr, width, is_distinct in rows:
-                if width <= k:
-                    row, row_scores = row[row_kept], row_scores[:width]
-                _sgd_step(w_in, w_out, center, row, lr, row_scores, is_distinct)
+            for i, (center, row, row_scores, lr, width, is_distinct) in enumerate(rows):
+                if width <= k:  # a draw was dropped
+                    row, row_scores = row[kept[i]], row_scores[:width]
+                _sgd_step(w_in_rows, w_out, center, row, lr, row_scores, is_distinct)
             for loss in _pair_losses(scores, widths).tolist():  # summed in pair order
                 acc += loss
         losses.append(acc / pair_count)

@@ -1742,6 +1742,41 @@ def test_a_file_that_is_not_utf8_is_refused_naming_it(
         assert snapshot(out) == before
 
 
+def test_an_embedding_that_is_not_utf8_is_refused_without_a_position(runner, tmp_path, finished_run):
+    """The codec's position counts from the start of a decode block, not
+    of the file, so the message gives the reason alone."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    set_middle_byte(out / "embedding.txt")
+    payload = run_fail(runner, ["metrics", "--outdir", str(out)])
+    assert payload["error"] == "bad_artifact"
+    assert payload["message"] == f"{out / 'embedding.txt'} is not UTF-8 text: invalid start byte"
+    assert "position" not in payload["message"]
+
+
+BOM = "\ufeff".encode()
+
+
+def test_a_byte_order_mark_that_starts_the_corpus_is_read_past(runner, tmp_path, finished_run):
+    """Spreadsheet exports start with one; the first record is kept, and
+    ingest writes the bytes it writes for the file without it."""
+    bom = tmp_path / "bom.jsonl"
+    bom.write_bytes(BOM + (finished_run / "corpus.jsonl").read_bytes())
+    run_ok(runner, ["ingest", "--input", str(bom), "--outdir", str(tmp_path / "out")])
+    for name in ("corpus.parsed.jsonl", "parse_report.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (finished_run / name).read_bytes(), name
+    assert json.loads((tmp_path / "out" / "parse_report.json").read_text())["n_skipped"] == 0
+
+
+def test_a_byte_order_mark_after_the_start_makes_its_line_invalid(runner, tmp_path, finished_run):
+    first, *rest = (finished_run / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    marked = tmp_path / "marked.jsonl"
+    marked.write_bytes(first + BOM + b"".join(rest))
+    run_ok(runner, ["ingest", "--input", str(marked), "--outdir", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "parse_report.json").read_text())
+    assert (report["n_skipped"], report["skip_reasons"]) == (1, {"invalid_json": 1})
+
+
 @pytest.mark.parametrize("field, value", [("outcome", "d_percentil"), ("predictors", "network_distanc")])
 def test_model_naming_an_absent_column_is_structured_error(runner, tmp_path, finished_run, field, value):
     config = tmp_path / "models.cfg"

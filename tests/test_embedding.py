@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from knowspan import embedding
@@ -277,6 +278,69 @@ def seed_sgd_step(w_in, w_out, center, targets, lr):
     np.add.at(w_out, targets, -err[:, None] * v[None, :])
     w_in[center] = v - grad_center
     return loss
+
+
+@st.composite
+def sgd_step_cases(draw):
+    """(w_in, w_out, center, targets, lr): up to k+1 targets, k from 1 to 7,
+    that may repeat, on vectors scaled up to scores past +-745.13.  Adding
+    +0.0 turns a -0.0 weight into +0.0: training holds none, and on one the
+    step may keep -0.0 where the oracle writes +0.0 (the test below)."""
+    k = draw(st.integers(1, 7))
+    width = draw(st.integers(1, k + 1))
+    n_vocab = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 1.0, 40.0]))
+    elements = st.floats(-scale, scale).map(lambda x: x + 0.0)
+    weights = arrays(np.float64, (n_vocab, dim), elements=elements)
+    w_in, w_out = draw(weights), draw(weights)
+    center = draw(st.integers(0, n_vocab - 1))
+    targets = draw(st.lists(st.integers(0, n_vocab - 1), min_size=width, max_size=width))
+    lr = draw(st.floats(1e-4, 0.05))
+    return w_in, w_out, center, np.array(targets), lr
+
+
+def overflow_case(targets):
+    """Scores -900, -750, -720, 720 and 750 for w_out rows 1 to 5: exp(-x)
+    overflows below -709.78, and the logistic underflows to 0 below -745.13."""
+    w_in = np.zeros((6, 2))
+    w_in[0] = 30.0
+    w_out = np.array([[0.01, -0.02], *([c, c] for c in (-15.0, -12.5, -12.0, 12.0, 12.5))])
+    return w_in, w_out, 0, np.array(targets), 0.025
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=sgd_step_cases())
+@example(case=overflow_case([1, 2, 3, 4, 5]))  # on the positive and two negatives
+@example(case=overflow_case([3, 1, 2, 2, 0, 1]))  # repeated, the positive between the two thresholds
+@example(case=overflow_case([2]))
+def test_sgd_step_equals_the_per_pair_oracle_bit_for_bit(case):
+    """The update writes the oracle's weights and scores whose loss is the
+    oracle's, bit for bit, whether w_in is the matrix or its row views;
+    repeated targets go through the accumulating update."""
+    w_in_0, w_out_0, center, targets, lr = case
+    w_in_seed, w_out_seed = w_in_0.copy(), w_out_0.copy()
+    loss = seed_sgd_step(w_in_seed, w_out_seed, center, targets, lr)
+    repeats = len(set(targets.tolist())) < targets.size
+    for distinct in (False,) if repeats else (True, False):
+        for rows in (False, True):
+            w_in, w_out = w_in_0.copy(), w_out_0.copy()
+            scores = np.empty(targets.size)
+            _sgd_step(list(w_in) if rows else w_in, w_out, center, targets, lr, scores, distinct)
+            assert w_in.tobytes() == w_in_seed.tobytes()
+            assert w_out.tobytes() == w_out_seed.tobytes()
+            assert float_bits(step_loss(scores)) == float_bits(loss)
+
+
+def test_a_negative_zero_weight_is_where_the_step_and_the_oracle_differ():
+    """The step's outer product makes a -0.0 product +0.0, so a -0.0 weight
+    moved by zero stays -0.0, where the oracle adds +0.0 and writes +0.0.
+    Training never holds a -0.0 weight, so its bytes are the oracle's."""
+    w_out, w_out_seed = np.full((2, 2), -0.0), np.full((2, 2), -0.0)
+    _sgd_step(np.zeros((2, 2)), w_out, 0, np.array([0]), 0.03125, np.empty(1), True)
+    seed_sgd_step(np.zeros((2, 2)), w_out_seed, 0, np.array([0]), 0.03125)
+    assert np.signbit(w_out).all()
+    assert not np.signbit(w_out_seed[0]).any()
 
 
 def seed_train(pairs, config):
